@@ -93,8 +93,9 @@ void CompareBestFirstAgainstExhaustive() {
   // The headline gates: within 1% of the exhaustive optimum at <= 50% of
   // the exhaustive expansion count.
   double gated_best = MinCost(gated.value());
-  TQP_CHECK(gated_best <= optimum * 1.01);
-  TQP_CHECK(gated->expanded * 2 <= exhaustive->expanded);
+  TQP_BENCH_GATE("within_1pct_of_optimum", gated_best <= optimum * 1.01);
+  TQP_BENCH_GATE("half_the_expansions",
+                 gated->expanded * 2 <= exhaustive->expanded);
   std::printf(
       "\nbest-first @ prune 1.5 reaches %.2f%% of optimum with %.0f%% of the "
       "expansions (gates: <=1%% / <=50%%)\n",

@@ -276,7 +276,7 @@ void GateIncrementalSpeedup() {
     return;
   }
   // The acceptance gate: >= 5x on every configuration.
-  TQP_CHECK(min_speedup >= 5.0);
+  TQP_BENCH_GATE("min_speedup", min_speedup >= 5.0);
   std::printf("speedup gate PASSED: min %.2fx >= 5x.\n", min_speedup);
 }
 

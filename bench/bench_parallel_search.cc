@@ -175,7 +175,7 @@ void GateParallelSpeedup() {
     return;
   }
   // The acceptance gate: >= 2x plans/second at 4 threads vs 1 thread.
-  TQP_CHECK(four >= 2.0 * one);
+  TQP_BENCH_GATE("speedup_4_threads", four >= 2.0 * one);
   std::printf("speedup gate PASSED: %.2fx >= 2x at 4 threads.\n", four / one);
 }
 

@@ -143,7 +143,8 @@ void RunOverloadPhases() {
   TQP_CHECK(base.errors == 0 && over.errors == 0);
   TQP_CHECK(stats.peak_concurrent_queries <= base_clients);
   if (kGatesArmed) {
-    TQP_CHECK(stats.peak_concurrent_queries == base_clients);
+    TQP_BENCH_GATE("saturation",
+                   stats.peak_concurrent_queries == base_clients);
   }
   const double p50_ratio =
       base.latency_us.Percentile(50) > 0
@@ -156,8 +157,8 @@ void RunOverloadPhases() {
   if (kGatesArmed) {
     // Queueing, not collapse: closed-loop theory predicts ~2x p50 at 2x
     // clients; 8x leaves room for scheduler noise on small CI runners.
-    TQP_CHECK(p50_ratio <= 8.0);
-    TQP_CHECK(over.qps >= 0.5 * base.qps);
+    TQP_BENCH_GATE("overload_p50_growth", p50_ratio <= 8.0);
+    TQP_BENCH_GATE("overload_qps", over.qps >= 0.5 * base.qps);
   }
 }
 
@@ -222,7 +223,7 @@ void RunWarmRestartPhase() {
   bench::SetMetric("warm_start_speedup", speedup);
   Row("  warm first wave %.2fx the cold q/s (gate: >= 2x)", speedup);
   if (kGatesArmed) {
-    TQP_CHECK(speedup >= 2.0);
+    TQP_BENCH_GATE("warm_start_speedup", speedup >= 2.0);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -208,6 +209,33 @@ inline void WriteBenchJson(const std::string& bench_name) {
   std::printf("\n[%s: %zu metrics]\n", path.c_str(),
               BenchMetrics().size() + BenchJsonMetrics().size());
 }
+
+/// The BENCH_<name>.json name of the bench main in `file`
+/// (bench/bench_<name>.cc).
+inline std::string BenchNameOf(const std::string& file) {
+  std::string name = file.substr(file.find_last_of('/') + 1);
+  if (name.rfind("bench_", 0) == 0) name = name.substr(6);
+  return name.substr(0, name.rfind('.'));
+}
+
+/// Records gate `gate` as metric "gate.<gate>" (1 held, 0 failed). A failed
+/// gate still leaves its numbers: the bench's JSON is written and stdout
+/// flushed before the process aborts, as TQP_CHECK would.
+inline void Gate(const char* file, int line, const std::string& gate,
+                 const char* cond, bool held) {
+  SetMetric("gate." + gate, held ? 1.0 : 0.0);
+  if (held) return;
+  WriteBenchJson(BenchNameOf(file));
+  std::fflush(stdout);
+  std::fprintf(stderr, "gate %s failed at %s:%d: %s\n", gate.c_str(), file,
+               line, cond);
+  std::abort();
+}
+
+/// A perf gate: TQP_CHECK(cond) that records its outcome and keeps the
+/// bench's numbers when it fails (see Gate).
+#define TQP_BENCH_GATE(gate, cond) \
+  ::tqp::bench::Gate(__FILE__, __LINE__, gate, #cond, (cond))
 
 /// EMPLOYEE/PROJECT at the paper's size plus two messy temporal relations R
 /// and S — the catalog the engine-facing benches serve queries against.

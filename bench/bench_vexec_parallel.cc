@@ -195,7 +195,7 @@ void GateParallelScaling() {
     return;
   }
   // The acceptance gate: >= 3x pipeline rows/second at 4 threads.
-  TQP_CHECK(par_rps >= 3.0 * serial_rps);
+  TQP_BENCH_GATE("scaling_4_threads", par_rps >= 3.0 * serial_rps);
   std::printf("scaling gate PASSED: %.2fx >= 3x.\n", scaling);
 }
 

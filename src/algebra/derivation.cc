@@ -384,13 +384,22 @@ NodeProps DeriveChildProps(const PlanNode& node, size_t child_index,
       }
       break;
     }
+    // The three cases below relax a property on the strength of a
+    // bottom-up guarantee of the current plan. Each is sound only if no
+    // rewrite admitted under the relaxed properties can falsify the
+    // guarantee it rests on.
     case OpKind::kDifference:
       if (child_index == 0) {
         // Left multiplicities always affect the difference.
         out.duplicates_relevant = true;
       } else {
         // The order of the subtrahend never matters; its duplicates matter
-        // only when the left argument can carry duplicates.
+        // only when the left argument can carry duplicates. Sound while the
+        // left stays duplicate-free: its own context keeps duplicates
+        // relevant, so where periods are preserved only rewrites that keep
+        // its multiplicities (≡M or stronger) apply there. Where they are
+        // not, ≡SM rewrites apply, and a split or merged period can create
+        // a duplicate; that case is not yet covered by a test.
         out.order_required = false;
         out.duplicates_relevant = !left_duplicate_free;
       }
@@ -403,15 +412,27 @@ NodeProps DeriveChildProps(const PlanNode& node, size_t child_index,
         if (left_snapshot_dup_free) {
           out.duplicates_relevant = false;
           // With a snapshot-duplicate-free left argument, \T depends on the
-          // right argument only through its snapshots.
+          // right argument only through its snapshots. Sound while the
+          // left stays snapshot-duplicate-free: its context keeps
+          // duplicates relevant, so every rewrite admitted there keeps its
+          // snapshot multiplicities (≡SM or stronger).
           out.period_preserving = false;
         }
       }
       break;
     case OpKind::kCoalesce:
       // coalT maps every snapshot-equivalent duplicate-free argument to the
-      // same result, so periods below need not be preserved.
-      if (child_snapshot_dup_free) out.period_preserving = false;
+      // same result, so periods below need not be preserved. Unlike the
+      // difference cases, this conditions on the node being rewritten
+      // itself, so the relaxed context must not admit a rewrite that breaks
+      // its snapshot-duplicate-freeness: duplicates stay relevant, which
+      // limits the child to rewrites that keep snapshot multiplicities
+      // (≡SM or stronger). Otherwise D4 (rdupT(r) ≡SS r) could remove the
+      // very rdupT the relaxation depends on.
+      if (child_snapshot_dup_free) {
+        out.period_preserving = false;
+        out.duplicates_relevant = true;
+      }
       break;
     default:
       break;

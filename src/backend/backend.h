@@ -41,11 +41,13 @@ class Backend {
   virtual BackendKind kind() const = 0;
   const char* name() const { return BackendKindName(kind()); }
 
-  /// Mirrors the DBMS-site relations of `catalog` into the backend. Keyed on
-  /// the catalog contents: a repeated call with unchanged relations is a
-  /// cheap no-op, and a file-backed mirror written by an earlier process is
-  /// reused instead of reloaded. Called automatically before each cut-point
-  /// execution.
+  /// Mirrors the DBMS-site relations of `catalog` into the backend, per
+  /// relation and keyed on Catalog::relation_digest: a call costs
+  /// O(relations) when nothing changed, a write to one relation rewrites
+  /// only that relation's mirror (only its new rows after an append), and a
+  /// file-backed mirror written by an earlier process is reused instead of
+  /// reloaded. Called automatically before each cut-point execution; an
+  /// error makes the caller evaluate the cut in-engine.
   virtual Status SyncCatalog(const Catalog& catalog) = 0;
 
   /// False = the engine never consults CanPush/ExecuteSubplan and evaluates

@@ -216,6 +216,16 @@ bool AnyDoubleColumn(const Schema& s) {
 
 }  // namespace
 
+std::string SqlSerializer::MirrorTable(const std::string& rel_name) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string table = "rel_";
+  for (unsigned char c : rel_name) {
+    table += kHex[c >> 4];
+    table += kHex[c & 0xf];
+  }
+  return table;
+}
+
 Status SqlSerializer::Check(const PlanPtr& node) const {
   const NodeInfo& info = ann_.info(node.get());
   switch (node->kind()) {
@@ -224,9 +234,6 @@ Status SqlSerializer::Check(const PlanPtr& node) const {
       if (e == nullptr) return Refuse("unknown relation " + node->rel_name());
       if (e->site != Site::kDbms) {
         return Refuse("relation " + node->rel_name() + " not at DBMS site");
-      }
-      if (node->rel_name().find('"') != std::string::npos) {
-        return Refuse("unquotable relation name");
       }
       return Status::OK();
     }

@@ -50,10 +50,11 @@ class SqlSerializer {
   /// the node's derived schema; rows arrive in exact reference list order.
   Result<SerializedSql> Serialize(const PlanPtr& node) const;
 
-  /// Backend table mirroring the catalog relation `rel_name`.
-  static std::string MirrorTable(const std::string& rel_name) {
-    return "rel_" + rel_name;
-  }
+  /// Backend table mirroring the catalog relation `rel_name`: "rel_" and
+  /// the name's bytes in lower-case hex. SQLite identifiers ignore case, so
+  /// the encoding is what keeps relations `C` and `c` apart, and the result
+  /// never needs escaping inside quotes.
+  static std::string MirrorTable(const std::string& rel_name);
 
  private:
   const AnnotatedPlan& ann_;

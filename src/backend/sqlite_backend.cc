@@ -5,11 +5,15 @@
 #include <sqlite3.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <functional>
+#include <map>
 #include <mutex>
+#include <set>
+#include <sstream>
 
 #include "backend/sql_serializer.h"
 #include "core/hash.h"
@@ -36,16 +40,6 @@ const char* SqlType(ValueType t) {
       return "";  // no affinity; the column only ever holds NULLs
   }
   return "";
-}
-
-Status ExecRaw(sqlite3* db, const std::string& sql) {
-  char* err = nullptr;
-  if (sqlite3_exec(db, sql.c_str(), nullptr, nullptr, &err) != SQLITE_OK) {
-    std::string msg = err != nullptr ? err : "unknown sqlite error";
-    sqlite3_free(err);
-    return Status::Error("sqlite: " + msg);
-  }
-  return Status::OK();
 }
 
 int BindValue(sqlite3_stmt* st, int idx, const Value& v) {
@@ -84,26 +78,40 @@ Value DecodeColumn(sqlite3_stmt* st, int i, ValueType t) {
   return Value::Null();
 }
 
-/// Order-sensitive digest of the DBMS-site relations: names, schemas, and
-/// every tuple. This — not the catalog pointer or version — keys the
-/// mirror, so a file-backed mirror written by another process (or an
-/// unrelated catalog object with identical contents) is recognized.
-uint64_t CatalogContentFingerprint(const Catalog& catalog) {
-  uint64_t h = 0x7ab1e5cafe;
-  for (const std::string& name : catalog.Names()) {
-    const CatalogEntry* e = catalog.Find(name);
-    if (e == nullptr || e->site != Site::kDbms) continue;
-    h = HashCombine(h, std::hash<std::string>{}(name));
-    for (const Attribute& a : e->data.schema().attrs()) {
-      h = HashCombine(h, std::hash<std::string>{}(a.name));
-      h = HashCombine(h, static_cast<uint64_t>(a.type));
-    }
-    h = HashCombine(h, e->data.size());
-    for (const Tuple& t : e->data.tuples()) {
-      h = HashCombine(h, t.Hash());
-    }
+/// `id` as a quoted SQL identifier.
+std::string QuoteIdent(const std::string& id) {
+  std::string out = "\"";
+  for (char c : id) {
+    out += c;
+    if (c == '"') out += '"';
   }
-  return h;
+  return out + "\"";
+}
+
+// tqp_meta keys of the per-relation mirror records.
+const char kRecordPrefix[] = "mirror:";
+constexpr size_t kRecordPrefixLen = sizeof(kRecordPrefix) - 1;
+
+/// One mirrored relation: its table, and the ContentDigest and row count of
+/// the tuple list the table holds (rowid = list position). Persisted in
+/// tqp_meta as "<table> <digest hex> <rows>" under "mirror:<name>".
+struct MirrorRecord {
+  std::string table;
+  uint64_t digest = 0;
+  size_t rows = 0;
+};
+
+std::string EncodeRecord(const MirrorRecord& rec) {
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(rec.digest));
+  return rec.table + " " + digest + " " + std::to_string(rec.rows);
+}
+
+bool DecodeRecord(const std::string& value, MirrorRecord* rec) {
+  std::istringstream in(value);
+  return static_cast<bool>(in >> rec->table >> std::hex >> rec->digest >>
+                           std::dec >> rec->rows);
 }
 
 }  // namespace
@@ -114,22 +122,26 @@ struct SqliteBackend::Impl {
   // concurrent statement execution, and a single coarse lock keeps the
   // backend trivially TSan-clean under the multi-tenant engine.
   mutable std::mutex mu;
-  uint64_t mirrored_fp = 0;  // content fingerprint of the current mirror
+  /// Committed mirror state by relation name; changed only after COMMIT.
+  std::map<std::string, MirrorRecord> mirrored;
   int64_t mirror_loads = 0;
 
   Status CreateTableLocked(const std::string& table, const Schema& schema) {
-    TQP_RETURN_IF_ERROR(ExecRaw(db, "DROP TABLE IF EXISTS \"" + table + "\""));
-    std::string sql = "CREATE TABLE \"" + table + "\" (";
+    TQP_RETURN_IF_ERROR(
+        ExecLocked("DROP TABLE IF EXISTS " + QuoteIdent(table)));
+    std::string sql = "CREATE TABLE " + QuoteIdent(table) + " (";
     for (size_t i = 0; i < schema.size(); ++i) {
       if (i) sql += ", ";
       sql += "c" + std::to_string(i) + SqlType(schema.attr(i).type);
     }
     sql += ")";
-    return ExecRaw(db, sql);
+    return ExecLocked(sql);
   }
 
-  Status LoadLocked(const std::string& table, const Relation& rows) {
-    std::string sql = "INSERT INTO \"" + table + "\" VALUES (";
+  /// Appends the tuples of `rows` from position `from` on.
+  Status LoadLocked(const std::string& table, const Relation& rows,
+                    size_t from = 0) {
+    std::string sql = "INSERT INTO " + QuoteIdent(table) + " VALUES (";
     for (size_t i = 0; i < rows.schema().size(); ++i) {
       sql += i ? ", ?" : "?";
     }
@@ -139,7 +151,8 @@ struct SqliteBackend::Impl {
       return Status::Error(std::string("sqlite prepare: ") +
                            sqlite3_errmsg(db));
     }
-    for (const Tuple& t : rows.tuples()) {
+    for (size_t r = from; r < rows.size(); ++r) {
+      const Tuple& t = rows.tuple(r);
       for (size_t i = 0; i < t.size(); ++i) {
         if (BindValue(st, static_cast<int>(i) + 1, t.at(i)) != SQLITE_OK) {
           sqlite3_finalize(st);
@@ -158,13 +171,24 @@ struct SqliteBackend::Impl {
     return Status::OK();
   }
 
+  /// Runs exactly one statement: SQL holding a second one is refused, not
+  /// run.
   Result<Relation> ExecuteSqlLocked(const std::string& sql,
                                     const std::vector<Value>& params,
                                     const Schema& out_schema) {
     sqlite3_stmt* st = nullptr;
-    if (sqlite3_prepare_v2(db, sql.c_str(), -1, &st, nullptr) != SQLITE_OK) {
+    const char* tail = nullptr;
+    if (sqlite3_prepare_v2(db, sql.c_str(), static_cast<int>(sql.size()),
+                           &st, &tail) != SQLITE_OK) {
       return Status::Error(std::string("sqlite prepare: ") +
                            sqlite3_errmsg(db));
+    }
+    const bool more = std::any_of(tail, sql.c_str() + sql.size(), [](char c) {
+      return !std::isspace(static_cast<unsigned char>(c));
+    });
+    if (st == nullptr || more) {
+      sqlite3_finalize(st);
+      return Status::Error("sqlite: expected exactly one statement");
     }
     for (size_t i = 0; i < params.size(); ++i) {
       if (BindValue(st, static_cast<int>(i) + 1, params[i]) != SQLITE_OK) {
@@ -197,6 +221,80 @@ struct SqliteBackend::Impl {
     sqlite3_finalize(st);
     return out;
   }
+
+  Status ExecLocked(const std::string& sql) {
+    return ExecuteSqlLocked(sql, {}, Schema()).status();
+  }
+
+  /// The tables named like a mirror table ("rel_" prefix).
+  Result<Relation> MirrorTablesLocked() {
+    return ExecuteSqlLocked(
+        "SELECT name FROM sqlite_master WHERE type='table' AND "
+        "name GLOB 'rel_*'",
+        {}, Schema(std::vector<Attribute>{{"name", ValueType::kString}}));
+  }
+
+  /// The (key, value) rows of the mirror records in tqp_meta.
+  Result<Relation> RecordRowsLocked() {
+    return ExecuteSqlLocked(
+        "SELECT key, value FROM tqp_meta WHERE key GLOB 'mirror:*'", {},
+        Schema(std::vector<Attribute>{{"key", ValueType::kString},
+                                      {"value", ValueType::kString}}));
+  }
+
+  /// Adopts the records a file-backed database kept from an earlier
+  /// process, each only if its table is still there.
+  Status AdoptRecordsLocked() {
+    TQP_ASSIGN_OR_RETURN(tables, MirrorTablesLocked());
+    std::set<std::string> present;
+    for (const Tuple& t : tables.tuples()) present.insert(t.at(0).AsString());
+    TQP_ASSIGN_OR_RETURN(rows, RecordRowsLocked());
+    for (const Tuple& t : rows.tuples()) {
+      const std::string name = t.at(0).AsString().substr(kRecordPrefixLen);
+      MirrorRecord rec;
+      if (DecodeRecord(t.at(1).AsString(), &rec) &&
+          rec.table == SqlSerializer::MirrorTable(name) &&
+          present.count(rec.table) > 0) {
+        mirrored[name] = rec;
+      }
+    }
+    return Status::OK();
+  }
+
+  Status PutRecordLocked(const std::string& name, const MirrorRecord& rec) {
+    return ExecuteSqlLocked(
+               "INSERT OR REPLACE INTO tqp_meta (key, value) VALUES (?, ?)",
+               {Value::String(kRecordPrefix + name),
+                Value::String(EncodeRecord(rec))},
+               Schema())
+        .status();
+  }
+
+  /// Drops every mirror table and record that `keep` does not list: those
+  /// of relations gone from the DBMS site, and leftovers of an earlier
+  /// process or of a failed sync.
+  Status SweepLocked(const std::map<std::string, MirrorRecord>& keep) {
+    std::set<std::string> kept_tables;
+    for (const auto& [name, rec] : keep) kept_tables.insert(rec.table);
+    TQP_ASSIGN_OR_RETURN(tables, MirrorTablesLocked());
+    for (const Tuple& t : tables.tuples()) {
+      const std::string& table = t.at(0).AsString();
+      if (kept_tables.count(table) == 0) {
+        TQP_RETURN_IF_ERROR(ExecLocked("DROP TABLE " + QuoteIdent(table)));
+      }
+    }
+    TQP_ASSIGN_OR_RETURN(records, RecordRowsLocked());
+    for (const Tuple& t : records.tuples()) {
+      const std::string& key = t.at(0).AsString();
+      if (keep.count(key.substr(kRecordPrefixLen)) == 0) {
+        TQP_RETURN_IF_ERROR(
+            ExecuteSqlLocked("DELETE FROM tqp_meta WHERE key = ?",
+                             {Value::String(key)}, Schema())
+                .status());
+      }
+    }
+    return Status::OK();
+  }
 };
 
 bool SqliteBackend::Available() {
@@ -226,76 +324,64 @@ Result<std::unique_ptr<SqliteBackend>> SqliteBackend::Open(
   }
   std::unique_ptr<SqliteBackend> be(new SqliteBackend());
   be->impl_->db = db;
-  TQP_RETURN_IF_ERROR(ExecRaw(
-      db, "CREATE TABLE IF NOT EXISTS tqp_meta (key TEXT PRIMARY KEY, "
-          "value TEXT)"));
-  // A file-backed database may already mirror a catalog from an earlier
-  // process; adopt its fingerprint so SyncCatalog can reuse it.
-  sqlite3_stmt* st = nullptr;
-  if (sqlite3_prepare_v2(db,
-                         "SELECT value FROM tqp_meta WHERE key='catalog_fp'",
-                         -1, &st, nullptr) == SQLITE_OK) {
-    if (sqlite3_step(st) == SQLITE_ROW) {
-      const char* v = reinterpret_cast<const char*>(sqlite3_column_text(st, 0));
-      if (v != nullptr) {
-        be->impl_->mirrored_fp = std::strtoull(v, nullptr, 16);
-      }
-    }
-    sqlite3_finalize(st);
-  }
+  TQP_RETURN_IF_ERROR(be->impl_->ExecLocked(
+      "CREATE TABLE IF NOT EXISTS tqp_meta (key TEXT PRIMARY KEY, value "
+      "TEXT)"));
+  TQP_RETURN_IF_ERROR(be->impl_->AdoptRecordsLocked());
   return be;
 }
 
 Status SqliteBackend::SyncCatalog(const Catalog& catalog) {
-  uint64_t fp = CatalogContentFingerprint(catalog);
   std::lock_guard<std::mutex> lock(impl_->mu);
-  if (fp == impl_->mirrored_fp) return Status::OK();
+  std::map<std::string, MirrorRecord>& mirrored = impl_->mirrored;
+  // O(relations): a DBMS-site relation is written when its digest differs
+  // from its record's; a record whose relation left the DBMS site is dropped.
+  std::vector<std::string> changed;
+  std::map<std::string, MirrorRecord> next;
+  for (const std::string& name : catalog.Names()) {
+    if (catalog.Find(name)->site != Site::kDbms) continue;
+    auto it = mirrored.find(name);
+    if (it == mirrored.end() ||
+        it->second.digest != catalog.relation_digest(name)) {
+      changed.push_back(name);
+    } else {
+      next.insert(*it);
+    }
+  }
+  if (changed.empty() && next.size() == mirrored.size()) return Status::OK();
 
   Status st = [&]() -> Status {
-    TQP_RETURN_IF_ERROR(ExecRaw(impl_->db, "BEGIN IMMEDIATE"));
-    // Drop every stale mirror table, then rebuild from the catalog.
-    std::vector<std::string> stale;
-    {
-      sqlite3_stmt* q = nullptr;
-      if (sqlite3_prepare_v2(impl_->db,
-                             "SELECT name FROM sqlite_master WHERE "
-                             "type='table' AND name LIKE 'rel!_%' ESCAPE '!'",
-                             -1, &q, nullptr) != SQLITE_OK) {
-        return Status::Error(std::string("sqlite prepare: ") +
-                             sqlite3_errmsg(impl_->db));
+    TQP_RETURN_IF_ERROR(impl_->ExecLocked("BEGIN IMMEDIATE"));
+    for (const std::string& name : changed) {
+      const Relation& data = catalog.Find(name)->data;
+      MirrorRecord rec{SqlSerializer::MirrorTable(name),
+                       catalog.relation_digest(name), data.size()};
+      // A list that extends the mirrored one only needs its new suffix;
+      // anything else is reloaded.
+      size_t from = 0;
+      auto old = mirrored.find(name);
+      if (old != mirrored.end() && old->second.rows <= data.size() &&
+          ContentDigest(data, old->second.rows) == old->second.digest) {
+        from = old->second.rows;
+      } else {
+        TQP_RETURN_IF_ERROR(impl_->CreateTableLocked(rec.table, data.schema()));
       }
-      while (sqlite3_step(q) == SQLITE_ROW) {
-        stale.emplace_back(
-            reinterpret_cast<const char*>(sqlite3_column_text(q, 0)));
-      }
-      sqlite3_finalize(q);
+      TQP_RETURN_IF_ERROR(impl_->LoadLocked(rec.table, data, from));
+      TQP_RETURN_IF_ERROR(impl_->PutRecordLocked(name, rec));
+      next[name] = std::move(rec);
     }
-    for (const std::string& t : stale) {
-      TQP_RETURN_IF_ERROR(ExecRaw(impl_->db, "DROP TABLE \"" + t + "\""));
-    }
-    for (const std::string& name : catalog.Names()) {
-      const CatalogEntry* e = catalog.Find(name);
-      if (e == nullptr || e->site != Site::kDbms) continue;
-      std::string table = SqlSerializer::MirrorTable(name);
-      TQP_RETURN_IF_ERROR(impl_->CreateTableLocked(table, e->data.schema()));
-      TQP_RETURN_IF_ERROR(impl_->LoadLocked(table, e->data));
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fp));
-    TQP_RETURN_IF_ERROR(
-        ExecRaw(impl_->db,
-                std::string("INSERT INTO tqp_meta (key, value) VALUES "
-                            "('catalog_fp', '") +
-                    buf +
-                    "') ON CONFLICT(key) DO UPDATE SET value=excluded.value"));
-    return ExecRaw(impl_->db, "COMMIT");
+    TQP_RETURN_IF_ERROR(impl_->SweepLocked(next));
+    return impl_->ExecLocked("COMMIT");
   }();
   if (!st.ok()) {
-    (void)ExecRaw(impl_->db, "ROLLBACK");
+    (void)impl_->ExecLocked("ROLLBACK");
+    // A table this sync failed to write may not hold what its record says
+    // (it was dropped behind the backend's back, say): forget the records,
+    // so the next sync reloads those relations in full.
+    for (const std::string& name : changed) mirrored.erase(name);
     return st;
   }
-  impl_->mirrored_fp = fp;
+  mirrored = std::move(next);
   ++impl_->mirror_loads;
   return Status::OK();
 }

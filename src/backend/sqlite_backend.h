@@ -1,11 +1,24 @@
 // SQL pushdown to an embedded SQLite database (system sqlite3).
 //
-// DBMS-site catalog relations are mirrored as positional tables
-// ("rel_<name>", columns c0..cN-1, rowid = list position); conventional cut
-// subplans run as one serialized SQL statement each (sql_serializer.h). The
-// mirror is keyed on a content fingerprint of the DBMS-site relations, so
-// repeated syncs are no-ops and a file-backed database written by an
-// earlier process is reused across restarts without reloading.
+// DBMS-site catalog relations are mirrored as positional tables (named by
+// SqlSerializer::MirrorTable, columns c0..cN-1, rowid = list position);
+// conventional cut subplans run as one serialized SQL statement each
+// (sql_serializer.h).
+//
+// The mirror is incremental and per relation. Each mirrored relation has a
+// record (table, Catalog::relation_digest, row count), kept in memory and in
+// the database's tqp_meta table. SyncCatalog compares the catalog's digests
+// with the records, O(relations), and in one transaction:
+//  * leaves the tables of unchanged relations alone;
+//  * appends only the new suffix when the first `rows` tuples of the new
+//    list digest to the record (ContentDigest of a prefix);
+//  * reloads any other changed relation;
+//  * drops the tables of relations gone from the DBMS site.
+// Records change only after COMMIT; a failed sync forgets the records of the
+// relations it was writing, so the next sync reloads them in full. Digests,
+// unlike catalog versions, identify contents across catalogs and processes:
+// a file-backed database written by an earlier process is reused across
+// restarts, reloading only the relations that changed meanwhile.
 //
 // Compiled against system sqlite3 when available (TQP_HAVE_SQLITE3,
 // detected by CMake); otherwise Available() is false and Open() fails,
@@ -46,8 +59,10 @@ class SqliteBackend : public Backend {
                               const std::vector<Value>& params,
                               const Schema& out_schema) override;
 
-  /// Number of full catalog mirrors loaded since Open. Stays 0 when a
-  /// file-backed mirror from an earlier process was reused.
+  /// Number of SyncCatalog calls since Open that wrote to the mirror
+  /// (loaded, appended to or dropped a table); a sync that found every
+  /// relation unchanged does not count. Stays 0 when a file-backed mirror
+  /// from an earlier process is reused unchanged.
   int64_t mirror_loads() const;
 
  private:

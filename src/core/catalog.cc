@@ -12,6 +12,7 @@ Status Catalog::Register(const std::string& name, CatalogEntry entry) {
   }
   TQP_RETURN_IF_ERROR(Verify(name, entry));
   entry.data.set_order(entry.order);
+  relation_digests_[name] = ContentDigest(entry.data);
   entries_.emplace(name, std::move(entry));
   relation_versions_[name] = ++version_;
   return Status::OK();
@@ -20,6 +21,7 @@ Status Catalog::Register(const std::string& name, CatalogEntry entry) {
 Status Catalog::Update(const std::string& name, CatalogEntry entry) {
   TQP_RETURN_IF_ERROR(Verify(name, entry));
   entry.data.set_order(entry.order);
+  relation_digests_[name] = ContentDigest(entry.data);
   entries_[name] = std::move(entry);
   relation_versions_[name] = ++version_;
   return Status::OK();
@@ -27,6 +29,7 @@ Status Catalog::Update(const std::string& name, CatalogEntry entry) {
 
 bool Catalog::Drop(const std::string& name) {
   if (entries_.erase(name) == 0) return false;
+  relation_digests_.erase(name);
   // Tombstone: the drop is a mutation of `name`, visible to per-relation
   // consumers exactly like an update.
   relation_versions_[name] = ++version_;
@@ -36,6 +39,11 @@ bool Catalog::Drop(const std::string& name) {
 uint64_t Catalog::relation_version(const std::string& name) const {
   auto it = relation_versions_.find(name);
   return it == relation_versions_.end() ? 0 : it->second;
+}
+
+uint64_t Catalog::relation_digest(const std::string& name) const {
+  auto it = relation_digests_.find(name);
+  return it == relation_digests_.end() ? 0 : it->second;
 }
 
 Status Catalog::Verify(const std::string& name,

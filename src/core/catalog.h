@@ -58,6 +58,12 @@ struct CatalogEntry {
 /// an update of relation A never invalidates state derived only from B.
 /// Dropped relations keep their stamp (a tombstone): re-registering under
 /// the same name yields a strictly larger version, never a repeat.
+///
+/// Versions are counters of one Catalog object: two catalogs (or one
+/// replaced wholesale) can carry equal (name, version) pairs over different
+/// data. Consumers that must recognize contents across catalogs or processes
+/// (the SQLite backend's mirror) key on relation_digest(name) instead, the
+/// ContentDigest computed once when Register/Update accepts the relation.
 class Catalog {
  public:
   /// Registers a relation; metadata flags are *verified* against the data so
@@ -89,12 +95,18 @@ class Catalog {
   /// registered. Monotonically increasing per relation.
   uint64_t relation_version(const std::string& name) const;
 
+  /// ContentDigest of `name`'s registered relation; 0 if `name` is not
+  /// registered.
+  uint64_t relation_digest(const std::string& name) const;
+
  private:
   Status Verify(const std::string& name, const CatalogEntry& entry) const;
 
   std::map<std::string, CatalogEntry> entries_;
   /// Per-relation mutation stamps, including tombstones for dropped names.
   std::map<std::string, uint64_t> relation_versions_;
+  /// ContentDigest of every registered relation.
+  std::map<std::string, uint64_t> relation_digests_;
   uint64_t version_ = 0;
 };
 

@@ -1,9 +1,56 @@
 #include "core/relation.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
+#include "core/hash.h"
+
 namespace tqp {
+
+namespace {
+
+// One value's contribution to ContentDigest: its type and its exact
+// representation (the bit pattern for doubles, so -0.0 and 0.0 differ).
+uint64_t ValueWord(const Value& v) {
+  uint64_t word = 0;
+  switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt:
+      word = static_cast<uint64_t>(v.AsInt());
+      break;
+    case ValueType::kTime:
+      word = static_cast<uint64_t>(v.AsTime());
+      break;
+    case ValueType::kDouble: {
+      const double d = v.AsDouble();
+      std::memcpy(&word, &d, sizeof(word));
+      break;
+    }
+    case ValueType::kString:
+      word = HashString(v.AsString());
+      break;
+  }
+  return HashCombine(static_cast<uint64_t>(v.type()), word);
+}
+
+}  // namespace
+
+uint64_t ContentDigest(const Relation& rel, size_t rows) {
+  uint64_t h = HashMix64(rel.schema().size());
+  for (const Attribute& a : rel.schema().attrs()) {
+    h = HashCombine(h, HashString(a.name));
+    h = HashCombine(h, static_cast<uint64_t>(a.type));
+  }
+  const size_t n = std::min(rows, rel.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (const Value& v : rel.tuple(i).values()) {
+      h = HashCombine(h, ValueWord(v));
+    }
+  }
+  return h;
+}
 
 void Relation::Append(Tuple t) {
   TQP_CHECK(t.size() == schema_.size());

@@ -8,6 +8,7 @@
 #ifndef TQP_CORE_RELATION_H_
 #define TQP_CORE_RELATION_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,16 @@ class Relation {
   std::vector<Tuple> tuples_;
   SortSpec order_;
 };
+
+/// Order-sensitive digest of `rel`'s contents: its schema (attribute names
+/// and types) and its first `rows` tuples in list order (all of them when
+/// `rows` exceeds the size). It hashes the values' representations with
+/// fixed functions, so equal digests identify equal contents across
+/// catalogs, processes and restarts. Because the tuples are folded in list
+/// order, ContentDigest(r, k) is the digest of r's first k tuples: a list
+/// whose k-tuple prefix digest equals an earlier digest over k rows extends
+/// that earlier list.
+uint64_t ContentDigest(const Relation& rel, size_t rows = SIZE_MAX);
 
 /// Compares tuples according to a sort specification resolved against a
 /// schema. Used by sort and by order-verification.

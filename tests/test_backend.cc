@@ -17,18 +17,27 @@
 //  * Engine-level selection (EngineOptions::backend), stats surfacing, and
 //    plan-cache snapshot staleness on backend/calibration mismatch;
 //  * file-backed SQLite mirrors are reused across "restarts" (mirror_loads
-//    stays 0 on reopen).
+//    stays 0 on reopen);
+//  * the mirror is incremental per relation: an unchanged relation's table
+//    is never written, an append inserts only the new rows, any other
+//    change reloads or drops just that relation's table, and a damaged
+//    mirror degrades to in-engine evaluation until the next sync repairs
+//    it; mirror table names keep case-distinct relation names apart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/engine.h"
 #include "backend/backend.h"
 #include "backend/simulated_backend.h"
+#include "backend/sql_serializer.h"
 #include "backend/sqlite_backend.h"
 #include "exec/cost_model.h"
 #include "exec/evaluator.h"
@@ -470,10 +479,12 @@ TEST(SqliteBackendTest, RuntimeErrorFallsBackWithCorrectResult) {
   ASSERT_TRUE(made.ok());
   Backend* be = made.value().get();
   ASSERT_TRUE(be->SyncCatalog(catalog).ok());
-  // Sabotage: drop one mirror table behind the backend's back. The catalog
-  // fingerprint is unchanged, so the next SyncCatalog no-ops and the SQL
-  // fails at runtime — which must degrade to in-engine evaluation.
-  ASSERT_TRUE(be->ExecuteSql("DROP TABLE rel_C", {}, Schema()).ok());
+  // Sabotage: drop one mirror table behind the backend's back. C's digest
+  // is unchanged, so the next SyncCatalog no-ops and the SQL fails at
+  // runtime — which must degrade to in-engine evaluation.
+  ASSERT_TRUE(be->ExecuteSql("DROP TABLE " + SqlSerializer::MirrorTable("C"),
+                             {}, Schema())
+                  .ok());
 
   PlanPtr plan = PlanNode::TransferS(PlanNode::Select(
       PlanNode::Scan("C"),
@@ -603,6 +614,363 @@ TEST(EngineBackendTest, CalibratedEngineReportsFingerprint) {
     ASSERT_TRUE(a.ok() && b.ok()) << q;
     EXPECT_EQ(a->relation.ToTable(), b->relation.ToTable()) << q;
   }
+}
+
+// ---- Incremental mirror ---------------------------------------------------
+
+/// Rows the connection has inserted, updated or deleted since it opened:
+/// what the syncs wrote, read from SQLite itself.
+int64_t TotalChanges(Backend& be) {
+  Result<Relation> r =
+      be.ExecuteSql("SELECT total_changes()", {},
+                    Schema(std::vector<Attribute>{{"n", ValueType::kInt}}));
+  TQP_CHECK(r.ok());
+  return r->tuple(0).at(0).AsInt();
+}
+
+bool MirrorTableExists(Backend& be, const std::string& name) {
+  Result<Relation> r = be.ExecuteSql(
+      "SELECT name FROM sqlite_master WHERE type='table' AND name = ?",
+      {Value::String(SqlSerializer::MirrorTable(name))},
+      Schema(std::vector<Attribute>{{"name", ValueType::kString}}));
+  TQP_CHECK(r.ok());
+  return !r->empty();
+}
+
+/// Every DBMS-site relation of `catalog` is mirrored row for row, in list
+/// (rowid) order.
+void ExpectMirrors(Backend& be, const Catalog& catalog,
+                   const std::string& label) {
+  for (const std::string& name : catalog.Names()) {
+    const CatalogEntry* e = catalog.Find(name);
+    if (e->site != Site::kDbms) continue;
+    std::string cols;
+    for (size_t i = 0; i < e->data.schema().size(); ++i) {
+      cols += (i ? ", c" : "c") + std::to_string(i);
+    }
+    Result<Relation> got = be.ExecuteSql(
+        "SELECT " + cols + " FROM " + SqlSerializer::MirrorTable(name) +
+            " ORDER BY rowid",
+        {}, e->data.schema());
+    ASSERT_TRUE(got.ok()) << label << " " << name << ": "
+                          << got.status().ToString();
+    ExpectSameRows(e->data, got.value(), label + " " + name);
+  }
+}
+
+Relation Appended(Relation rel, const Relation& extra) {
+  for (const Tuple& t : extra.tuples()) rel.Append(t);
+  return rel;
+}
+
+Relation Prefix(const Relation& rel, size_t rows) {
+  const auto begin = rel.tuples().begin();
+  return Relation(rel.schema(), std::vector<Tuple>(begin, begin + rows));
+}
+
+/// Registers or replaces `name` with flags inferred from the data.
+Status Put(Catalog* catalog, const std::string& name, Relation data,
+           Site site = Site::kDbms) {
+  catalog->Drop(name);
+  return catalog->RegisterWithInferredFlags(name, std::move(data), site);
+}
+
+PlanPtr PushedSelect(const std::string& rel) {
+  return PlanNode::TransferS(PlanNode::Select(
+      PlanNode::Scan(rel), Expr::Compare(CompareOp::kGt, Expr::Attr("Val"),
+                                         Expr::Const(Value::Int(100)))));
+}
+
+/// Evaluates `plan` through `be` and expects the reference list, pushed
+/// down (or, with `pushed` false, fallen back).
+void ExpectPushedResult(Backend* be, const Catalog& catalog,
+                        const PlanPtr& plan, bool pushed,
+                        const std::string& label) {
+  Result<Relation> ref = EvaluatePlan(plan, catalog, EngineConfig{}, nullptr);
+  ASSERT_TRUE(ref.ok()) << label;
+  EngineConfig cfg;
+  cfg.backend = be;
+  ExecStats stats;
+  Result<Relation> got = EvaluatePlan(plan, catalog, cfg, &stats);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+  ExpectListIdentical(ref.value(), got.value(), label);
+  EXPECT_EQ(stats.backend_pushdowns, pushed ? 1 : 0) << label;
+  EXPECT_EQ(stats.backend_fallbacks, pushed ? 0 : 1) << label;
+}
+
+TEST(SqliteMirrorTest, CaseDistinctRelationsKeepTheirOwnTables) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  // SQLite identifiers ignore case: "rel_C" and "rel_c" would be one table,
+  // and σ(C) would read c's rows.
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.RegisterWithInferredFlags("C", MessyConventional(1, 42)).ok());
+  ASSERT_TRUE(
+      catalog.RegisterWithInferredFlags("c", MessyConventional(2, 11)).ok());
+  EXPECT_NE(SqlSerializer::MirrorTable("C"), SqlSerializer::MirrorTable("c"));
+  Result<std::unique_ptr<Backend>> made = MakeBackend(BackendKind::kSqlite);
+  ASSERT_TRUE(made.ok());
+  for (const char* name : {"C", "c"}) {
+    ExpectPushedResult(made.value().get(), catalog, PushedSelect(name), true,
+                       name);
+  }
+}
+
+TEST(SqliteMirrorTest, QuoteInRelationNameIsMirrored) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  // Quoted verbatim, this name would end the identifier early and break
+  // the mirror of every relation beside it.
+  const std::string name = "q\"uote\"; DROP TABLE x; --";
+  Catalog catalog = MakeCatalog(42);
+  ASSERT_TRUE(
+      catalog.RegisterWithInferredFlags(name, MessyConventional(3, 20)).ok());
+  const std::string table = SqlSerializer::MirrorTable(name);
+  EXPECT_EQ(table.rfind("rel_", 0), 0u);
+  EXPECT_TRUE(std::all_of(table.begin(), table.end(), [](char ch) {
+    return (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'z') || ch == '_';
+  })) << table;
+  Result<std::unique_ptr<Backend>> made = MakeBackend(BackendKind::kSqlite);
+  ASSERT_TRUE(made.ok());
+  ExpectPushedResult(made.value().get(), catalog, PushedSelect(name), true,
+                     "quoted name");
+  ExpectPushedResult(made.value().get(), catalog, PushedSelect("C"), true,
+                     "beside the quoted name");
+}
+
+TEST(SqliteMirrorTest, ExecuteSqlRunsOneStatementOnly) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  EXPECT_FALSE(
+      be.ExecuteSql("CREATE TABLE t1 (c0); CREATE TABLE t2 (c0)", {}, Schema())
+          .ok());
+  Result<Relation> tables = be.ExecuteSql(
+      "SELECT name FROM sqlite_master WHERE name IN ('t1', 't2')", {},
+      Schema(std::vector<Attribute>{{"name", ValueType::kString}}));
+  ASSERT_TRUE(tables.ok());
+  EXPECT_TRUE(tables->empty()) << "a refused statement ran";
+}
+
+TEST(SqliteMirrorTest, AppendInsertsOnlyTheNewRows) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Catalog catalog = MakeCatalog(42);
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_EQ(be.mirror_loads(), 1);
+  ExpectMirrors(be, catalog, "initial");
+
+  // Unchanged, or re-registered with the same contents (a new version, the
+  // same digest): nothing is written.
+  int64_t before = TotalChanges(be);
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  ASSERT_TRUE(Put(&catalog, "D", catalog.Find("D")->data).ok());
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_EQ(TotalChanges(be), before);
+  EXPECT_EQ(be.mirror_loads(), 1);
+
+  // An append to C writes its new rows and C's record, nothing of R, D, N.
+  Relation extra = MessyConventional(77, 5);
+  ASSERT_TRUE(
+      Put(&catalog, "C", Appended(catalog.Find("C")->data, extra)).ok());
+  before = TotalChanges(be);
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_EQ(TotalChanges(be) - before,
+            static_cast<int64_t>(extra.size()) + 1);
+  EXPECT_EQ(be.mirror_loads(), 2);
+  ExpectMirrors(be, catalog, "after append");
+  ExpectPushedResult(&be, catalog, PushedSelect("C"), true, "appended C");
+}
+
+TEST(SqliteMirrorTest, OtherChangesReloadOrDropOnlyTheirTable) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Catalog catalog = MakeCatalog(42);
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+
+  // Each change is followed by one sync that writes exactly `rows` rows
+  // (the reloaded relation's tuples plus its record's insert or delete).
+  auto expect_sync_writes = [&](const std::string& label, size_t rows) {
+    const int64_t before = TotalChanges(be);
+    const int64_t loads = be.mirror_loads();
+    ASSERT_TRUE(be.SyncCatalog(catalog).ok()) << label;
+    EXPECT_EQ(TotalChanges(be) - before, static_cast<int64_t>(rows)) << label;
+    EXPECT_EQ(be.mirror_loads(), loads + 1) << label;
+    ExpectMirrors(be, catalog, label);
+  };
+
+  // Same size, one value changed: D is reloaded in full.
+  Relation d = catalog.Find("D")->data;
+  d.mutable_tuples()[0] = d.tuple(d.size() - 1);
+  ASSERT_TRUE(Put(&catalog, "D", d).ok());
+  expect_sync_writes("same-size change", d.size() + 1);
+
+  // Schema change: C becomes temporal.
+  Relation c = Messy(5, 20);
+  ASSERT_TRUE(Put(&catalog, "C", c).ok());
+  expect_sync_writes("schema change", c.size() + 1);
+
+  // A shrink to a prefix is no append.
+  ASSERT_TRUE(Put(&catalog, "C", Prefix(c, 8)).ok());
+  expect_sync_writes("shrink", 8 + 1);
+
+  // A drop removes D's table and record.
+  ASSERT_TRUE(catalog.Drop("D"));
+  expect_sync_writes("drop", 1);
+  EXPECT_FALSE(MirrorTableExists(be, "D"));
+
+  // N leaves the DBMS site (dropped), then returns (reloaded).
+  Relation n = catalog.Find("N")->data;
+  ASSERT_TRUE(Put(&catalog, "N", n, Site::kStratum).ok());
+  expect_sync_writes("to stratum", 1);
+  EXPECT_FALSE(MirrorTableExists(be, "N"));
+  ASSERT_TRUE(Put(&catalog, "N", n).ok());
+  expect_sync_writes("back to DBMS", n.size() + 1);
+  EXPECT_TRUE(MirrorTableExists(be, "N"));
+  EXPECT_TRUE(MirrorTableExists(be, "R"));
+}
+
+TEST(SqliteMirrorTest, DamagedMirrorFallsBackUntilASyncRepairsIt) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Catalog catalog = MakeCatalog(42);
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  // C's table vanishes behind the backend's back, then C grows: the sync
+  // before the pushdown tries to append to the missing table and fails.
+  ASSERT_TRUE(be.ExecuteSql("DROP TABLE " + SqlSerializer::MirrorTable("C"),
+                            {}, Schema())
+                  .ok());
+  ASSERT_TRUE(Put(&catalog, "C",
+                  Appended(catalog.Find("C")->data, MessyConventional(78, 6)))
+                  .ok());
+  ExpectPushedResult(&be, catalog, PushedSelect("C"), false, "damaged");
+
+  // The failed sync forgot C's record, so the next one reloads C in full.
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  ExpectMirrors(be, catalog, "repaired");
+  ExpectPushedResult(&be, catalog, PushedSelect("C"), true, "repaired");
+}
+
+TEST(SqliteMirrorTest, RestartReloadsOnlyTheChangedRelation) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  const std::string path = ::testing::TempDir() + "tqp_backend_restart.db";
+  std::remove(path.c_str());
+  Catalog catalog = MakeCatalog(42);
+  {
+    Result<std::unique_ptr<SqliteBackend>> a = SqliteBackend::Open(path);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(a.value()->SyncCatalog(catalog).ok());
+  }
+  // total_changes() counts from each new connection's open, so after a
+  // restart it is exactly what the first sync wrote.
+  Relation d = MessyConventional(99, 9);
+  ASSERT_TRUE(Put(&catalog, "D", d).ok());
+  {
+    Result<std::unique_ptr<SqliteBackend>> b = SqliteBackend::Open(path);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_TRUE(b.value()->SyncCatalog(catalog).ok());
+    EXPECT_EQ(TotalChanges(*b.value()), static_cast<int64_t>(d.size()) + 1);
+    EXPECT_EQ(b.value()->mirror_loads(), 1);
+    ExpectMirrors(*b.value(), catalog, "changed D");
+  }
+  // An append across a restart still inserts only the new rows.
+  Relation extra = MessyConventional(100, 4);
+  ASSERT_TRUE(
+      Put(&catalog, "C", Appended(catalog.Find("C")->data, extra)).ok());
+  {
+    Result<std::unique_ptr<SqliteBackend>> c = SqliteBackend::Open(path);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    ASSERT_TRUE(c.value()->SyncCatalog(catalog).ok());
+    EXPECT_EQ(TotalChanges(*c.value()),
+              static_cast<int64_t>(extra.size()) + 1);
+    ExpectMirrors(*c.value(), catalog, "appended C");
+    ExpectPushedResult(c.value().get(), catalog, PushedSelect("C"), true,
+                       "appended C after restart");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SqliteMirrorTest, EngineTracksMutationsLikeSimulatedTwin) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  EngineOptions sim_opts;
+  sim_opts.incremental_execution = true;
+  EngineOptions sq_opts = sim_opts;
+  sq_opts.backend = BackendKind::kSqlite;
+  Engine sim(MakeCatalog(42), sim_opts);
+  Engine sq(MakeCatalog(42), sq_opts);
+
+  auto compare = [&](const std::string& label) {
+    for (const std::string& q : EngineQueries()) {
+      Result<QueryResult> a = sim.Query(q);
+      Result<QueryResult> b = sq.Query(q);
+      ASSERT_EQ(a.ok(), b.ok()) << label << ": " << q;
+      if (a.ok()) {
+        ExpectListIdentical(a->relation, b->relation, label + ": " + q);
+      }
+    }
+  };
+  using Mutation = std::function<Status(Catalog&)>;
+  auto append_c = [](uint64_t seed) -> Mutation {
+    return [seed](Catalog& c) {
+      return Put(&c, "C",
+                 Appended(c.Find("C")->data, MessyConventional(seed, 6)));
+    };
+  };
+  const std::vector<std::pair<std::string, Mutation>> steps = {
+      {"append C", append_c(501)},
+      {"replace D",
+       [](Catalog& c) { return Put(&c, "D", MessyConventional(502, 15)); }},
+      {"drop D",
+       [](Catalog& c) {
+         return c.Drop("D") ? Status::OK() : Status::Error("no D");
+       }},
+      {"append C again", append_c(503)},
+      {"register D",
+       [](Catalog& c) { return Put(&c, "D", MessyConventional(504, 10)); }},
+      {"shrink C",
+       [](Catalog& c) { return Put(&c, "C", Prefix(c.Find("C")->data, 10)); }},
+      {"D to stratum",
+       [](Catalog& c) {
+         return Put(&c, "D", c.Find("D")->data, Site::kStratum);
+       }},
+      {"append C once more", append_c(505)},
+  };
+  compare("initial");
+  for (const auto& [label, mutate] : steps) {
+    // Two sessions keep querying C (never dropped) on the SQLite engine
+    // while the mutation runs; every query sees one catalog version.
+    std::atomic<bool> done{false};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> readers;
+    for (int i = 0; i < 2; ++i) {
+      readers.emplace_back([&] {
+        do {
+          if (!sq.Query(EngineQueries()[0]).ok()) ++failures;
+        } while (!done.load());
+      });
+    }
+    ASSERT_TRUE(sq.MutateCatalog(mutate).ok()) << label;
+    done = true;
+    for (std::thread& t : readers) t.join();
+    EXPECT_EQ(failures.load(), 0) << label;
+    ASSERT_TRUE(sim.MutateCatalog(mutate).ok()) << label;
+    compare(label);
+  }
+  // Two wholesale replacements carry equal (name, version) pairs over
+  // different data; only content digests tell them apart.
+  for (uint64_t seed : {43u, 44u}) {
+    sim.mutable_catalog() = MakeCatalog(seed);
+    sq.mutable_catalog() = MakeCatalog(seed);
+    compare("replaced by seed " + std::to_string(seed));
+  }
+  EXPECT_GE(sq.stats().backend_pushdowns, 1u);
+  EXPECT_EQ(sq.stats().backend_fallbacks, 0u);
 }
 
 // ---- Plan-cache snapshots -------------------------------------------------
