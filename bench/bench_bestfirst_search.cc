@@ -121,21 +121,6 @@ void CompareBestFirstAgainstExhaustive() {
   std::printf(
       "unlimited-budget best-first reaches the identical %zu-plan set\n",
       all->plans.size());
-
-  // The memo shard knob (first cut at partitioned search) must not change
-  // the admitted sequence.
-  EnumerationOptions sharded = exhaustive_opts;
-  sharded.shard_memo_by_root_kind = true;
-  Result<EnumerationResult> shard_res =
-      bench::RunPaperSearch(catalog, rules, sharded);
-  TQP_CHECK(shard_res.ok());
-  TQP_CHECK(shard_res->plans.size() == exhaustive->plans.size());
-  for (size_t i = 0; i < shard_res->plans.size(); ++i) {
-    TQP_CHECK(shard_res->plans[i].fingerprint ==
-              exhaustive->plans[i].fingerprint);
-    TQP_CHECK(shard_res->plans[i].parent == exhaustive->plans[i].parent);
-  }
-  std::printf("root-kind-sharded memo reproduces the sequence byte-identically\n");
 }
 
 namespace {

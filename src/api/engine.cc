@@ -391,7 +391,6 @@ void Engine::StorePlanCache(
 Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
     const std::string& key, const std::string& text, const PlanPtr& initial,
     const QueryContract& contract, Tracer* tracer) {
-  const bool reuse = options_.reuse_search_caches;
   PlanInterner* interner;
   DerivationCache* derivation;
   uint64_t epoch;
@@ -405,7 +404,7 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
     derivation = derivation_.get();
     epoch = catalog_epoch_;
   }
-  PlanPtr root = reuse ? interner->Intern(initial) : initial;
+  PlanPtr root = interner->Intern(initial);
 
   OptimizerOptions opt;
   opt.enumeration = options_.enumeration;
@@ -414,8 +413,8 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
   opt.cardinality = options_.cardinality;
   TQP_ASSIGN_OR_RETURN(
       optimized,
-      Optimize(root, catalog_, contract, options_.rules, opt,
-               reuse ? interner : nullptr, reuse ? derivation : nullptr));
+      Optimize(root, catalog_, contract, options_.rules, opt, interner,
+               derivation));
 
   auto state = std::make_shared<PreparedQuery::State>();
   state->key = key;
@@ -433,7 +432,7 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
   state->dep_versions = StampDepVersions(root, state->best_plan, catalog_);
 
   std::shared_ptr<const PreparedQuery::State> shared = state;
-  if (options_.cache_plans) StorePlanCache(key, shared);
+  StorePlanCache(key, shared);
   return shared;
 }
 
@@ -446,15 +445,13 @@ Result<PreparedQuery> Engine::PrepareTraced(const std::string& text,
   // Token-stream keying: "SELECT  x" with extra spaces or a trailing
   // comment hits the entry its normalized twin created. The original text
   // is still what a stale PreparedQuery re-prepares from; re-lexing it
-  // reproduces the same key. With the plan cache off the key is never
-  // looked up or stored, so skip computing it.
-  const bool caching = options_.cache_plans;
-  std::string key = caching ? TextPlanCacheKey(text) : text;
+  // reproduces the same key.
+  std::string key = TextPlanCacheKey(text);
 
   // Fast path: a cached plan is served without an admission permit, so a
   // warm engine keeps answering instantly even when the pipeline gate is
   // saturated.
-  if (caching) {
+  {
     std::shared_lock<std::shared_mutex> cat(catalog_mu_);
     SyncWithCatalog();
     TraceSpan probe(tracer, "api", "plan_cache_probe");
@@ -471,7 +468,7 @@ Result<PreparedQuery> Engine::PrepareTraced(const std::string& text,
   AdmissionTicket ticket(this);
   std::shared_lock<std::shared_mutex> cat(catalog_mu_);
   SyncWithCatalog();
-  if (caching) {
+  {
     TraceSpan probe(tracer, "api", "plan_cache_probe");
     auto hit = LookupPlanCache(key, /*confirm=*/nullptr);
     if (probe.active()) probe.Arg("hit", uint64_t{hit != nullptr});
@@ -499,9 +496,8 @@ Result<PreparedQuery> Engine::Prepare(const PlanPtr& initial,
   std::string key = std::string(fp) + "/" +
                     ResultTypeName(contract.result_type) + "/" +
                     SortSpecToString(contract.order_by);
-  const bool caching = options_.cache_plans;
 
-  if (caching) {
+  {
     std::shared_lock<std::shared_mutex> cat(catalog_mu_);
     SyncWithCatalog();
     if (auto hit = LookupPlanCache(key, &initial)) {
@@ -512,10 +508,8 @@ Result<PreparedQuery> Engine::Prepare(const PlanPtr& initial,
   AdmissionTicket ticket(this);
   std::shared_lock<std::shared_mutex> cat(catalog_mu_);
   SyncWithCatalog();
-  if (caching) {
-    if (auto hit = LookupPlanCache(key, &initial)) {
-      return PreparedQuery(this, std::move(hit), /*from_cache=*/true);
-    }
+  if (auto hit = LookupPlanCache(key, &initial)) {
+    return PreparedQuery(this, std::move(hit), /*from_cache=*/true);
   }
   TQP_ASSIGN_OR_RETURN(state, PrepareImpl(key, /*text=*/"", initial, contract,
                                           /*tracer=*/nullptr));
@@ -554,10 +548,9 @@ Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
     std::lock_guard<std::mutex> lock(state_mu_);
     derivation = derivation_.get();
   }
-  const bool reuse = options_.reuse_search_caches;
-  Result<AnnotatedPlan> ann = AnnotatedPlan::Make(
-      state.best_plan, &catalog_, state.contract, options_.cardinality,
-      reuse ? derivation : nullptr);
+  Result<AnnotatedPlan> ann =
+      AnnotatedPlan::Make(state.best_plan, &catalog_, state.contract,
+                          options_.cardinality, derivation);
   if (!ann.ok()) return ann.status();
 
   // An armed slow-query log needs the hottest-operator ranking, so it
@@ -651,7 +644,6 @@ Result<EnumerationResult> Engine::Enumerate(const std::string& text,
   // parameterization; force the Engine's unified models.
   options.cardinality = options_.cardinality;
   options.cost_engine = options_.engine;
-  const bool reuse = options_.reuse_search_caches;
   PlanInterner* interner;
   DerivationCache* derivation;
   {
@@ -659,10 +651,9 @@ Result<EnumerationResult> Engine::Enumerate(const std::string& text,
     interner = interner_.get();
     derivation = derivation_.get();
   }
-  PlanPtr root = reuse ? interner->Intern(compiled.plan) : compiled.plan;
-  return EnumeratePlans(root, catalog_, compiled.contract, options_.rules,
-                        options, reuse ? interner : nullptr,
-                        reuse ? derivation : nullptr);
+  return EnumeratePlans(interner->Intern(compiled.plan), catalog_,
+                        compiled.contract, options_.rules, options, interner,
+                        derivation);
 }
 
 namespace {
@@ -756,7 +747,6 @@ PlanCacheSnapshot Engine::ExportPlanCache() const {
 }
 
 size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
-  if (!options_.cache_plans) return 0;
   std::shared_lock<std::shared_mutex> cat(catalog_mu_);
   SyncWithCatalog();
   // Wholesale staleness rule: a snapshot from any other catalog version —
@@ -779,7 +769,6 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
       (calibration_.calibrated ? calibration_.fingerprint : 0)) {
     return 0;
   }
-  const bool reuse = options_.reuse_search_caches;
   PlanInterner* interner;
   uint64_t epoch;
   {
@@ -803,9 +792,8 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
     state->key = e.key;
     state->text = e.text;
     state->contract = e.contract;
-    state->initial_plan = reuse ? interner->Intern(e.initial_plan)
-                                : e.initial_plan;
-    state->best_plan = reuse ? interner->Intern(e.best_plan) : e.best_plan;
+    state->initial_plan = interner->Intern(e.initial_plan);
+    state->best_plan = interner->Intern(e.best_plan);
     state->best_cost = e.best_cost;
     state->initial_cost = e.initial_cost;
     state->plans_considered = e.plans_considered;
@@ -830,66 +818,10 @@ uint64_t Engine::CatalogFingerprint() const {
   return FingerprintCatalog(catalog_);
 }
 
-std::string EngineStats::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("prepares").Uint(prepares);
-  w.Key("plan_cache_hits").Uint(plan_cache_hits);
-  w.Key("plan_cache_misses").Uint(plan_cache_misses);
-  w.Key("plan_cache_evictions").Uint(plan_cache_evictions);
-  w.Key("plan_cache_stale_evictions").Uint(plan_cache_stale_evictions);
-  w.Key("plan_cache_imports").Uint(plan_cache_imports);
-  w.Key("invalidations").Uint(invalidations);
-  w.Key("peak_concurrent_queries").Uint(peak_concurrent_queries);
-  w.Key("plan_cache_entries").Uint(plan_cache_entries);
-  w.Key("interner_nodes").Uint(interner_nodes);
-  w.Key("interner_hits").Uint(interner_hits);
-  w.Key("derivation_nodes").Uint(derivation_nodes);
-  w.Key("backend").String(backend_name);
-  w.Key("backend_pushdowns").Uint(backend_pushdowns);
-  w.Key("backend_rows").Uint(backend_rows);
-  w.Key("backend_fallbacks").Uint(backend_fallbacks);
-  w.Key("backend_refusals").Uint(backend_refusals);
-  w.Key("calibration_fingerprint").Uint(calibration_fingerprint);
-  w.Key("slow_queries").Uint(slow_queries);
-  w.Key("result_cache_hits").Uint(result_cache_hits);
-  w.Key("result_cache_misses").Uint(result_cache_misses);
-  w.Key("result_cache_evictions").Uint(result_cache_evictions);
-  w.Key("result_cache_entries").Uint(result_cache_entries);
-  w.Key("result_cache_bytes").Uint(result_cache_bytes);
-  w.EndObject();
-  return w.Take();
-}
+std::string EngineStats::ToJson() const { return StatsToJson(*this); }
 
 void EngineStats::PublishTo(MetricsRegistry* registry) const {
-  // Gauges, not counters: a stats snapshot is already cumulative, and
-  // setting is idempotent under repeated publication. One helper keeps the
-  // name scheme uniform.
-  auto set = [registry](const char* name, uint64_t v) {
-    registry->GetGauge(name)->Set(static_cast<double>(v));
-  };
-  set("tqp_engine_prepares", prepares);
-  set("tqp_engine_plan_cache_hits", plan_cache_hits);
-  set("tqp_engine_plan_cache_misses", plan_cache_misses);
-  set("tqp_engine_plan_cache_evictions", plan_cache_evictions);
-  set("tqp_engine_plan_cache_stale_evictions", plan_cache_stale_evictions);
-  set("tqp_engine_plan_cache_imports", plan_cache_imports);
-  set("tqp_engine_invalidations", invalidations);
-  set("tqp_engine_peak_concurrent_queries", peak_concurrent_queries);
-  set("tqp_engine_plan_cache_entries", plan_cache_entries);
-  set("tqp_engine_interner_nodes", interner_nodes);
-  set("tqp_engine_interner_hits", interner_hits);
-  set("tqp_engine_derivation_nodes", derivation_nodes);
-  set("tqp_engine_backend_pushdowns", backend_pushdowns);
-  set("tqp_engine_backend_rows", backend_rows);
-  set("tqp_engine_backend_fallbacks", backend_fallbacks);
-  set("tqp_engine_backend_refusals", backend_refusals);
-  set("tqp_engine_slow_queries", slow_queries);
-  set("tqp_engine_result_cache_hits", result_cache_hits);
-  set("tqp_engine_result_cache_misses", result_cache_misses);
-  set("tqp_engine_result_cache_evictions", result_cache_evictions);
-  set("tqp_engine_result_cache_entries", result_cache_entries);
-  set("tqp_engine_result_cache_bytes", result_cache_bytes);
+  PublishStatsGauges(*this, "tqp_engine_", registry);
 }
 
 std::vector<SlowQueryRecord> Engine::slow_queries() const {

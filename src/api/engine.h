@@ -54,6 +54,7 @@
 
 #include "algebra/intern.h"
 #include "backend/backend.h"
+#include "core/json.h"
 #include "core/sync.h"
 #include "exec/evaluator.h"
 #include "opt/optimizer.h"
@@ -101,8 +102,6 @@ struct EngineOptions {
   CardinalityParams cardinality;
   /// Transformation rule catalogue.
   std::vector<Rule> rules;
-  /// Serve repeated queries from the plan cache.
-  bool cache_plans = true;
   /// Bound on plan-cache entries; the least-recently-used entry is evicted
   /// beyond it (stats().plan_cache_evictions counts them). 0 (default) =
   /// unbounded, the pre-bound behavior.
@@ -115,9 +114,6 @@ struct EngineOptions {
   /// always gated — it is per-query work that must degrade gracefully too.
   /// 0 (default) = unlimited.
   size_t max_concurrent_queries = 0;
-  /// Share one PlanInterner/DerivationCache across queries. Off = every
-  /// Prepare runs cold (useful for measuring, never for serving).
-  bool reuse_search_caches = true;
   /// Physical executor for Execute()/Query(). Both produce list-identical
   /// relations; kVectorized additionally fills the ExecStats vec_* batch
   /// counters surfaced in QueryResult::exec.
@@ -284,6 +280,36 @@ struct EngineStats {
   uint64_t result_cache_evictions = 0;
   uint64_t result_cache_entries = 0;
   uint64_t result_cache_bytes = 0;
+
+  /// Every field once, in rendering order: f(name, value). The backend
+  /// name and calibration fingerprint are JSON-only identity fields.
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("prepares", prepares);
+    f("plan_cache_hits", plan_cache_hits);
+    f("plan_cache_misses", plan_cache_misses);
+    f("plan_cache_evictions", plan_cache_evictions);
+    f("plan_cache_stale_evictions", plan_cache_stale_evictions);
+    f("plan_cache_imports", plan_cache_imports);
+    f("invalidations", invalidations);
+    f("peak_concurrent_queries", peak_concurrent_queries);
+    f("plan_cache_entries", plan_cache_entries);
+    f("interner_nodes", interner_nodes);
+    f("interner_hits", interner_hits);
+    f("derivation_nodes", derivation_nodes);
+    f("backend", JsonOnly{backend_name});
+    f("backend_pushdowns", backend_pushdowns);
+    f("backend_rows", backend_rows);
+    f("backend_fallbacks", backend_fallbacks);
+    f("backend_refusals", backend_refusals);
+    f("calibration_fingerprint", JsonOnly{calibration_fingerprint});
+    f("slow_queries", slow_queries);
+    f("result_cache_hits", result_cache_hits);
+    f("result_cache_misses", result_cache_misses);
+    f("result_cache_evictions", result_cache_evictions);
+    f("result_cache_entries", result_cache_entries);
+    f("result_cache_bytes", result_cache_bytes);
+  }
 
   /// One flat JSON object with every counter above — the rendering the
   /// service's \stats command and the bench JSON both embed.

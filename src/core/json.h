@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 
 namespace tqp {
@@ -43,6 +44,15 @@ inline std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+/// Marks a stats field that ToJson() renders but PublishTo() does not publish
+/// as a gauge (identity values such as a backend name or a fingerprint).
+template <typename T>
+struct JsonOnly {
+  const T& value;
+};
+template <typename T>
+JsonOnly(const T&) -> JsonOnly<T>;
 
 /// Builds a JSON document into a string. Purely syntactic: the caller drives
 /// Begin/End nesting; the writer only tracks where commas are needed. No
@@ -109,6 +119,24 @@ class JsonWriter {
     out_ += "null";
     return *this;
   }
+  /// Key plus value, for the stats structs' field lists (ForEachField).
+  JsonWriter& Field(const char* k, double v) { return Key(k).Double(v); }
+  JsonWriter& Field(const char* k, int64_t v) { return Key(k).Int(v); }
+  JsonWriter& Field(const char* k, uint64_t v) { return Key(k).Uint(v); }
+  JsonWriter& Field(const char* k, const std::string& v) {
+    return Key(k).String(v);
+  }
+  JsonWriter& Field(const char* k,
+                    const std::map<std::string, int64_t>& counts) {
+    Key(k).BeginObject();
+    for (const auto& [name, n] : counts) Key(name).Int(n);
+    return EndObject();
+  }
+  template <typename T>
+  JsonWriter& Field(const char* k, JsonOnly<T> v) {
+    return Field(k, v.value);
+  }
+
   /// Splices a pre-rendered JSON value verbatim (e.g. a nested ToJson()).
   JsonWriter& Raw(const std::string& json) {
     Comma();
@@ -146,6 +174,18 @@ class JsonWriter {
   bool need_comma_ = false;
   bool pending_value_ = false;
 };
+
+/// Renders a stats struct as one flat JSON object from its field list:
+/// `stats.ForEachField(f)` calls f(name, value) once per field, in key order.
+template <typename Stats>
+std::string StatsToJson(const Stats& stats) {
+  JsonWriter w;
+  w.BeginObject();
+  stats.ForEachField(
+      [&w](const char* name, const auto& value) { w.Field(name, value); });
+  w.EndObject();
+  return w.Take();
+}
 
 }  // namespace tqp
 

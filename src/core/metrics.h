@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
 #include "core/latency_histogram.h"
 
@@ -108,6 +109,21 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
 };
+
+/// Publishes a stats struct's numeric fields (its ForEachField list, minus
+/// strings and JsonOnly fields) as gauges named `prefix` + field name.
+/// Gauges are *set*, not accumulated: a stats snapshot is already
+/// cumulative, so republishing the same snapshot is idempotent.
+template <typename Stats>
+void PublishStatsGauges(const Stats& stats, const std::string& prefix,
+                        MetricsRegistry* registry) {
+  stats.ForEachField([&](const char* name, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_arithmetic_v<T>) {
+      registry->GetGauge(prefix + name)->Set(static_cast<double>(value));
+    }
+  });
+}
 
 }  // namespace tqp
 

@@ -26,11 +26,10 @@
 
 namespace tqp {
 
-/// Simulated and measured execution statistics. The work/transfer/operator
-/// counters are filled identically by the reference evaluator and the
-/// vectorized engine (src/vexec) — both compute them from the same
-/// OpWorkUnits formulas; the vec_* counters are only non-zero on the
-/// vectorized path.
+/// Simulated and measured execution statistics. The work/transfer/operator,
+/// backend and result-cache counters are filled by the plan driver both
+/// executors share (exec/plan_driver.h); the vec_* counters are only
+/// non-zero on the vectorized path.
 struct ExecStats {
   /// Abstract work units, split by site.
   double dbms_work = 0.0;
@@ -90,6 +89,30 @@ struct ExecStats {
   int64_t result_cache_misses = 0;
 
   double total_work() const { return dbms_work + stratum_work; }
+
+  /// Every field once, in rendering order: f(name, value).
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("dbms_work", dbms_work);
+    f("stratum_work", stratum_work);
+    f("total_work", total_work());
+    f("tuples_transferred", tuples_transferred);
+    f("tuples_produced", tuples_produced);
+    f("vec_batches", vec_batches);
+    f("vec_materializations", vec_materializations);
+    f("vec_rows", vec_rows);
+    f("morsels", morsels);
+    f("steals", steals);
+    f("spill_bytes", spill_bytes);
+    f("spill_runs", spill_runs);
+    f("backend_pushdowns", backend_pushdowns);
+    f("backend_rows", backend_rows);
+    f("backend_fallbacks", backend_fallbacks);
+    f("backend_refusals", backend_refusals);
+    f("result_cache_hits", result_cache_hits);
+    f("result_cache_misses", result_cache_misses);
+    f("ops", op_counts);
+  }
 
   /// One flat JSON object with every counter above (op_counts nested as
   /// "ops"). The single rendering of execution statistics: the service

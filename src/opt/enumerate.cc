@@ -225,15 +225,6 @@ Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
                                          const Catalog& catalog,
                                          const QueryContract& contract,
                                          const std::vector<Rule>& rules,
-                                         const EnumerationOptions& options) {
-  return EnumeratePlans(initial, catalog, contract, rules, options,
-                        /*interner=*/nullptr, /*derivation=*/nullptr);
-}
-
-Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
-                                         const Catalog& catalog,
-                                         const QueryContract& contract,
-                                         const std::vector<Rule>& rules,
                                          const EnumerationOptions& options,
                                          PlanInterner* interner,
                                          DerivationCache* derivation) {

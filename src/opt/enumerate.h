@@ -101,33 +101,10 @@ struct EnumerationOptions {
   /// exhaustive benches and the completeness tests are unaffected. Only the
   /// memo path supports pruning.
   double cost_prune_factor = 0.0;
-  /// Adaptive pruning feedback (off by default; requires cost_prune_factor
-  /// > 0): every time the incumbent best cost improves, the *effective*
-  /// pruning factor is multiplied by `adaptive_prune_decay`, never dropping
-  /// below `adaptive_prune_floor` — the search prunes more aggressively the
-  /// better the plans it has already found. The effective factor is a
-  /// deterministic function of the admitted plan sequence (improvements
-  /// happen at admission, which is serial under every driver), so repeated
-  /// runs, warm caches, and the parallel driver remain byte-identical with
-  /// the feedback on (tests/test_enumerate_cost.cc).
-  bool adaptive_pruning = false;
-  /// Multiplicative tightening applied to the effective pruning factor on
-  /// each incumbent improvement.
-  double adaptive_prune_decay = 0.9;
-  /// Lower bound of the effective pruning factor under adaptive tightening.
-  /// Clamped to cost_prune_factor, so the feedback can only ever tighten
-  /// the configured factor, never raise it.
-  double adaptive_prune_floor = 1.05;
   /// Exploration budget: stop after this many plans have been expanded
   /// (pruned pops do not count). 0 (default) = unlimited. Only the memo
   /// path enforces it.
   size_t max_expansions = 0;
-  /// Shard the memo by the root operator kind of the probed plan: each shard
-  /// is an independent hash table, so probes for plans of different root
-  /// kinds never touch the same structure. Sharding only routes probes; the
-  /// admitted plan sequence is byte-identical either way. The parallel
-  /// driver (num_threads > 1) always runs with the sharded memo.
-  bool shard_memo_by_root_kind = false;
   /// Threads for the memo search. 1 (default) runs the serial driver — the
   /// lock-free fast path, byte-identical to every earlier release. >1 runs
   /// the parallel driver: worker threads expand and materialize plans from
@@ -219,17 +196,13 @@ struct EnumerationResult {
 };
 
 /// Runs the Figure 5 algorithm. Fails only if the initial plan is malformed.
-Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
-                                         const Catalog& catalog,
-                                         const QueryContract& contract,
-                                         const std::vector<Rule>& rules,
-                                         const EnumerationOptions& options = {});
-
-/// Same, threading session-scoped search state: `interner` hash-conses every
-/// admitted plan and `derivation` memoizes bottom-up node information, so a
-/// caller serving repeated queries (tqp::Engine) pays for subtree derivation
-/// only the first time a subtree appears anywhere in the session. Either may
-/// be nullptr (a call-local one is used). A shared cache is only sound
+///
+/// `interner` and `derivation` thread session-scoped search state:
+/// `interner` hash-conses every admitted plan and `derivation` memoizes
+/// bottom-up node information, so a caller serving repeated queries
+/// (tqp::Engine) pays for subtree derivation only the first time a subtree
+/// appears anywhere in the session. Either may be nullptr (the default; a
+/// call-local one is used). A shared cache is only sound
 /// against one catalog version and one CardinalityParams setting — the
 /// Engine invalidates both on catalog mutation. The legacy string-dedup path
 /// does not intern and ignores both. The enumerated plan sequence is
@@ -239,9 +212,9 @@ Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
                                          const Catalog& catalog,
                                          const QueryContract& contract,
                                          const std::vector<Rule>& rules,
-                                         const EnumerationOptions& options,
-                                         PlanInterner* interner,
-                                         DerivationCache* derivation);
+                                         const EnumerationOptions& options = {},
+                                         PlanInterner* interner = nullptr,
+                                         DerivationCache* derivation = nullptr);
 
 /// True iff a rule of type `equiv` is admitted at a location given the
 /// properties of the location's operations (the Figure 5 disjunction).

@@ -81,43 +81,10 @@ class CanonicalCache {
   std::unordered_map<const PlanNode*, std::string> memo_;
 };
 
-// The memo over admitted plans: fingerprint -> indices in result.plans,
-// optionally sharded by the probed plan's root-operator kind. Each shard is
-// an independent hash table, so probes for plans of different root kinds
-// never touch the same structure. Sharding only routes probes: the admitted
-// plan sequence is identical with sharding on or off, because a plan's root
-// kind is a pure function of the plan and every probe/insert for one plan
-// goes to the same shard. The parallel driver turns sharding on
-// unconditionally (its admission thread owns all shards; routing keeps the
-// buckets short).
-class MemoIndex {
- public:
-  MemoIndex(bool sharded, size_t reserve_hint)
-      : shards_(sharded ? kOpKindCount : 1) {
-    for (auto& shard : shards_) {
-      shard.reserve(reserve_hint / shards_.size() + 1);
-    }
-  }
-
-  const std::vector<size_t>* Find(OpKind root_kind, uint64_t fp) const {
-    const Shard& shard = shards_[ShardOf(root_kind)];
-    auto it = shard.find(fp);
-    return it == shard.end() ? nullptr : &it->second;
-  }
-
-  void Add(OpKind root_kind, uint64_t fp, size_t plan_index) {
-    shards_[ShardOf(root_kind)][fp].push_back(plan_index);
-  }
-
- private:
-  using Shard = std::unordered_map<uint64_t, std::vector<size_t>>;
-
-  size_t ShardOf(OpKind kind) const {
-    return shards_.size() == 1 ? 0 : static_cast<size_t>(kind);
-  }
-
-  std::vector<Shard> shards_;
-};
+// The memo over admitted plans: fingerprint -> indices in result.plans
+// (a bucket longer than one only on a fingerprint collision; every hit is
+// confirmed structurally).
+using MemoIndex = std::unordered_map<uint64_t, std::vector<size_t>>;
 
 // The frontier of unexpanded plan indices. Breadth-first consumes admitted
 // plans in index order (the exact Figure 5 worklist); best-first pops the
@@ -174,7 +141,6 @@ struct CandidateEvent {
   PlanPath path;        // rewrite location in the expanded plan
   PlanPtr replacement;  // freshly built by the rule; interned at admission
   uint64_t fingerprint = 0;  // root fingerprint of the would-be plan
-  OpKind root_kind = OpKind::kScan;  // its memo shard
 
   // Filled by MaterializeEvent (parallel workers only): the interned
   // candidate with its validity and cost, so admission does no per-plan
@@ -202,7 +168,6 @@ inline void MaterializeEvent(CandidateEvent& ev, const PlanPtr& parent,
   ev.rewritten =
       interner.RewriteInterned(parent, ev.path, std::move(ev.replacement));
   TQP_DCHECK(ev.rewritten->fingerprint() == ev.fingerprint);
-  TQP_DCHECK(ev.rewritten->kind() == ev.root_kind);
   ev.valid = cache.Derive(ev.rewritten, catalog, options.cardinality).ok();
   if (costing && ev.valid) {
     ev.cost = EstimatePlanCost(ev.rewritten, cost_ctx, options.cost_engine);
@@ -348,15 +313,11 @@ class PlanExpander {
         ev.outcome = CandidateEvent::Outcome::kSizeCapped;
       } else {
         // The candidate's identity is known without materializing anything:
-        // FingerprintAtPath walks the spine without constructing a node, and
-        // a root rewrite adopts the replacement's kind while any deeper
-        // rewrite keeps the plan's.
+        // FingerprintAtPath walks the spine without constructing a node.
         ev.outcome = CandidateEvent::Outcome::kCandidate;
         ev.path = loc.path;
         ev.fingerprint = FingerprintAtPath(plan, loc.path,
                                            match->replacement->fingerprint());
-        ev.root_kind =
-            loc.path.empty() ? match->replacement->kind() : plan->kind();
         ev.replacement = std::move(match->replacement);
       }
     }
@@ -394,16 +355,15 @@ class SearchState {
         pruning_(options.cost_prune_factor > 0.0),
         best_first_(options.strategy == SearchStrategy::kBestFirst),
         costing_(pruning_ || best_first_),
-        prune_factor_(options.cost_prune_factor),
-        memo_(options.shard_memo_by_root_kind,
-              std::min<size_t>(options.max_plans, 4096)),
         frontier_(best_first_),
         // Costing runs against a context backed solely by the shared
         // derivation cache: each plan is costed right after it is derived,
         // so every bottom-up fact it needs is present, and the context
         // cannot read the *expanding* plan's props table or occurrence
         // window (which describe the parent, not the rewritten plan).
-        cost_ctx_(&cache, /*props=*/nullptr, &contract_) {}
+        cost_ctx_(&cache, /*props=*/nullptr, &contract_) {
+    memo_.reserve(std::min<size_t>(options.max_plans, 4096) + 1);
+  }
 
   /// Interns, validates, and admits the initial plan; must be called once
   /// before the driver loop.
@@ -413,7 +373,7 @@ class SearchState {
     size_cap_ = root->subtree_size() + options_.max_plan_growth;
     result_.plans.push_back(
         EnumeratedPlan{root, CanonOf(root), root->fingerprint(), -1, ""});
-    memo_.Add(root->kind(), root->fingerprint(), 0);
+    memo_[root->fingerprint()].push_back(0);
     if (costing_) {
       // The root is costed only now, after cache.Derive(root) above made its
       // bottom-up facts (cardinalities, sites) available.
@@ -439,13 +399,13 @@ class SearchState {
       if (!popped.has_value()) return std::nullopt;
       size_t p = *popped;
       // The pruning decision happens at pop time, against the bound as it
-      // stands now. best_cost only ever tightens — and under adaptive
-      // pruning so does the effective factor — so a plan failing here could
-      // never pass later: pruned plans are final, never re-queued, and
-      // every admitted plan is popped exactly once unless a budget ends
+      // stands now. best_cost only ever tightens, so a plan failing here
+      // could never pass later: pruned plans are final, never re-queued,
+      // and every admitted plan is popped exactly once unless a budget ends
       // the search first, which makes cost_pruned deterministic under both
       // strategies.
-      if (pruning_ && result_.costs[p] > best_cost_ * prune_factor_) {
+      if (pruning_ &&
+          result_.costs[p] > best_cost_ * options_.cost_prune_factor) {
         ++result_.cost_pruned;
         if (on_pruned_) on_pruned_(p);
         continue;
@@ -479,7 +439,6 @@ class SearchState {
       ev.rewritten =
           interner_.RewriteInterned(plan, ev.path, std::move(ev.replacement));
       TQP_DCHECK(ev.rewritten->fingerprint() == ev.fingerprint);
-      TQP_DCHECK(ev.rewritten->kind() == ev.root_kind);
       // Validate: only nodes the cache has never seen (the rebuilt spine)
       // are actually derived; a cached node heads a known-valid subtree.
       ev.valid = cache_.Derive(ev.rewritten, catalog_, options_.cardinality).ok();
@@ -554,9 +513,8 @@ class SearchState {
     }
     ++result_.admitted;
 
-    if (const std::vector<size_t>* bucket =
-            memo_.Find(ev.root_kind, ev.fingerprint)) {
-      for (size_t idx : *bucket) {
+    if (auto bucket = memo_.find(ev.fingerprint); bucket != memo_.end()) {
+      for (size_t idx : bucket->second) {
         if (confirm(result_.plans[idx].plan)) {
           ++result_.memo_hits;
           return true;
@@ -568,30 +526,14 @@ class SearchState {
       return true;  // invalid composition; not memoized
     }
     size_t new_index = result_.plans.size();
-    memo_.Add(ev.root_kind, ev.fingerprint, new_index);
+    memo_[ev.fingerprint].push_back(new_index);
     result_.plans.push_back(EnumeratedPlan{ev.rewritten, CanonOf(ev.rewritten),
                                            ev.fingerprint,
                                            static_cast<int>(p),
                                            ev.rule->id()});
     if (costing_) {
       result_.costs.push_back(ev.cost);
-      if (ev.cost < best_cost_) {
-        best_cost_ = ev.cost;
-        // Adaptive feedback: each incumbent improvement tightens the
-        // effective pruning factor toward the floor. The floor is clamped
-        // to the configured factor so tightening can only ever LOWER the
-        // factor — otherwise a cost_prune_factor below the floor would be
-        // raised by its first improvement, breaking the "a plan that fails
-        // the pop-time check once could never pass later" invariant. Runs
-        // at admission (the serial replay under every driver), so the
-        // factor's trajectory is a pure function of the admitted sequence.
-        if (pruning_ && options_.adaptive_pruning) {
-          double floor = std::min(options_.adaptive_prune_floor,
-                                  options_.cost_prune_factor);
-          prune_factor_ = std::max(
-              floor, prune_factor_ * options_.adaptive_prune_decay);
-        }
-      }
+      if (ev.cost < best_cost_) best_cost_ = ev.cost;
       frontier_.Push(new_index, ev.cost);
     } else {
       frontier_.Push(new_index, 0.0);
@@ -615,9 +557,6 @@ class SearchState {
   const bool pruning_;
   const bool best_first_;
   const bool costing_;
-  /// The effective pruning factor: fixed at cost_prune_factor, or tightened
-  /// on each incumbent improvement under adaptive_pruning.
-  double prune_factor_;
 
   EnumerationResult result_;
   MemoIndex memo_;

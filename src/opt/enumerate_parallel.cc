@@ -26,8 +26,6 @@
 // byte-identical to the serial driver. Speculation can only waste worker
 // time (a pruned or truncated plan's expansion is discarded) — it never
 // changes the outcome; only the interner/cache *session totals* reflect it.
-// The memo is always root-kind sharded here (routing keeps the buckets
-// short; sharding is sequence-neutral, see MemoIndex).
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -107,14 +105,12 @@ struct WorkQueue {
 Result<EnumerationResult> EnumerateMemoParallel(
     const PlanPtr& initial, const Catalog& catalog,
     const QueryContract& contract, const std::vector<Rule>& rules,
-    const EnumerationOptions& options, PlanInterner* ext_interner,
+    const EnumerationOptions& opts, PlanInterner* ext_interner,
     DerivationCache* ext_derivation) {
   if (initial->subtree_size() > kMaxUnfoldedPlanSize) {
     return Status::InvalidArgument("initial plan too large when unfolded");
   }
 
-  EnumerationOptions opts = options;
-  opts.shard_memo_by_root_kind = true;
   size_t num_threads = opts.num_threads != 0
                            ? opts.num_threads
                            : std::max<size_t>(

@@ -7,14 +7,6 @@ namespace tqp {
 Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
                                 const QueryContract& contract,
                                 const std::vector<Rule>& rules,
-                                const OptimizerOptions& options) {
-  return Optimize(initial, catalog, contract, rules, options,
-                  /*interner=*/nullptr, /*derivation=*/nullptr);
-}
-
-Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
-                                const QueryContract& contract,
-                                const std::vector<Rule>& rules,
                                 const OptimizerOptions& options,
                                 PlanInterner* interner,
                                 DerivationCache* derivation) {

@@ -37,24 +37,20 @@ struct OptimizeResult {
 };
 
 /// Enumerates equivalent plans and returns the cheapest under the cost model.
-Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
-                                const QueryContract& contract,
-                                const std::vector<Rule>& rules,
-                                const OptimizerOptions& options = {});
-
-/// Same, threading session-scoped search state (see the EnumeratePlans
-/// overload): the enumeration interns through `interner` and both the
+///
+/// `interner`/`derivation` thread session-scoped search state (see
+/// EnumeratePlans): the enumeration interns through `interner` and both the
 /// enumeration's validation and the costing loop share `derivation`, so a
 /// repeated or structurally overlapping query re-derives almost nothing.
-/// Either may be nullptr. The chosen plan, costs, and derivation chain are
-/// identical to a cold call — cache warmth only changes how much work is
-/// re-done, never the outcome.
+/// Either may be nullptr (the default). The chosen plan, costs, and
+/// derivation chain are identical to a cold call — cache warmth only changes
+/// how much work is re-done, never the outcome.
 Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
                                 const QueryContract& contract,
                                 const std::vector<Rule>& rules,
-                                const OptimizerOptions& options,
-                                PlanInterner* interner,
-                                DerivationCache* derivation);
+                                const OptimizerOptions& options = {},
+                                PlanInterner* interner = nullptr,
+                                DerivationCache* derivation = nullptr);
 
 }  // namespace tqp
 

@@ -60,37 +60,10 @@ bool SendAll(int fd, const std::string& data) {
 
 }  // namespace
 
-std::string ServerStats::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("connections_total").Uint(connections_total);
-  w.Key("connections_active").Uint(connections_active);
-  w.Key("queries").Uint(queries);
-  w.Key("errors").Uint(errors);
-  w.Key("batches_sent").Uint(batches_sent);
-  w.Key("rows_sent").Uint(rows_sent);
-  w.Key("snapshots_written").Uint(snapshots_written);
-  w.Key("plans_imported").Uint(plans_imported);
-  w.Key("metrics_requests").Uint(metrics_requests);
-  w.Key("traced_queries").Uint(traced_queries);
-  w.EndObject();
-  return w.Take();
-}
+std::string ServerStats::ToJson() const { return StatsToJson(*this); }
 
 void ServerStats::PublishTo(MetricsRegistry* registry) const {
-  auto set = [registry](const char* name, uint64_t v) {
-    registry->GetGauge(name)->Set(static_cast<double>(v));
-  };
-  set("tqp_server_connections_total", connections_total);
-  set("tqp_server_connections_active", connections_active);
-  set("tqp_server_queries", queries);
-  set("tqp_server_errors", errors);
-  set("tqp_server_batches_sent", batches_sent);
-  set("tqp_server_rows_sent", rows_sent);
-  set("tqp_server_snapshots_written", snapshots_written);
-  set("tqp_server_plans_imported", plans_imported);
-  set("tqp_server_metrics_requests", metrics_requests);
-  set("tqp_server_traced_queries", traced_queries);
+  PublishStatsGauges(*this, "tqp_server_", registry);
 }
 
 struct Server::Connection {

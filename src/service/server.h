@@ -93,6 +93,21 @@ struct ServerStats {
   /// Queries run with per-connection tracing on (\trace on).
   uint64_t traced_queries = 0;
 
+  /// Every field once, in rendering order: f(name, value).
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("connections_total", connections_total);
+    f("connections_active", connections_active);
+    f("queries", queries);
+    f("errors", errors);
+    f("batches_sent", batches_sent);
+    f("rows_sent", rows_sent);
+    f("snapshots_written", snapshots_written);
+    f("plans_imported", plans_imported);
+    f("metrics_requests", metrics_requests);
+    f("traced_queries", traced_queries);
+  }
+
   std::string ToJson() const;
 
   /// Publishes every counter above into `registry` as tqp_server_* gauges

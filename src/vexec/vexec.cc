@@ -13,22 +13,21 @@
 #include "vexec/vexec.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "backend/backend.h"
 #include "backend/simulated_backend.h"
 #include "core/profile.h"
 #include "core/spill.h"
 #include "core/task_pool.h"
 #include "core/trace.h"
-#include "exec/result_cache.h"
+#include "exec/plan_driver.h"
 #include "vexec/vexec_internal.h"
 
 namespace tqp {
@@ -1590,77 +1589,73 @@ void HashJoinCandidates(const ColumnTable& l, const ColumnTable& r,
 
 // ---- The driver -----------------------------------------------------------
 
-/// Folded into the result-cache contract fingerprint; distinct from the
-/// reference evaluator's tag so the executors never splice each other's
-/// cut-point materializations (only their root results are contractually
-/// identical). The vectorized pipeline itself is byte-deterministic across
-/// thread counts, so one tag covers every VexecOptions setting.
-constexpr uint64_t kVecExecutorTag = 2;
+/// The vectorized executor: the shared plan driver (exec/plan_driver.h) over
+/// ColumnTables. Its result-cache tag (2) differs from the reference
+/// evaluator's; the vectorized pipeline itself is byte-deterministic across
+/// thread counts, so one tag covers every VexecOptions setting. Cache entries
+/// store the row Relation (ColumnTable's ToRelation/FromRelation round trip
+/// is byte-identical).
+struct VecTreeExecutor : PlanDriver<VecTreeExecutor, ColumnTable> {
+  VecTreeExecutor(const AnnotatedPlan& ann, const EngineConfig& config,
+                  ExecStats* stats, const VexecOptions& options,
+                  VexecRuntime& rt)
+      : PlanDriver(ann, config, stats, /*executor_tag=*/2, "vexec"),
+        options(options),
+        rt(rt) {}
 
-struct VecTreeExecutor {
-  const AnnotatedPlan& ann;
-  const EngineConfig& config;
-  ExecStats* stats;
   const VexecOptions& options;
   VexecRuntime& rt;
-  /// Contract+executor digest, fixed for the whole execution.
-  uint64_t contract_fp =
-      ContractFingerprint(ann.contract(), kVecExecutorTag);
 
-  // The simulated cost accounting of the reference evaluator, plus the
-  // batch-engine counters: batches consumed (input rows, or the scanned
-  // rows for leaves, per batch_size) and one columnar materialization per
-  // operator output. Factored out so the fused hash join can account its
-  // product and selection exactly as the unfused plan would.
-  void AccountNode(const PlanNode* node, const NodeInfo& info, double in1,
-                   double in2, size_t out_rows, ProfileNode* prof = nullptr) {
-    if (prof != nullptr) {
-      prof->rows_in = static_cast<int64_t>(in1 + in2);
-      size_t consumed_rows = node->kind() == OpKind::kScan
-                                 ? out_rows
-                                 : static_cast<size_t>(in1 + in2);
-      prof->batches += static_cast<int64_t>(
-          (consumed_rows + options.batch_size - 1) / options.batch_size);
-    }
-    if (stats == nullptr) return;
-    ++stats->op_counts[OpKindName(node->kind())];
-    stats->tuples_produced += static_cast<int64_t>(out_rows);
-    if (node->kind() == OpKind::kScan) {
-      in1 = static_cast<double>(out_rows);
-    }
-    double units = OpWorkUnits(node->kind(), in1, in2,
-                               static_cast<double>(out_rows));
-    if (node->kind() == OpKind::kTransferS ||
-        node->kind() == OpKind::kTransferD) {
-      stats->tuples_transferred += static_cast<int64_t>(in1);
-      stats->stratum_work += in1 * config.transfer_cost_per_tuple;
-    } else if (info.site == Site::kDbms) {
-      double penalty =
-          IsTemporalOp(node->kind()) ? config.dbms_temporal_penalty : 1.0;
-      stats->dbms_work += units * penalty;
-    } else {
-      stats->stratum_work += units * config.stratum_cpu_factor;
-    }
+  static size_t Rows(const ColumnTable& t) { return t.rows(); }
+  static ColumnTable FromRows(const Relation& r) {
+    return ColumnTable::FromRelation(r);
+  }
+  static Relation ToRows(const ColumnTable& t, const NodeInfo& info) {
+    Relation rows = t.ToRelation();
+    rows.set_order(info.order);
+    return rows;
+  }
+  static void StampOrder(ColumnTable*, const NodeInfo&) {}
+
+  // The columnar scramble rebuilds the table: one more materialization.
+  void Scramble(ColumnTable* t, uint64_t seed) {
+    *t = VecScramble(*t, seed, rt);
+    if (stats != nullptr) ++stats->vec_materializations;
+  }
+
+  // The batch-engine counters beside the driver's simulated accounting:
+  // batches consumed (input rows, or the scanned rows for leaves, per
+  // batch_size) and one columnar materialization per operator output.
+  void AccountBatches(const PlanNode* node, double in1, double in2,
+                      size_t out_rows, ProfileNode* prof) {
     size_t consumed = node->kind() == OpKind::kScan
                           ? out_rows
                           : static_cast<size_t>(in1 + in2);
-    stats->vec_batches += static_cast<int64_t>(
+    int64_t batches = static_cast<int64_t>(
         (consumed + options.batch_size - 1) / options.batch_size);
+    if (prof != nullptr) prof->batches += batches;
+    if (stats == nullptr) return;
+    stats->vec_batches += batches;
     stats->vec_rows += static_cast<int64_t>(out_rows);
     ++stats->vec_materializations;
   }
 
-  ColumnTable MaybeScramble(const PlanNode* node, const NodeInfo& info,
-                            ColumnTable result) {
-    if (config.dbms_scrambles_order && info.site == Site::kDbms &&
-        node->kind() != OpKind::kSort && node->kind() != OpKind::kScan &&
-        node->kind() != OpKind::kTransferD) {
-      TraceSpan span(config.tracer, "vexec", "scramble");
-      if (span.active()) span.Arg("rows", static_cast<uint64_t>(result.rows()));
-      result = VecScramble(result, config.scramble_seed, rt);
-      if (stats != nullptr) ++stats->vec_materializations;
+  // Runs before a node's children: σ over × with equi-join keys across the
+  // sides takes the fused hash join below.
+  std::optional<Result<ColumnTable>> Intercept(const PlanPtr& node,
+                                               ProfileNode* prof) {
+    if (node->kind() != OpKind::kSelect ||
+        node->children()[0]->kind() != OpKind::kProduct) {
+      return std::nullopt;
     }
-    return result;
+    const PlanPtr& product = node->children()[0];
+    const NodeInfo& pinfo = ann.info(product.get());
+    if (ScramblesAt(product.get(), pinfo)) return std::nullopt;
+    size_t left_cols = ann.info(product->children()[0].get()).schema.size();
+    std::vector<std::pair<int, int>> keys;
+    CollectEquiKeys(node->predicate(), pinfo.schema, left_cols, &keys);
+    if (keys.empty()) return std::nullopt;
+    return EvalFusedJoin(node, product, keys, prof);
   }
 
   // σ over × with equality conjuncts across the sides, fused into a
@@ -1679,25 +1674,10 @@ struct VecTreeExecutor {
     // The fused product never runs through the Eval shell, so its profile
     // node is stamped here: same shape as the unfused plan, with the join's
     // wall time attributed to the selection (its self time).
-    ProfileNode* pprof = nullptr;
-    if (prof != nullptr) {
-      prof->children.emplace_back();
-      pprof = &prof->children.back();
-      pprof->op = product->Describe();
-      pprof->kind = OpKindName(product->kind());
-    }
-    ProfileNode* lp = nullptr;
-    if (pprof != nullptr) {
-      pprof->children.emplace_back();
-      lp = &pprof->children.back();
-    }
-    TQP_ASSIGN_OR_RETURN(l, Eval(product->children()[0], lp));
-    ProfileNode* rp = nullptr;
-    if (pprof != nullptr) {
-      pprof->children.emplace_back();
-      rp = &pprof->children.back();
-    }
-    TQP_ASSIGN_OR_RETURN(r, Eval(product->children()[1], rp));
+    ProfileNode* pprof = AddChild(prof);
+    if (pprof != nullptr) Stamp(pprof, *product);
+    TQP_ASSIGN_OR_RETURN(l, Eval(product->children()[0], AddChild(pprof)));
+    TQP_ASSIGN_OR_RETURN(r, Eval(product->children()[1], AddChild(pprof)));
     std::vector<uint32_t> li, ri;
     HashJoinCandidates(l, r, keys, rt, &li, &ri);
     ColumnTable cand(pinfo.schema);
@@ -1717,140 +1697,16 @@ struct VecTreeExecutor {
     // its full |l|*|r| output, the selection for consuming it.
     double in1 = static_cast<double>(l.rows());
     double in2 = static_cast<double>(r.rows());
-    AccountNode(product.get(), pinfo, in1, in2, l.rows() * r.rows(), pprof);
-    AccountNode(select.get(), sinfo, in1 * in2, 0.0, out.rows(), prof);
+    Account(product.get(), pinfo, in1, in2, l.rows() * r.rows(), pprof);
+    Account(select.get(), sinfo, in1 * in2, 0.0, out.rows(), prof);
     if (pprof != nullptr) {
       // Modeled output (the product never materialized); zero self time —
       // its wall is its children's, the join work lands in the selection.
       pprof->rows_out = static_cast<int64_t>(l.rows() * r.rows());
       for (const ProfileNode& c : pprof->children) pprof->wall_ns += c.wall_ns;
     }
-    return MaybeScramble(select.get(), sinfo, std::move(out));
-  }
-
-  /// Cut points mirroring the reference evaluator's: transfer boundaries
-  /// and the root. Entries store the row Relation (ColumnTable's
-  /// ToRelation/FromRelation round trip is byte-identical), keyed under
-  /// kVecExecutorTag.
-  bool IsCachePoint(const PlanPtr& node) const {
-    return node->kind() == OpKind::kTransferS ||
-           node->kind() == OpKind::kTransferD || node == ann.plan();
-  }
-
-  /// Per-node observability shell (the vectorized twin of the reference
-  /// evaluator's): times the node and stamps profile/span when requested,
-  /// else falls straight through on two null tests.
-  Result<ColumnTable> Eval(const PlanPtr& node, ProfileNode* prof) {
-    if (config.tracer == nullptr && prof == nullptr) {
-      return EvalCached(node, nullptr);
-    }
-    std::chrono::steady_clock::time_point t0;
-    if (prof != nullptr) t0 = std::chrono::steady_clock::now();
-    TraceSpan span(config.tracer, "vexec", OpKindName(node->kind()));
-    Result<ColumnTable> result = EvalCached(node, prof);
-    if (prof != nullptr) {
-      prof->op = node->Describe();
-      prof->kind = OpKindName(node->kind());
-      prof->wall_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      if (result.ok()) {
-        prof->rows_out = static_cast<int64_t>(result.value().rows());
-      }
-    }
-    if (span.active() && result.ok()) {
-      span.Arg("rows", static_cast<uint64_t>(result.value().rows()));
-    }
-    return result;
-  }
-
-  Result<ColumnTable> EvalCached(const PlanPtr& node, ProfileNode* prof) {
-    if (config.result_cache == nullptr || !IsCachePoint(node)) {
-      return EvalInner(node, prof);
-    }
-    SubplanCacheKey key =
-        MakeSubplanCacheKey(node, ann.info(node.get()), ann.catalog(),
-                            config.result_cache_env, contract_fp);
-    auto cached = [&] {
-      TraceSpan probe(config.tracer, "vexec", "result_cache_probe");
-      auto c = config.result_cache->Lookup(key);
-      if (probe.active()) probe.Arg("hit", uint64_t{c ? 1u : 0u});
-      return c;
-    }();
-    if (cached) {
-      // Splice the cached rows back into columnar form; nothing below the
-      // cut runs or is accounted.
-      if (stats != nullptr) ++stats->result_cache_hits;
-      if (prof != nullptr) prof->result_cache_hit = true;
-      return ColumnTable::FromRelation(*cached);
-    }
-    if (stats != nullptr) ++stats->result_cache_misses;
-    TQP_ASSIGN_OR_RETURN(result, EvalInner(node, prof));
-    Relation rows = result.ToRelation();
-    rows.set_order(ann.info(node.get()).order);
-    config.result_cache->Insert(key, std::move(rows));
-    return result;
-  }
-
-  Result<ColumnTable> EvalInner(const PlanPtr& node, ProfileNode* prof) {
-    const NodeInfo& info = ann.info(node.get());
-    // Backend pushdown at a transferS cut — the columnar twin of the
-    // reference evaluator's interception: fetch the cut result natively,
-    // account only the transfer itself, fall back in-engine on failure.
-    if (node->kind() == OpKind::kTransferS && config.backend != nullptr &&
-        config.backend->SupportsPushdown()) {
-      if (CanPushCut(*config.backend, node->child(0), ann)) {
-        auto pushed = ExecuteCutPoint(*config.backend, node->child(0), ann,
-                                      config);
-        if (pushed.ok()) {
-          ColumnTable result = ColumnTable::FromRelation(pushed.value());
-          if (stats != nullptr) {
-            ++stats->backend_pushdowns;
-            stats->backend_rows += static_cast<int64_t>(result.rows());
-          }
-          if (prof != nullptr) prof->backend_pushed = true;
-          AccountNode(node.get(), info, static_cast<double>(result.rows()),
-                      0.0, result.rows());
-          return result;
-        }
-        if (stats != nullptr) ++stats->backend_fallbacks;
-      } else if (stats != nullptr) {
-        // The serializer cannot express the subtree (distinct from a
-        // runtime SQL failure, which counts as a fallback above).
-        ++stats->backend_refusals;
-      }
-    }
-    if (node->kind() == OpKind::kSelect &&
-        node->children()[0]->kind() == OpKind::kProduct) {
-      const PlanPtr& product = node->children()[0];
-      const NodeInfo& pinfo = ann.info(product.get());
-      bool scrambled =
-          config.dbms_scrambles_order && pinfo.site == Site::kDbms;
-      if (!scrambled) {
-        size_t left_cols =
-            ann.info(product->children()[0].get()).schema.size();
-        std::vector<std::pair<int, int>> keys;
-        CollectEquiKeys(node->predicate(), pinfo.schema, left_cols, &keys);
-        if (!keys.empty()) return EvalFusedJoin(node, product, keys, prof);
-      }
-    }
-    std::vector<ColumnTable> inputs;
-    for (const PlanPtr& c : node->children()) {
-      ProfileNode* cp = nullptr;
-      if (prof != nullptr) {
-        prof->children.emplace_back();
-        cp = &prof->children.back();
-      }
-      TQP_ASSIGN_OR_RETURN(r, Eval(c, cp));
-      inputs.push_back(std::move(r));
-    }
-    double in1 = inputs.empty() ? 0.0 : static_cast<double>(inputs[0].rows());
-    double in2 =
-        inputs.size() < 2 ? 0.0 : static_cast<double>(inputs[1].rows());
-    TQP_ASSIGN_OR_RETURN(result, Apply(node, info, inputs));
-    AccountNode(node.get(), info, in1, in2, result.rows(), prof);
-    return MaybeScramble(node.get(), info, std::move(result));
+    MaybeScramble(select.get(), sinfo, &out);
+    return out;
   }
 
   Result<ColumnTable> Apply(const PlanPtr& node, const NodeInfo& info,

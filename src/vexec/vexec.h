@@ -19,10 +19,11 @@
 // bench/bench_vexec_pipeline.cc (>= 5x rows/s over the reference evaluator
 // on a 1M-row coalesce + temporal-join + sort pipeline).
 //
-// ExecStats is shared with the reference evaluator: the per-site work,
-// transfer, and operator counters are computed from the same formulas, and
-// the vectorized path additionally fills the batch/materialization counters
-// (ExecStats::vec_batches / vec_materializations / vec_rows).
+// Both executors run on one plan driver (exec/plan_driver.h): the cut-point
+// decisions, the per-site work, transfer and operator counters, and the
+// profile/trace shell are the same code; the vectorized path additionally
+// fills the batch/materialization counters (ExecStats::vec_batches /
+// vec_materializations / vec_rows).
 #ifndef TQP_VEXEC_VEXEC_H_
 #define TQP_VEXEC_VEXEC_H_
 

@@ -39,6 +39,7 @@
 #include "backend/simulated_backend.h"
 #include "backend/sql_serializer.h"
 #include "backend/sqlite_backend.h"
+#include "core/profile.h"
 #include "exec/cost_model.h"
 #include "exec/evaluator.h"
 #include "service/plan_store.h"
@@ -75,6 +76,40 @@ void ExpectSameRows(const Relation& ref, const Relation& got,
   for (size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(ref.tuple(i).ToString(), got.tuple(i).ToString())
         << label << " row " << i;
+  }
+}
+
+/// Every ExecStats counter both executors fill from the same formulas (the
+/// vec_* and scheduler counters are vectorized-only).
+void ExpectSameSharedCounters(const ExecStats& ref, const ExecStats& vec,
+                              const std::string& label) {
+  EXPECT_DOUBLE_EQ(ref.dbms_work, vec.dbms_work) << label;
+  EXPECT_DOUBLE_EQ(ref.stratum_work, vec.stratum_work) << label;
+  EXPECT_EQ(ref.tuples_transferred, vec.tuples_transferred) << label;
+  EXPECT_EQ(ref.tuples_produced, vec.tuples_produced) << label;
+  EXPECT_EQ(ref.op_counts, vec.op_counts) << label;
+  EXPECT_EQ(ref.backend_pushdowns, vec.backend_pushdowns) << label;
+  EXPECT_EQ(ref.backend_rows, vec.backend_rows) << label;
+  EXPECT_EQ(ref.backend_fallbacks, vec.backend_fallbacks) << label;
+  EXPECT_EQ(ref.backend_refusals, vec.backend_refusals) << label;
+  EXPECT_EQ(ref.result_cache_hits, vec.result_cache_hits) << label;
+  EXPECT_EQ(ref.result_cache_misses, vec.result_cache_misses) << label;
+}
+
+/// Profile trees of the two executors agree in shape, operator kinds, and
+/// the cut-point flags (timings, rows_in and batches legitimately differ
+/// only in the vectorized-only fields, so they are not compared).
+void ExpectSameProfileShape(const ProfileNode& ref, const ProfileNode& vec,
+                            const std::string& label) {
+  EXPECT_EQ(ref.kind, vec.kind) << label;
+  EXPECT_EQ(ref.result_cache_hit, vec.result_cache_hit)
+      << label << " at " << ref.kind;
+  EXPECT_EQ(ref.backend_pushed, vec.backend_pushed)
+      << label << " at " << ref.kind;
+  ASSERT_EQ(ref.children.size(), vec.children.size())
+      << label << " at " << ref.kind;
+  for (size_t i = 0; i < ref.children.size(); ++i) {
+    ExpectSameProfileShape(ref.children[i], vec.children[i], label);
   }
 }
 
@@ -349,9 +384,15 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   Backend* be = made.value().get();
 
+  // Plus one cut the serializer refuses (a temporal operator below it), so
+  // both executors are held to the same refusal accounting.
+  std::vector<std::pair<std::string, PlanPtr>> plans = CutPlans();
+  plans.emplace_back("refused-rdupT",
+                     PlanNode::TransferS(PlanNode::RdupT(PlanNode::Scan("R"))));
+
   int pushed_plans = 0;
   for (const auto& [cfg_name, base_cfg] : Configs()) {
-    for (const auto& [plan_name, plan] : CutPlans()) {
+    for (const auto& [plan_name, plan] : plans) {
       const std::string label = plan_name + "/" + cfg_name;
       ExecStats ref_stats;
       Result<Relation> ref = EvaluatePlan(plan, catalog, base_cfg, &ref_stats);
@@ -381,8 +422,12 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
         ASSERT_TRUE(vec.ok()) << label << ": " << vec.status().ToString();
         ExpectListIdentical(ref.value(), vec.value(),
                             label + "/vexec-t" + std::to_string(threads));
-        EXPECT_EQ(vec_stats.backend_pushdowns, sq_stats.backend_pushdowns)
-            << label;
+        ExpectSameSharedCounters(sq_stats, vec_stats,
+                                 label + "/vexec-t" + std::to_string(threads));
+      }
+      if (plan_name == "refused-rdupT") {
+        EXPECT_EQ(sq_stats.backend_refusals, 1) << label;
+        EXPECT_EQ(sq_stats.backend_pushdowns, 0) << label;
       }
     }
   }
@@ -578,6 +623,75 @@ TEST(EngineBackendTest, SqliteEngineMatchesSimulatedEngine) {
       EXPECT_EQ(sq.stats().backend_name, "sqlite");
       EXPECT_GE(sq.stats().backend_pushdowns, 1u)
           << "no query pushed a cut subplan down";
+    }
+  }
+}
+
+TEST(EngineBackendTest, ExecutorsAgreeOnCutPointsThroughCacheAndUpdate) {
+  // Both executors decide the same things at every transfer/root cut: cache
+  // probe outcome, pushdown or refusal, and the accounting around them.
+  // Two incremental engines (reference; vectorized at 4 threads) get one
+  // query stream with a catalog update between rounds, on each backend.
+  const std::vector<std::string> queries = {
+      "SELECT Name, Val FROM C WHERE Val > 10",
+      "SELECT DISTINCT Name FROM C ORDER BY Name ASC",
+      "SELECT Cat, COUNT(*) AS n FROM C GROUP BY Cat ORDER BY Cat",
+      "SELECT Name FROM C UNION SELECT Name FROM D",
+      "SELECT Name, Val / Cat AS VD FROM D",
+      "VALIDTIME SELECT DISTINCT Name FROM R ORDER BY Name ASC",
+      "VALIDTIME COALESCED SELECT DISTINCT Name FROM R",
+  };
+  std::vector<BackendKind> backends = {BackendKind::kSimulated};
+  if (SqliteBackend::Available()) backends.push_back(BackendKind::kSqlite);
+  for (BackendKind backend : backends) {
+    EngineOptions ref_opts;
+    ref_opts.enumeration.max_plans = 400;
+    ref_opts.incremental_execution = true;
+    ref_opts.backend = backend;
+    EngineOptions vec_opts = ref_opts;
+    vec_opts.executor = ExecutorKind::kVectorized;
+    vec_opts.vexec_threads = 4;
+    Engine ref(MakeCatalog(42), ref_opts);
+    Engine vec(MakeCatalog(42), vec_opts);
+    QueryRunOptions run;
+    run.profile = true;
+
+    ExecStats totals;
+    for (int round = 0; round < 3; ++round) {
+      if (round == 2) {
+        auto update = [](Catalog& c) {
+          CatalogEntry e;
+          e.data = MessyConventional(99, 30);
+          e.site = Site::kDbms;
+          return c.Update("C", std::move(e));
+        };
+        ASSERT_TRUE(ref.MutateCatalog(update).ok());
+        ASSERT_TRUE(vec.MutateCatalog(update).ok());
+      }
+      for (const std::string& q : queries) {
+        const std::string label = std::string(ref.backend()->name()) +
+                                  " round " + std::to_string(round) + ": " +
+                                  q;
+        Result<QueryResult> a = ref.Query(q, run);
+        Result<QueryResult> b = vec.Query(q, run);
+        ASSERT_TRUE(a.ok()) << label << ": " << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << label << ": " << b.status().ToString();
+        EXPECT_EQ(a->relation.ToTable(), b->relation.ToTable()) << label;
+        ExpectSameSharedCounters(a->exec, b->exec, label);
+        ASSERT_TRUE(a->profile != nullptr && b->profile != nullptr);
+        ExpectSameProfileShape(*a->profile, *b->profile, label);
+        totals.result_cache_hits += a->exec.result_cache_hits;
+        totals.result_cache_misses += a->exec.result_cache_misses;
+        totals.backend_pushdowns += a->exec.backend_pushdowns;
+        totals.backend_refusals += a->exec.backend_refusals;
+      }
+    }
+    // The stream must exercise every cut-point outcome it claims to cover.
+    EXPECT_GT(totals.result_cache_hits, 0) << ref.backend()->name();
+    EXPECT_GT(totals.result_cache_misses, 0) << ref.backend()->name();
+    if (backend == BackendKind::kSqlite) {
+      EXPECT_GT(totals.backend_pushdowns, 0);
+      EXPECT_GT(totals.backend_refusals, 0);
     }
   }
 }

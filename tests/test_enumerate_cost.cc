@@ -1,6 +1,6 @@
 // Tests for the cost-directed side of the Figure 5 enumerator: cost-bounded
-// pruning counters, the best-first frontier, exploration budgets, the memo
-// shard knob, and the determinism guarantees the search strategies document
+// pruning counters, the best-first frontier, exploration budgets, and the
+// determinism guarantees the search strategies document
 // (repeated runs and warm session caches never change the admitted plan
 // set). No tier-1 test exercised cost_prune_factor > 0 before this file.
 #include <gtest/gtest.h>
@@ -110,96 +110,6 @@ TEST(EnumerateCostTest, DeterministicAcrossRepeatedRuns) {
   }
 }
 
-TEST(EnumerateCostTest, AdaptivePruningTightensTheBoundDeterministically) {
-  // The feedback rule: each incumbent improvement multiplies the effective
-  // pruning factor by adaptive_prune_decay (floored), so an adaptive run
-  // prunes at least as much as the same fixed-factor run.
-  for (SearchStrategy strategy :
-       {SearchStrategy::kBreadthFirst, SearchStrategy::kBestFirst}) {
-    EnumerationOptions fixed = Options(strategy, /*prune_factor=*/2.0);
-    EnumerationOptions adaptive = fixed;
-    adaptive.adaptive_pruning = true;
-    adaptive.adaptive_prune_decay = 0.8;
-    adaptive.adaptive_prune_floor = 1.05;
-
-    Result<EnumerationResult> f = RunSearch(fixed);
-    Result<EnumerationResult> a1 = RunSearch(adaptive);
-    Result<EnumerationResult> a2 = RunSearch(adaptive);
-    ASSERT_TRUE(f.ok() && a1.ok() && a2.ok());
-
-    // Deterministic across repeated runs.
-    ExpectIdenticalOutcome(a1.value(), a2.value());
-    // Tightening only ever shrinks the exploration (a tighter bound prunes
-    // pops earlier, so fewer plans are discovered and expanded — note
-    // cost_pruned itself can shrink too: there are fewer pops to prune),
-    // and it invents no plans.
-    EXPECT_LE(a1->expanded, f->expanded);
-    EXPECT_LE(a1->plans.size(), f->plans.size());
-    EXPECT_TRUE(a1->expanded < f->expanded ||
-                a1->plans.size() < f->plans.size())
-        << "adaptive feedback never engaged";
-    std::set<uint64_t> fixed_fps = Fingerprints(f.value());
-    for (uint64_t fp : Fingerprints(a1.value())) {
-      EXPECT_TRUE(fixed_fps.count(fp))
-          << "adaptive run produced a plan the fixed run never saw";
-    }
-    // The search still terminates with work done.
-    EXPECT_GT(a1->expanded, 0u);
-  }
-}
-
-TEST(EnumerateCostTest, AdaptiveFloorNeverLoosensTheConfiguredFactor) {
-  // A cost_prune_factor below the default floor must not be RAISED by the
-  // first incumbent improvement (the floor clamps to the configured
-  // factor): the adaptive run can only ever explore a subset of the fixed
-  // run's plans.
-  for (SearchStrategy strategy :
-       {SearchStrategy::kBreadthFirst, SearchStrategy::kBestFirst}) {
-    EnumerationOptions fixed = Options(strategy, /*prune_factor=*/1.02);
-    EnumerationOptions adaptive = fixed;
-    adaptive.adaptive_pruning = true;  // floor default 1.05 > 1.02
-    Result<EnumerationResult> f = RunSearch(fixed);
-    Result<EnumerationResult> a = RunSearch(adaptive);
-    ASSERT_TRUE(f.ok() && a.ok());
-    EXPECT_LE(a->expanded, f->expanded);
-    EXPECT_LE(a->plans.size(), f->plans.size());
-    std::set<uint64_t> fixed_fps = Fingerprints(f.value());
-    for (uint64_t fp : Fingerprints(a.value())) {
-      EXPECT_TRUE(fixed_fps.count(fp))
-          << "adaptive run with a clamped floor explored a plan the fixed "
-             "run never admitted";
-    }
-  }
-}
-
-TEST(EnumerateCostTest, AdaptivePruningOffByDefaultAndInertWithoutPruning) {
-  EnumerationOptions defaults;
-  EXPECT_FALSE(defaults.adaptive_pruning);
-  // With cost_prune_factor == 0 the flag must change nothing.
-  EnumerationOptions plain = Options(SearchStrategy::kBreadthFirst);
-  EnumerationOptions flagged = plain;
-  flagged.adaptive_pruning = true;
-  Result<EnumerationResult> a = RunSearch(plain);
-  Result<EnumerationResult> b = RunSearch(flagged);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectIdenticalOutcome(a.value(), b.value());
-  EXPECT_EQ(b->cost_pruned, 0u);
-}
-
-TEST(EnumerateCostTest, AdaptivePruningIsByteIdenticalUnderTheParallelDriver) {
-  for (SearchStrategy strategy :
-       {SearchStrategy::kBreadthFirst, SearchStrategy::kBestFirst}) {
-    EnumerationOptions serial = Options(strategy, /*prune_factor=*/1.5);
-    serial.adaptive_pruning = true;
-    EnumerationOptions parallel = serial;
-    parallel.num_threads = 4;
-    Result<EnumerationResult> s = RunSearch(serial);
-    Result<EnumerationResult> p = RunSearch(parallel);
-    ASSERT_TRUE(s.ok() && p.ok());
-    ExpectIdenticalOutcome(s.value(), p.value());
-  }
-}
-
 TEST(EnumerateCostTest, WarmSessionCachesNeverChangeTheAdmittedSet) {
   // The determinism claim the Engine relies on: re-running a cost-directed
   // search against primed session caches yields the identical outcome,
@@ -273,16 +183,6 @@ TEST(EnumerateCostTest, MaxExpansionsBudgetIsRespected) {
   ASSERT_TRUE(all.ok());
   EXPECT_FALSE(all->truncated);
   EXPECT_EQ(all->expanded, all->plans.size());
-}
-
-TEST(EnumerateCostTest, ShardedMemoIsByteIdentical) {
-  EnumerationOptions plain = Options(SearchStrategy::kBreadthFirst, 1.5);
-  EnumerationOptions sharded = plain;
-  sharded.shard_memo_by_root_kind = true;
-  Result<EnumerationResult> a = RunSearch(plain);
-  Result<EnumerationResult> b = RunSearch(sharded);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectIdenticalOutcome(a.value(), b.value());
 }
 
 TEST(EnumerateCostTest, LegacyPathRejectsBestFirst) {

@@ -334,7 +334,8 @@ TEST(JsonParserTest, RejectsMalformedInput) {
   for (const char* bad : {"{", "{\"a\":}", "[1,]", "\"x", "{\"a\" 1}", "tru"}) {
     JsonValue v;
     std::string err;
-    JsonParser p{std::string(bad)};
+    const std::string text(bad);  // the parser keeps a reference
+    JsonParser p{text};
     EXPECT_FALSE(p.Parse(&v, &err)) << bad;
   }
 }
@@ -534,6 +535,121 @@ TEST(JsonSurfacesTest, ServerStatsKeySet) {
       "snapshots_written", "plans_imported",     "metrics_requests",
       "traced_queries"};
   EXPECT_EQ(KeySet(v), expected);
+}
+
+// Byte pins of the stats renderings: key order, the derived total_work, the
+// JSON-only `backend` string and calibration fingerprint, and the nested
+// "ops" object. Distinct per-field values catch a field rendered under the
+// wrong key; the published gauges must mirror the JSON counters one to one.
+TEST(JsonSurfacesTest, StatsRenderingsArePinned) {
+  EXPECT_EQ(ExecStats{}.ToJson(),
+            "{\"dbms_work\":0,\"stratum_work\":0,\"total_work\":0,"
+            "\"tuples_transferred\":0,\"tuples_produced\":0,"
+            "\"vec_batches\":0,\"vec_materializations\":0,\"vec_rows\":0,"
+            "\"morsels\":0,\"steals\":0,\"spill_bytes\":0,\"spill_runs\":0,"
+            "\"backend_pushdowns\":0,\"backend_rows\":0,"
+            "\"backend_fallbacks\":0,\"backend_refusals\":0,"
+            "\"result_cache_hits\":0,\"result_cache_misses\":0,\"ops\":{}}");
+  EXPECT_EQ(EngineStats{}.ToJson(),
+            "{\"prepares\":0,\"plan_cache_hits\":0,\"plan_cache_misses\":0,"
+            "\"plan_cache_evictions\":0,\"plan_cache_stale_evictions\":0,"
+            "\"plan_cache_imports\":0,\"invalidations\":0,"
+            "\"peak_concurrent_queries\":0,\"plan_cache_entries\":0,"
+            "\"interner_nodes\":0,\"interner_hits\":0,"
+            "\"derivation_nodes\":0,\"backend\":\"simulated\","
+            "\"backend_pushdowns\":0,\"backend_rows\":0,"
+            "\"backend_fallbacks\":0,\"backend_refusals\":0,"
+            "\"calibration_fingerprint\":0,\"slow_queries\":0,"
+            "\"result_cache_hits\":0,\"result_cache_misses\":0,"
+            "\"result_cache_evictions\":0,\"result_cache_entries\":0,"
+            "\"result_cache_bytes\":0}");
+  EXPECT_EQ(ServerStats{}.ToJson(),
+            "{\"connections_total\":0,\"connections_active\":0,"
+            "\"queries\":0,\"errors\":0,\"batches_sent\":0,\"rows_sent\":0,"
+            "\"snapshots_written\":0,\"plans_imported\":0,"
+            "\"metrics_requests\":0,\"traced_queries\":0}");
+
+  ExecStats e;
+  e.dbms_work = 1.5;
+  e.stratum_work = 0.1;
+  int64_t next = 3;
+  for (int64_t* f :
+       {&e.tuples_transferred, &e.tuples_produced, &e.vec_batches,
+        &e.vec_materializations, &e.vec_rows, &e.morsels, &e.steals,
+        &e.spill_bytes, &e.spill_runs, &e.backend_pushdowns, &e.backend_rows,
+        &e.backend_fallbacks, &e.backend_refusals, &e.result_cache_hits,
+        &e.result_cache_misses}) {
+    *f = next++;
+  }
+  e.op_counts["scan"] = 2;
+  e.op_counts["select"] = 1;
+  EXPECT_EQ(e.ToJson(),
+            "{\"dbms_work\":1.5,\"stratum_work\":0.10000000000000001,"
+            "\"total_work\":1.6000000000000001,\"tuples_transferred\":3,"
+            "\"tuples_produced\":4,\"vec_batches\":5,"
+            "\"vec_materializations\":6,\"vec_rows\":7,\"morsels\":8,"
+            "\"steals\":9,\"spill_bytes\":10,\"spill_runs\":11,"
+            "\"backend_pushdowns\":12,\"backend_rows\":13,"
+            "\"backend_fallbacks\":14,\"backend_refusals\":15,"
+            "\"result_cache_hits\":16,\"result_cache_misses\":17,"
+            "\"ops\":{\"scan\":2,\"select\":1}}");
+
+  EngineStats es;
+  uint64_t k = 1;
+  for (uint64_t* f :
+       {&es.prepares, &es.plan_cache_hits, &es.plan_cache_misses,
+        &es.plan_cache_evictions, &es.plan_cache_stale_evictions,
+        &es.plan_cache_imports, &es.invalidations,
+        &es.peak_concurrent_queries, &es.plan_cache_entries,
+        &es.interner_nodes, &es.interner_hits, &es.derivation_nodes,
+        &es.backend_pushdowns, &es.backend_rows, &es.backend_fallbacks,
+        &es.backend_refusals, &es.calibration_fingerprint, &es.slow_queries,
+        &es.result_cache_hits, &es.result_cache_misses,
+        &es.result_cache_evictions, &es.result_cache_entries,
+        &es.result_cache_bytes}) {
+    *f = k++;
+  }
+  es.backend_name = "sq\"lite";
+  EXPECT_EQ(es.ToJson(),
+            "{\"prepares\":1,\"plan_cache_hits\":2,\"plan_cache_misses\":3,"
+            "\"plan_cache_evictions\":4,\"plan_cache_stale_evictions\":5,"
+            "\"plan_cache_imports\":6,\"invalidations\":7,"
+            "\"peak_concurrent_queries\":8,\"plan_cache_entries\":9,"
+            "\"interner_nodes\":10,\"interner_hits\":11,"
+            "\"derivation_nodes\":12,\"backend\":\"sq\\\"lite\","
+            "\"backend_pushdowns\":13,\"backend_rows\":14,"
+            "\"backend_fallbacks\":15,\"backend_refusals\":16,"
+            "\"calibration_fingerprint\":17,\"slow_queries\":18,"
+            "\"result_cache_hits\":19,\"result_cache_misses\":20,"
+            "\"result_cache_evictions\":21,\"result_cache_entries\":22,"
+            "\"result_cache_bytes\":23}");
+  ServerStats ss;
+  k = 101;
+  for (uint64_t* f :
+       {&ss.connections_total, &ss.connections_active, &ss.queries,
+        &ss.errors, &ss.batches_sent, &ss.rows_sent, &ss.snapshots_written,
+        &ss.plans_imported, &ss.metrics_requests, &ss.traced_queries}) {
+    *f = k++;
+  }
+
+  // Every JSON counter except the two JSON-only fields is published as
+  // <prefix><key> with the same value, and nothing else is published.
+  MetricsRegistry reg;
+  es.PublishTo(&reg);
+  ss.PublishTo(&reg);
+  std::set<std::string> expected_gauges;
+  auto expect_gauges = [&](const std::string& json, const std::string& prefix) {
+    for (const auto& [key, value] : MustParse(json).object) {
+      if (key == "backend" || key == "calibration_fingerprint") continue;
+      expected_gauges.insert(prefix + key);
+      EXPECT_DOUBLE_EQ(reg.GetGauge(prefix + key)->value(), value.number)
+          << key;
+    }
+  };
+  expect_gauges(es.ToJson(), "tqp_engine_");
+  expect_gauges(ss.ToJson(), "tqp_server_");
+  EXPECT_EQ(expected_gauges.size(), 22u + 10u);
+  EXPECT_EQ(KeySet(MustParse(reg.ToJson())), expected_gauges);
 }
 
 TEST(JsonSurfacesTest, LoadGenReportAndHistogramKeySets) {
