@@ -96,16 +96,24 @@ void ExpectSameSharedCounters(const ExecStats& ref, const ExecStats& vec,
   EXPECT_EQ(ref.result_cache_misses, vec.result_cache_misses) << label;
 }
 
-/// Profile trees of the two executors agree in shape, operator kinds, and
-/// the cut-point flags (timings, rows_in and batches legitimately differ
-/// only in the vectorized-only fields, so they are not compared).
+/// Profile trees of the two executors agree in shape, operator kinds, row
+/// counts, and the cut-point flags. Timings and `batches` (filled by the
+/// vectorized executor only) are not compared; a spliced or pushed cut ran
+/// nothing below it here, so it records no input rows and no batches.
 void ExpectSameProfileShape(const ProfileNode& ref, const ProfileNode& vec,
                             const std::string& label) {
   EXPECT_EQ(ref.kind, vec.kind) << label;
+  EXPECT_EQ(ref.rows_in, vec.rows_in) << label << " at " << ref.kind;
+  EXPECT_EQ(ref.rows_out, vec.rows_out) << label << " at " << ref.kind;
   EXPECT_EQ(ref.result_cache_hit, vec.result_cache_hit)
       << label << " at " << ref.kind;
   EXPECT_EQ(ref.backend_pushed, vec.backend_pushed)
       << label << " at " << ref.kind;
+  if (ref.result_cache_hit || ref.backend_pushed) {
+    EXPECT_EQ(ref.rows_in, 0) << label << " at " << ref.kind;
+    EXPECT_EQ(vec.batches, 0) << label << " at " << ref.kind;
+    EXPECT_TRUE(ref.children.empty()) << label << " at " << ref.kind;
+  }
   ASSERT_EQ(ref.children.size(), vec.children.size())
       << label << " at " << ref.kind;
   for (size_t i = 0; i < ref.children.size(); ++i) {
@@ -389,6 +397,19 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
   std::vector<std::pair<std::string, PlanPtr>> plans = CutPlans();
   plans.emplace_back("refused-rdupT",
                      PlanNode::TransferS(PlanNode::RdupT(PlanNode::Scan("R"))));
+  // And an equi-join in the stratum over two pushed cuts, which the
+  // vectorized executor runs as its fused hash join.
+  std::vector<ProjItem> d_renamed = {ProjItem::Rename("Name", "DName"),
+                                     ProjItem::Rename("Cat", "DCat"),
+                                     ProjItem::Rename("Val", "DVal")};
+  plans.emplace_back(
+      "stratum-equi-join",
+      PlanNode::Select(
+          PlanNode::Product(PlanNode::TransferS(PlanNode::Scan("C")),
+                            PlanNode::TransferS(PlanNode::Project(
+                                PlanNode::Scan("D"), d_renamed))),
+          Expr::Compare(CompareOp::kEq, Expr::Attr("Name"),
+                        Expr::Attr("DName"))));
 
   int pushed_plans = 0;
   for (const auto& [cfg_name, base_cfg] : Configs()) {
@@ -398,14 +419,25 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
       Result<Relation> ref = EvaluatePlan(plan, catalog, base_cfg, &ref_stats);
       ASSERT_TRUE(ref.ok()) << label << ": " << ref.status().ToString();
 
+      Result<AnnotatedPlan> ann =
+          AnnotatedPlan::Make(plan, &catalog, QueryContract::Multiset());
+      ASSERT_TRUE(ann.ok()) << label << ": " << ann.status().ToString();
       EngineConfig cfg = base_cfg;
       cfg.backend = be;
       ExecStats sq_stats;
-      Result<Relation> sq = EvaluatePlan(plan, catalog, cfg, &sq_stats);
+      ProfileNode sq_prof;
+      Result<Relation> sq = Evaluate(ann.value(), cfg, &sq_stats, &sq_prof);
       ASSERT_TRUE(sq.ok()) << label << ": " << sq.status().ToString();
       ExpectListIdentical(ref.value(), sq.value(), label + "/exec");
       EXPECT_EQ(sq_stats.backend_fallbacks, 0) << label;
-      if (sq_stats.backend_pushdowns > 0) {
+      if (plan_name == "stratum-equi-join") {
+        // Both cuts below the join fetch their relation whole.
+        EXPECT_EQ(sq_stats.backend_pushdowns, 2) << label;
+        EXPECT_EQ(sq_stats.backend_rows,
+                  static_cast<int64_t>(catalog.Find("C")->data.size() +
+                                       catalog.Find("D")->data.size()))
+            << label;
+      } else if (sq_stats.backend_pushdowns > 0) {
         ++pushed_plans;
         EXPECT_EQ(sq_stats.backend_rows,
                   static_cast<int64_t>(sq.value().size()))
@@ -417,13 +449,14 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
         vopts.batch_size = 64;
         vopts.threads = threads;
         ExecStats vec_stats;
+        ProfileNode vec_prof;
         Result<Relation> vec =
-            ExecuteVectorizedPlan(plan, catalog, cfg, &vec_stats, vopts);
+            ExecuteVectorized(ann.value(), cfg, &vec_stats, vopts, &vec_prof);
         ASSERT_TRUE(vec.ok()) << label << ": " << vec.status().ToString();
-        ExpectListIdentical(ref.value(), vec.value(),
-                            label + "/vexec-t" + std::to_string(threads));
-        ExpectSameSharedCounters(sq_stats, vec_stats,
-                                 label + "/vexec-t" + std::to_string(threads));
+        const std::string vlabel = label + "/vexec-t" + std::to_string(threads);
+        ExpectListIdentical(ref.value(), vec.value(), vlabel);
+        ExpectSameSharedCounters(sq_stats, vec_stats, vlabel);
+        ExpectSameProfileShape(sq_prof, vec_prof, vlabel);
       }
       if (plan_name == "refused-rdupT") {
         EXPECT_EQ(sq_stats.backend_refusals, 1) << label;

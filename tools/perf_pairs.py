@@ -3,14 +3,15 @@
 
     python3 tools/perf_pairs.py --base REV [--head REV|worktree] \
         --workload adhoc|analytic|serve_rw --seed N [--pairs 10] \
-        [--seconds S] [--workdir DIR]
+        [--workdir DIR]
     python3 tools/perf_pairs.py --selftest
 
 Builds each side from `git archive REV` (or uses the working tree as it is
 for `--head worktree`, the default), each into its own absolute
 CARGO_TARGET_DIR under --workdir, and then runs perfbench/run.py on both
 sides in pairs, alternating which side runs first: the host drifts by tens
-of percent over minutes, so back-to-back blocks of one side mislead.
+of percent over minutes, so back-to-back blocks of one side mislead. Every
+run lasts BENCHMARK.json's run_seconds, which fixes each workload's op count.
 
 For every end-to-end metric BENCHMARK.json declares, it prints both sides'
 median and quartiles, the change in the median, and the pairs the head side
@@ -189,8 +190,7 @@ def compare(args):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     declared = bench["end_to_end"]
-    if args.seconds is None:
-        args.seconds = bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workdir = os.path.abspath(args.workdir or tempfile.mkdtemp(
         prefix="perf_pairs-"))
     os.makedirs(workdir, exist_ok=True)
@@ -199,14 +199,14 @@ def compare(args):
           f"{base.label}, head {head.label} (workdir {workdir})", flush=True)
     # The first run of each side builds it; its numbers are discarded.
     for side in (base, head):
-        side.run(args.workload, args.seed, args.seconds)
+        side.run(args.workload, args.seed, seconds)
     runs = {"base": [], "head": []}
     for i in range(args.pairs):
         order = [("base", base), ("head", head)]
         if i % 2 == 1:
             order.reverse()
         for name, side in order:
-            runs[name].append(side.run(args.workload, args.seed, args.seconds))
+            runs[name].append(side.run(args.workload, args.seed, seconds))
         print(f"pair {i + 1}: " + ", ".join(
             f"{n} ops_per_s {value(runs[n][-1], 'ops_per_s'):.4g}"
             for n in ("base", "head")), flush=True)
@@ -246,7 +246,6 @@ def main():
     p.add_argument("--workload")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", help="default: BENCHMARK.json run_seconds")
     p.add_argument("--workdir")
     p.add_argument("--selftest", action="store_true")
     args = p.parse_args()
