@@ -11,7 +11,8 @@
 // node) and supply their table-specific parts: Rows, FromRows (cache hit,
 // pushdown), ToRows (cache insert), Apply (the operator kernels), Scramble,
 // and StampOrder (the order annotation), plus the optional AccountBatches
-// (executor counters) and Intercept (runs before a node's children).
+// (executor counters), Intercept (runs before a node's children) and
+// RootToRows (the root's cache insert).
 #ifndef TQP_EXEC_PLAN_DRIVER_H_
 #define TQP_EXEC_PLAN_DRIVER_H_
 
@@ -75,6 +76,12 @@ class PlanDriver {
 
   // Executor hooks with nothing to do by default.
   void AccountBatches(const PlanNode*, double, double, size_t, ProfileNode*) {}
+  /// The root's row form for the result-cache insert; an executor that
+  /// returns rows converted from another table type overrides it to keep
+  /// the conversion for its own return.
+  Relation RootToRows(const Table& t, const NodeInfo& info) {
+    return derived().ToRows(t, info);
+  }
   std::optional<Result<Table>> Intercept(const PlanPtr&, ProfileNode*) {
     return std::nullopt;
   }
@@ -178,7 +185,9 @@ class PlanDriver {
     }
     if (stats != nullptr) ++stats->result_cache_misses;
     TQP_ASSIGN_OR_RETURN(result, EvalInner(node, prof));
-    config.result_cache->Insert(key, derived().ToRows(result, info));
+    config.result_cache->Insert(key, node == ann.plan()
+                                         ? derived().RootToRows(result, info)
+                                         : derived().ToRows(result, info));
     return std::move(result);
   }
 

@@ -1,15 +1,25 @@
 // Vectorized operator kernels and the plan driver.
 //
-// Every kernel is the columnar transcription of the corresponding Eval* in
-// exec/eval_ops.cc: the same algorithm over row indices and typed columns
-// instead of per-tuple Value vectors, so the produced list is identical —
-// including which occurrence survives duplicate elimination, difference
-// fragment order, and rdupT's in-place period replacement. Hash-based
-// duplicate/class lookups reuse the exact Tuple::Hash / Tuple::Compare
-// semantics through ColumnTable::RowHash / RowCompare; wherever the
-// reference uses an ordered map whose iteration order is semantically inert
-// (per-class temporal sweeps, group tables that record first-occurrence
-// order separately), the kernels use open hashing instead.
+// Every kernel produces the list of the corresponding Eval* in
+// exec/eval_ops.cc, over row indices and typed columns instead of per-tuple
+// Value vectors — including which occurrence survives duplicate
+// elimination, difference fragment order, and rdupT's in-place period
+// replacement. Hash-based duplicate lookups reuse the exact Tuple::Hash /
+// Tuple::Compare semantics through ColumnTable::RowHash / RowCompare.
+//
+// The class kernels (rdupT, \T and ∪T, coalT, ℵT, ℵ) share one class index
+// (BuildClassIndex): rows grouped by key in first-occurrence order, members
+// ascending, built by hash partition on the pool; every class's work then
+// runs through VexecRuntime::ForUnits. The reference's per-class maps are
+// ordered, but their iteration order is inert: its outputs are placed by
+// row or by first occurrence. Where the reference rescans a class's members
+// for every elementary interval, ℵT and \T sweep the class's endpoints
+// instead, keeping the members that cover the current interval in row
+// order — so each interval folds exactly the members the rescan admits, in
+// the rescan's order. rdupT subtracts from each member only the covered
+// periods that overlap it. Outputs return to row order (rdupT, \T) or
+// first-occurrence order (ℵ, ℵT) from flat per-chunk arrays, so no result
+// depends on the thread count.
 #include "vexec/vexec.h"
 
 #include <algorithm>
@@ -23,6 +33,7 @@
 #include <vector>
 
 #include "backend/simulated_backend.h"
+#include "core/hash.h"
 #include "core/profile.h"
 #include "core/spill.h"
 #include "core/task_pool.h"
@@ -53,15 +64,6 @@ struct RowRefEq {
   bool operator()(const RowRef& a, const RowRef& b) const {
     if (a.hash != b.hash) return false;  // hash is a function of the row
     return ColumnTable::RowEquals(*a.t, a.row, *b.t, b.row);
-  }
-};
-
-// ---- Value-equivalence-class hashing (non-time attributes) ----------------
-
-struct ClassRefEq {
-  bool operator()(const RowRef& a, const RowRef& b) const {
-    if (a.hash != b.hash) return false;
-    return ColumnTable::RowCompareNonTemporal(*a.t, a.row, *b.t, b.row) == 0;
   }
 };
 
@@ -131,20 +133,41 @@ struct VexecRuntime {
     });
   }
 
-  /// Runs body(begin, end) over [0, n) work units (equivalence classes):
-  /// the whole range at once when serial — preserving the scratch-reuse
-  /// serial code path — and grain-sized ranges otherwise.
+  /// The most chunks ForUnits cuts a class index into: one when serial,
+  /// eight per worker otherwise (never more than there are classes).
+  size_t UnitChunks() const { return pool == nullptr ? 1 : Workers() * 8; }
+
+  /// Runs body(chunk, begin, end) over the classes [0, offsets.size() - 1)
+  /// of a class index (offsets = its member offsets), cut into UnitChunks()
+  /// contiguous ranges of about equal member count: a class larger than
+  /// the target is a range of its own, and a neighbour may come out empty
+  /// (it is skipped). Chunk k holds earlier classes than chunk k + 1, so
+  /// per-chunk outputs concatenate in class order.
   template <typename Body>
-  void ForUnits(size_t n, const Body& body) const {
-    size_t grain = std::max<size_t>(1, n / (Workers() * 8));
-    if (pool == nullptr || n <= grain) {
-      if (n > 0) body(0, n);
+  void ForUnits(const std::vector<uint32_t>& offsets, const Body& body) const {
+    const size_t classes = offsets.size() - 1;
+    const size_t chunks = std::min(UnitChunks(), classes);
+    if (chunks <= 1) {
+      if (classes > 0) body(0, 0, classes);
       return;
     }
-    pool->ParallelFor(n, grain, [&](size_t b, size_t e) {
-      TraceSpan span(tracer, "vexec", "units");
-      if (span.active()) span.Arg("units", static_cast<uint64_t>(e - b));
-      body(b, e);
+    const uint64_t total = offsets.back();
+    std::vector<size_t> bound(chunks + 1, classes);
+    for (size_t k = 0; k < chunks; ++k) {
+      bound[k] = static_cast<size_t>(
+          std::lower_bound(offsets.begin(), offsets.end() - 1,
+                           k * total / chunks) -
+          offsets.begin());
+    }
+    pool->ParallelFor(chunks, 1, [&](size_t b, size_t e) {
+      for (size_t k = b; k < e; ++k) {
+        if (bound[k] == bound[k + 1]) continue;
+        TraceSpan span(tracer, "vexec", "units");
+        if (span.active()) {
+          span.Arg("units", static_cast<uint64_t>(bound[k + 1] - bound[k]));
+        }
+        body(k, bound[k], bound[k + 1]);
+      }
     });
   }
 };
@@ -184,6 +207,151 @@ std::vector<uint64_t> RowHashes(const ColumnTable& t, bool non_temporal,
     }
   });
   return h;
+}
+
+// ---- Class index ----------------------------------------------------------
+
+// Rows grouped by a key (the non-temporal attributes, or the group-by
+// columns) in compressed form: class c's member rows are
+// members[offsets[c], offsets[c + 1]), ascending, and classes are numbered
+// in first-occurrence order, so a class's first member is its first row and
+// first rows ascend with c. The layout is a function of the rows and the
+// key alone, never of the thread count.
+struct ClassIndex {
+  std::vector<uint32_t> offsets{0};  // classes() + 1 entries
+  std::vector<uint32_t> members;
+
+  size_t classes() const { return offsets.size() - 1; }
+  const uint32_t* begin(size_t c) const {
+    return members.data() + offsets[c];
+  }
+  const uint32_t* end(size_t c) const {
+    return members.data() + offsets[c + 1];
+  }
+};
+
+// Builds the class index of rows [0, hash.size()), where equal(a, b) is the
+// key equality on row ids and hash[i] a hash consistent with it. A hash
+// partition on the pool: rows scatter to partitions by hash, ascending
+// within each; every partition numbers its classes through one flat
+// open-addressing table; ranking the first-occurrence flags turns those
+// local numbers into global first-occurrence ones; and each partition
+// scatters its rows into their classes. The partition and chunk counts only
+// split the work — any of them gives the same index — and nothing is
+// allocated per class.
+template <typename Equal>
+ClassIndex BuildClassIndex(const std::vector<uint64_t>& hash,
+                           const Equal& equal, const VexecRuntime& rt) {
+  const size_t n = hash.size();
+  // One chunk per morsel, up to one per worker; 64 partitions when split.
+  const size_t chunks =
+      std::max<size_t>(1, std::min(rt.Workers(), rt.NumMorsels(n)));
+  const unsigned bits = chunks == 1 ? 0 : 6;
+  const size_t parts = size_t{1} << bits;
+  auto part_of = [&](uint64_t m) {
+    return bits == 0 ? size_t{0} : static_cast<size_t>(m >> (64 - bits));
+  };
+  auto chunk_begin = [&](size_t t) { return t * n / chunks; };
+
+  // Row ids grouped by partition (mixed hashes beside them), each partition
+  // in ascending row order: per-chunk histograms, then a scatter in
+  // (partition, chunk) order.
+  std::vector<size_t> cursor(chunks * parts, 0);
+  rt.ForTasks(chunks, [&](size_t t) {
+    size_t* count = &cursor[t * parts];
+    for (size_t i = chunk_begin(t); i < chunk_begin(t + 1); ++i) {
+      ++count[part_of(HashMix64(hash[i]))];
+    }
+  });
+  std::vector<size_t> part_begin(parts + 1, n);
+  size_t at = 0;
+  for (size_t p = 0; p < parts; ++p) {
+    part_begin[p] = at;
+    for (size_t t = 0; t < chunks; ++t) {
+      size_t c = cursor[t * parts + p];
+      cursor[t * parts + p] = at;
+      at += c;
+    }
+  }
+  std::vector<uint32_t> order(n);
+  std::vector<uint64_t> mixed(n);
+  rt.ForTasks(chunks, [&](size_t t) {
+    size_t* next = &cursor[t * parts];
+    for (size_t i = chunk_begin(t); i < chunk_begin(t + 1); ++i) {
+      uint64_t m = HashMix64(hash[i]);
+      size_t pos = next[part_of(m)]++;
+      order[pos] = static_cast<uint32_t>(i);
+      mixed[pos] = m;
+    }
+  });
+
+  // Local class numbers per position, plus each local class's first row
+  // and size; a row that opens its class is flagged.
+  struct Part {
+    std::vector<uint32_t> first;  // local class -> first row
+    std::vector<uint32_t> size;   // local class -> members (later: cursor)
+  };
+  std::vector<Part> part(parts);
+  std::vector<uint32_t> local(n);
+  std::vector<uint8_t> opens(n, 0);
+  rt.ForTasks(parts, [&](size_t p) {
+    const size_t b = part_begin[p], e = part_begin[p + 1];
+    size_t cap = 2;
+    while (cap < 2 * (e - b)) cap <<= 1;
+    constexpr uint32_t kEmpty = ~uint32_t{0};
+    std::vector<uint32_t> slot(cap, kEmpty);
+    std::vector<uint64_t> first_hash;
+    Part& pt = part[p];
+    for (size_t pos = b; pos < e; ++pos) {
+      const uint64_t m = mixed[pos];
+      const uint32_t row = order[pos];
+      for (size_t s = m & (cap - 1);; s = (s + 1) & (cap - 1)) {
+        uint32_t c = slot[s];
+        if (c == kEmpty) {
+          c = static_cast<uint32_t>(pt.first.size());
+          slot[s] = c;
+          pt.first.push_back(row);
+          pt.size.push_back(0);
+          first_hash.push_back(m);
+          opens[row] = 1;
+        } else if (first_hash[c] != m || !equal(pt.first[c], row)) {
+          continue;
+        }
+        local[pos] = c;
+        ++pt.size[c];
+        break;
+      }
+    }
+  });
+
+  // Global class numbers: the rank of each first row among all first rows.
+  std::vector<uint32_t> rank(n);
+  uint32_t classes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (opens[i]) rank[i] = classes++;
+  }
+
+  ClassIndex idx;
+  idx.offsets.assign(classes + 1, 0);
+  for (const Part& pt : part) {
+    for (size_t c = 0; c < pt.first.size(); ++c) {
+      idx.offsets[rank[pt.first[c]] + 1] = pt.size[c];
+    }
+  }
+  for (size_t c = 1; c < idx.offsets.size(); ++c) {
+    idx.offsets[c] += idx.offsets[c - 1];
+  }
+  idx.members.resize(n);
+  rt.ForTasks(parts, [&](size_t p) {
+    Part& pt = part[p];
+    for (size_t c = 0; c < pt.first.size(); ++c) {
+      pt.size[c] = idx.offsets[rank[pt.first[c]]];
+    }
+    for (size_t pos = part_begin[p]; pos < part_begin[p + 1]; ++pos) {
+      idx.members[pt.size[local[pos]]++] = order[pos];
+    }
+  });
+  return idx;
 }
 
 // Stable sort of the index vector [0, n) by `less`. Parallel plan: sort a
@@ -833,90 +1001,221 @@ ColumnTable EmitWithPeriods(const ColumnTable& in,
   return out;
 }
 
-ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
-                           const VexecRuntime& rt) {
-  // The endpoint-sweep algorithm of EvalDifferenceT, verbatim, over one
-  // hash-keyed class table. Class iteration order is semantically inert:
-  // fragments are recorded per left row and emitted in left-row order —
-  // which is also what makes the per-class sweeps safe to run in parallel
-  // (classes touch disjoint left rows).
-  struct ClassData {
-    std::vector<uint32_t> left_index;
-    std::vector<Period> left_period;
-    std::vector<Period> right_period;
-  };
-  std::vector<uint64_t> lh = RowHashes(l, true, rt);
-  std::vector<uint64_t> rh = RowHashes(r, true, rt);
-  std::unordered_map<RowRef, uint32_t, RowRefHash, ClassRefEq> class_of;
-  class_of.reserve(l.rows());
-  std::vector<ClassData> classes;
-  for (uint32_t i = 0; i < l.rows(); ++i) {
-    auto [it, inserted] = class_of.try_emplace(
-        RowRef{&l, i, lh[i]}, static_cast<uint32_t>(classes.size()));
-    if (inserted) classes.emplace_back();
-    ClassData& cd = classes[it->second];
-    cd.left_index.push_back(i);
-    cd.left_period.push_back(l.RowPeriod(i));
-  }
-  for (uint32_t j = 0; j < r.rows(); ++j) {
-    auto it = class_of.find(RowRef{&r, j, rh[j]});
-    if (it == class_of.end()) continue;  // nothing to cancel
-    classes[it->second].right_period.push_back(r.RowPeriod(j));
-  }
-
-  std::vector<std::vector<Period>> fragments(l.rows());
-  auto SweepClass = [&](ClassData& cd) {
-    if (cd.right_period.empty()) {
-      for (size_t k = 0; k < cd.left_index.size(); ++k) {
-        fragments[cd.left_index[k]].push_back(cd.left_period[k]);
-      }
-      return;
-    }
-    std::vector<TimePoint> cuts;
-    for (const Period& p : cd.left_period) {
-      cuts.push_back(p.begin);
-      cuts.push_back(p.end);
-    }
-    for (const Period& p : cd.right_period) {
-      cuts.push_back(p.begin);
-      cuts.push_back(p.end);
-    }
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    for (size_t c = 0; c + 1 < cuts.size(); ++c) {
-      Period elem(cuts[c], cuts[c + 1]);
-      int64_t right_cover = 0;
-      for (const Period& p : cd.right_period) {
-        if (p.Contains(elem)) ++right_cover;
-      }
-      int64_t budget = -right_cover;
-      for (size_t k = 0; k < cd.left_index.size(); ++k) {
-        if (!cd.left_period[k].Contains(elem)) continue;
-        ++budget;
-        if (budget > 0) {
-          std::vector<Period>& fr = fragments[cd.left_index[k]];
-          if (!fr.empty() && fr.back().end == elem.begin) {
-            fr.back().end = elem.end;
-          } else {
-            fr.push_back(elem);
-          }
-        }
-      }
-    }
-  };
-  rt.ForUnits(classes.size(), [&](size_t b, size_t e) {
-    for (size_t ci = b; ci < e; ++ci) SweepClass(classes[ci]);
-  });
-
+// Per-chunk output of the row-ordered class sweeps (\T, rdupT): (row,
+// period) pairs. A row's pairs all come from its own class, hence one
+// chunk, in ascending period order.
+struct RowPeriods {
   std::vector<uint32_t> rows;
   std::vector<Period> periods;
-  for (uint32_t i = 0; i < l.rows(); ++i) {
-    for (const Period& p : fragments[i]) {
-      rows.push_back(i);
-      periods.push_back(p);
+
+  void Add(uint32_t row, const Period& p) {
+    rows.push_back(row);
+    periods.push_back(p);
+  }
+};
+
+// Merges the chunks' pairs into ascending row order, each row's pairs in
+// the order they were added: count per row, prefix sum, scatter. Rows
+// [0, n) may appear.
+RowPeriods OrderByRow(size_t n, const std::vector<RowPeriods>& chunks,
+                      const VexecRuntime& rt) {
+  std::vector<uint32_t> at(n + 1, 0);
+  rt.ForTasks(chunks.size(), [&](size_t k) {
+    for (uint32_t row : chunks[k].rows) ++at[row + 1];
+  });
+  for (size_t i = 0; i < n; ++i) at[i + 1] += at[i];
+  RowPeriods out;
+  out.rows.resize(at[n]);
+  out.periods.resize(at[n]);
+  rt.ForTasks(chunks.size(), [&](size_t k) {
+    const RowPeriods& ch = chunks[k];
+    for (size_t j = 0; j < ch.rows.size(); ++j) {
+      uint32_t pos = at[ch.rows[j]]++;
+      out.rows[pos] = ch.rows[j];
+      out.periods[pos] = ch.periods[j];
+    }
+  });
+  return out;
+}
+
+// The sorted, deduplicated endpoints of the given rows' periods: the cut
+// points whose consecutive pairs are the class's elementary intervals.
+// Empty and inverted periods contribute cuts like any other.
+void CutPoints(const uint32_t* rows, const uint32_t* rows_end,
+               const std::vector<TimePoint>& begins,
+               const std::vector<TimePoint>& ends,
+               std::vector<TimePoint>* cuts) {
+  cuts->clear();
+  for (const uint32_t* m = rows; m != rows_end; ++m) {
+    cuts->push_back(begins[*m]);
+    cuts->push_back(ends[*m]);
+  }
+  std::sort(cuts->begin(), cuts->end());
+  cuts->erase(std::unique(cuts->begin(), cuts->end()), cuts->end());
+}
+
+// The members covering the current elementary interval of a class sweep,
+// in row order. Every endpoint is a cut, so a member with a valid period
+// [b, e) covers the interval starting at cut t iff b <= t < e: it enters
+// at cut b and leaves at cut e — a member ending at a cut is not active in
+// the interval starting there. Empty and inverted periods never enter.
+// Members are identified by their position in the class's (ascending)
+// member list, so position order is row order.
+class ActiveSet {
+ public:
+  /// Resets the sweep to the class's members `rows` (ascending row ids).
+  void Reset(const uint32_t* rows, size_t count,
+             const std::vector<TimePoint>& begins,
+             const std::vector<TimePoint>& ends) {
+    enter_.clear();
+    leave_.clear();
+    active_.clear();
+    for (uint32_t k = 0; k < count; ++k) {
+      if (begins[rows[k]] < ends[rows[k]]) {
+        enter_.push_back({begins[rows[k]], k});
+        leave_.push_back({ends[rows[k]], k});
+      }
+    }
+    std::sort(enter_.begin(), enter_.end());
+    std::sort(leave_.begin(), leave_.end());
+    next_enter_ = next_leave_ = 0;
+  }
+
+  /// Advances to the interval starting at cut t (cuts visited ascending).
+  void AdvanceTo(TimePoint t) {
+    for (; next_leave_ < leave_.size() && leave_[next_leave_].t <= t;
+         ++next_leave_) {
+      uint32_t k = leave_[next_leave_].pos;
+      active_.erase(std::lower_bound(active_.begin(), active_.end(), k));
+    }
+    for (; next_enter_ < enter_.size() && enter_[next_enter_].t <= t;
+         ++next_enter_) {
+      uint32_t k = enter_[next_enter_].pos;
+      active_.insert(std::lower_bound(active_.begin(), active_.end(), k), k);
     }
   }
-  return EmitWithPeriods(l, rows, periods, rt);
+
+  /// Positions of the covering members, ascending.
+  const std::vector<uint32_t>& active() const { return active_; }
+
+ private:
+  struct Event {
+    TimePoint t;
+    uint32_t pos;
+    bool operator<(const Event& o) const {
+      return t != o.t ? t < o.t : pos < o.pos;
+    }
+  };
+  std::vector<Event> enter_, leave_;
+  size_t next_enter_ = 0, next_leave_ = 0;
+  std::vector<uint32_t> active_;
+};
+
+// Value-equivalence classes (equal non-temporal attributes) of `t`'s rows.
+ClassIndex ValueClasses(const ColumnTable& t, const VexecRuntime& rt) {
+  return BuildClassIndex(
+      RowHashes(t, true, rt),
+      [&](uint32_t a, uint32_t b) {
+        return ColumnTable::RowCompareNonTemporal(t, a, t, b) == 0;
+      },
+      rt);
+}
+
+ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
+                           const VexecRuntime& rt) {
+  // EvalDifferenceT as an endpoint sweep per value-equivalence class. One
+  // class index over the left rows followed by the right rows (row ids
+  // nl + j) puts each class's left members, ascending, before its right
+  // ones. A class without right rows passes its left rows through
+  // unchanged, empty periods included. Otherwise the sweep keeps the
+  // covering left members in row order and a count of the covering right
+  // periods, so each elementary interval sees exactly the left members the
+  // reference's rescan admits, in its order: the first right-cover of them
+  // are cancelled and the rest gain the interval, stitched onto their open
+  // fragment when adjacent. Fragments return to left-row order.
+  const size_t nl = l.rows();
+  std::vector<uint64_t> hash = RowHashes(l, true, rt);
+  std::vector<uint64_t> rhash = RowHashes(r, true, rt);
+  hash.insert(hash.end(), rhash.begin(), rhash.end());
+  ClassIndex idx = BuildClassIndex(
+      hash,
+      [&](uint32_t a, uint32_t b) {
+        return ColumnTable::RowCompareNonTemporal(
+                   a < nl ? l : r, a < nl ? a : a - nl, b < nl ? l : r,
+                   b < nl ? b : b - nl) == 0;
+      },
+      rt);
+  std::vector<TimePoint> begins, ends, rbegins, rends;
+  ExtractPeriods(l, &begins, &ends, rt);
+  ExtractPeriods(r, &rbegins, &rends, rt);
+  begins.insert(begins.end(), rbegins.begin(), rbegins.end());
+  ends.insert(ends.end(), rends.begin(), rends.end());
+
+  std::vector<RowPeriods> out(rt.UnitChunks());
+  rt.ForUnits(idx.offsets, [&](size_t chunk, size_t cb, size_t ce) {
+    RowPeriods& o = out[chunk];
+    std::vector<TimePoint> cuts, right_enter, right_leave;
+    ActiveSet left;
+    std::vector<Period> open;
+    std::vector<uint8_t> has_open;
+    for (size_t c = cb; c < ce; ++c) {
+      const uint32_t* mb = idx.begin(c);
+      const uint32_t* me = idx.end(c);
+      const uint32_t* split = std::lower_bound(mb, me, nl);
+      const size_t left_count = static_cast<size_t>(split - mb);
+      if (left_count == 0) continue;  // nothing to cancel from
+      if (split == me) {
+        for (const uint32_t* m = mb; m != split; ++m) {
+          o.Add(*m, Period(begins[*m], ends[*m]));
+        }
+        continue;
+      }
+      CutPoints(mb, me, begins, ends, &cuts);
+      left.Reset(mb, left_count, begins, ends);
+      right_enter.clear();
+      right_leave.clear();
+      for (const uint32_t* m = split; m != me; ++m) {
+        if (begins[*m] < ends[*m]) {
+          right_enter.push_back(begins[*m]);
+          right_leave.push_back(ends[*m]);
+        }
+      }
+      std::sort(right_enter.begin(), right_enter.end());
+      std::sort(right_leave.begin(), right_leave.end());
+      open.resize(left_count);
+      has_open.assign(left_count, 0);
+      size_t right_in = 0, right_out = 0;
+      for (size_t ci = 0; ci + 1 < cuts.size(); ++ci) {
+        const Period elem(cuts[ci], cuts[ci + 1]);
+        left.AdvanceTo(elem.begin);
+        while (right_in < right_enter.size() &&
+               right_enter[right_in] <= elem.begin) {
+          ++right_in;
+        }
+        while (right_out < right_leave.size() &&
+               right_leave[right_out] <= elem.begin) {
+          ++right_out;
+        }
+        // The first right_in - right_out covering left members cancel.
+        const std::vector<uint32_t>& act = left.active();
+        for (size_t j = right_in - right_out; j < act.size(); ++j) {
+          uint32_t k = act[j];
+          if (has_open[k] && open[k].end == elem.begin) {
+            open[k].end = elem.end;
+            continue;
+          }
+          if (has_open[k]) o.Add(mb[k], open[k]);
+          open[k] = elem;
+          has_open[k] = 1;
+        }
+      }
+      for (size_t k = 0; k < left_count; ++k) {
+        if (has_open[k]) o.Add(mb[k], open[k]);
+      }
+    }
+  });
+  RowPeriods frags = OrderByRow(nl, out, rt);
+  return EmitWithPeriods(l, frags.rows, frags.periods, rt);
 }
 
 ColumnTable VecUnionT(const ColumnTable& l, const ColumnTable& r,
@@ -932,66 +1231,83 @@ ColumnTable VecUnionT(const ColumnTable& l, const ColumnTable& r,
 }
 
 ColumnTable VecRdupT(const ColumnTable& in, const VexecRuntime& rt) {
-  // Class member lists in insertion (= row) order; each class's coverage
-  // sweep is independent of every other class, so classes run in parallel
-  // while the (row, fragment) pairs are still emitted in ascending row
-  // order — the reference's exact in-place replacement discipline.
-  size_t n = in.rows();
-  std::vector<uint64_t> h = RowHashes(in, true, rt);
-  std::unordered_map<RowRef, uint32_t, RowRefHash, ClassRefEq> class_of;
-  class_of.reserve(n);
-  std::vector<std::vector<uint32_t>> members;
-  for (uint32_t i = 0; i < n; ++i) {
-    auto [it, inserted] = class_of.try_emplace(
-        RowRef{&in, i, h[i]}, static_cast<uint32_t>(members.size()));
-    if (inserted) members.emplace_back();
-    members[it->second].push_back(i);
-  }
-  std::vector<Period> row_period(n);
-  rt.ForRows(n, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) row_period[i] = in.RowPeriod(i);
-  });
-  std::vector<std::vector<Period>> fragments(n);
-  rt.ForUnits(members.size(), [&](size_t b, size_t e) {
+  // EvalRdupT per value-equivalence class: each member, in row order,
+  // keeps its period minus the class's earlier coverage, as ascending
+  // fragments. The coverage is kept as the reference's normalized form —
+  // sorted, disjoint, non-adjacent periods — so the covered periods that
+  // overlap a member are one contiguous run found by binary search, and
+  // the member's fragments are the gaps of that run inside its period:
+  // exactly SubtractAll's maximal pieces. An empty or inverted period
+  // survives whole iff no covered period overlaps it (Period::Overlaps),
+  // and never adds coverage. Fragments return to row order.
+  const size_t n = in.rows();
+  ClassIndex idx = ValueClasses(in, rt);
+  std::vector<TimePoint> begins, ends;
+  ExtractPeriods(in, &begins, &ends, rt);
+  std::vector<RowPeriods> out(rt.UnitChunks());
+  rt.ForUnits(idx.offsets, [&](size_t chunk, size_t cb, size_t ce) {
+    RowPeriods& o = out[chunk];
     std::vector<Period> cov;
-    for (size_t ci = b; ci < e; ++ci) {
+    for (size_t c = cb; c < ce; ++c) {
       cov.clear();
-      for (uint32_t i : members[ci]) {
-        Period p = row_period[i];
-        fragments[i] = SubtractAll(p, cov);
-        cov.push_back(p);
-        cov = NormalizePeriods(std::move(cov));
+      for (const uint32_t* m = idx.begin(c); m != idx.end(c); ++m) {
+        const Period p(begins[*m], ends[*m]);
+        // The covered periods overlapping p: begin < p.end and end > p.begin.
+        auto hi = std::lower_bound(
+            cov.begin(), cov.end(), p.end,
+            [](const Period& s, TimePoint t) { return s.begin < t; });
+        auto lo = std::upper_bound(
+            cov.begin(), hi, p.begin,
+            [](TimePoint t, const Period& s) { return t < s.end; });
+        if (!p.Valid()) {
+          if (lo == hi) o.Add(*m, p);
+          continue;
+        }
+        TimePoint from = p.begin;
+        for (auto s = lo; s != hi; ++s) {
+          if (from < s->begin) o.Add(*m, Period(from, s->begin));
+          from = s->end;
+        }
+        if (from < p.end) o.Add(*m, Period(from, p.end));
+        // Merge p with the covered periods it overlaps or meets.
+        auto mhi = std::upper_bound(
+            hi, cov.end(), p.end,
+            [](TimePoint t, const Period& s) { return t < s.begin; });
+        auto mlo = std::lower_bound(
+            cov.begin(), lo, p.begin,
+            [](const Period& s, TimePoint t) { return s.end < t; });
+        if (mlo == mhi) {
+          cov.insert(mlo, p);
+        } else {
+          mlo->begin = std::min(mlo->begin, p.begin);
+          mlo->end = std::max((mhi - 1)->end, p.end);
+          cov.erase(mlo + 1, mhi);
+        }
       }
     }
   });
-  std::vector<uint32_t> rows;
-  std::vector<Period> periods;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (const Period& p : fragments[i]) {
-      rows.push_back(i);
-      periods.push_back(p);
-    }
-  }
-  return EmitWithPeriods(in, rows, periods, rt);
+  RowPeriods frags = OrderByRow(n, out, rt);
+  return EmitWithPeriods(in, frags.rows, frags.periods, rt);
 }
 
 // The greedy adjacency merge of one coalescing class — EvalCoalesce's inner
-// loop, verbatim: the head absorbs the first later adjacent fragment until
-// a fixpoint. `idxs` lists the class rows in ascending row order;
+// loop: the head absorbs the first later adjacent fragment until a
+// fixpoint. [idxs, idxs_end) lists the class rows in ascending row order;
 // period/consumed are global row-indexed arrays (a class only ever touches
 // its own rows, so classes can run concurrently; consumed is uint8_t, not
 // vector<bool>, precisely so concurrent classes never share a byte through
 // bit packing).
-void CoalesceClass(const std::vector<uint32_t>& idxs,
+void CoalesceClass(const uint32_t* idxs, const uint32_t* idxs_end,
                    std::vector<Period>& period,
                    std::vector<uint8_t>& consumed) {
-  for (size_t a = 0; a < idxs.size(); ++a) {
+  const size_t count = static_cast<size_t>(idxs_end - idxs);
+  for (size_t a = 0; a < count; ++a) {
     uint32_t head = idxs[a];
     if (consumed[head]) continue;
     bool changed = true;
     while (changed) {
       changed = false;
-      for (size_t b = a + 1; b < idxs.size(); ++b) {
+      for (size_t b = a + 1; b < count; ++b) {
         uint32_t j = idxs[b];
         if (consumed[j]) continue;
         if (period[head].Adjacent(period[j])) {
@@ -1006,23 +1322,31 @@ void CoalesceClass(const std::vector<uint32_t>& idxs,
 }
 
 ColumnTable VecCoalesce(const ColumnTable& in, VexecRuntime& rt) {
-  // Classes interact with nothing, so a hash class table with
-  // insertion-ordered member lists reproduces the reference's ordered-map
-  // version exactly — and the per-class merges parallelize freely. Over
-  // budget, the class table grace-partitions to a spill file instead
-  // (value-equivalent rows share a non-temporal hash, hence a partition),
-  // and partitions are processed one at a time.
+  // Classes interact with nothing, so the class index (members in row
+  // order) reproduces the reference's ordered-map version exactly, and the
+  // per-class merges run in parallel. Over budget, the rows grace-partition
+  // to a spill file instead (value-equivalent rows share a non-temporal
+  // hash, hence a partition), and partitions are indexed and merged one at
+  // a time; a partition reads back in ascending row order, so its members
+  // map back to ascending original rows.
   size_t n = in.rows();
   std::vector<uint8_t> consumed(n, 0);
   std::vector<Period> period(n);
   rt.ForRows(n, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) period[i] = in.RowPeriod(i);
   });
-  std::vector<uint64_t> h = RowHashes(in, true, rt);
+  auto merge_classes = [&](const ClassIndex& idx) {
+    rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
+      for (size_t c = cb; c < ce; ++c) {
+        CoalesceClass(idx.begin(c), idx.end(c), period, consumed);
+      }
+    });
+  };
 
   bool done = false;
   if (ShouldSpill(in, rt)) {
     TraceSpan spill_span(rt.tracer, "vexec", "spill_coalesce");
+    std::vector<uint64_t> h = RowHashes(in, true, rt);
     size_t parts = SpillPartitionCount(in.ApproxBytes(), rt.memory_budget);
     SpillPartitioner sp(parts);
     if (sp.ok()) {
@@ -1034,57 +1358,15 @@ ColumnTable VecCoalesce(const ColumnTable& in, VexecRuntime& rt) {
       std::vector<std::vector<Value>> vals;
       for (size_t p = 0; p < parts; ++p) {
         sp.ReadPartition(p, &orig, &vals);
-        ColumnTable part = TableFromRows(in.schema(), vals);
-        std::unordered_map<RowRef, uint32_t, RowRefHash, ClassRefEq> class_of;
-        class_of.reserve(part.rows());
-        std::vector<std::vector<uint32_t>> members;
-        for (uint32_t k = 0; k < part.rows(); ++k) {
-          auto [it, inserted] = class_of.try_emplace(
-              RowRef{&part, k, h[orig[k]]},
-              static_cast<uint32_t>(members.size()));
-          if (inserted) members.emplace_back();
-          members[it->second].push_back(orig[k]);
-        }
-        rt.ForUnits(members.size(), [&](size_t b, size_t e) {
-          for (size_t ci = b; ci < e; ++ci) {
-            CoalesceClass(members[ci], period, consumed);
-          }
-        });
+        ClassIndex idx =
+            ValueClasses(TableFromRows(in.schema(), vals), rt);
+        for (uint32_t& m : idx.members) m = orig[m];
+        merge_classes(idx);
       }
       done = true;
     }
   }
-  if (!done) {
-    std::unordered_map<RowRef, uint32_t, RowRefHash, ClassRefEq> class_of;
-    class_of.reserve(n);
-    // Class member lists as intrusive linked lists (head/tail per class,
-    // one next[] array): most classes are tiny, and per-class vectors
-    // would cost one allocation each at million-row scale.
-    std::vector<uint32_t> class_head, class_tail;
-    std::vector<int32_t> next_in_class(n, -1);
-    for (uint32_t i = 0; i < n; ++i) {
-      auto [it, inserted] = class_of.try_emplace(
-          RowRef{&in, i, h[i]}, static_cast<uint32_t>(class_head.size()));
-      if (inserted) {
-        class_head.push_back(i);
-        class_tail.push_back(i);
-      } else {
-        next_in_class[class_tail[it->second]] = static_cast<int32_t>(i);
-        class_tail[it->second] = i;
-      }
-    }
-    rt.ForUnits(class_head.size(), [&](size_t b, size_t e) {
-      std::vector<uint32_t> idxs;  // per-range scratch, reused
-      for (size_t cid = b; cid < e; ++cid) {
-        idxs.clear();
-        for (int32_t j = static_cast<int32_t>(class_head[cid]); j >= 0;
-             j = next_in_class[j]) {
-          idxs.push_back(static_cast<uint32_t>(j));
-        }
-        CoalesceClass(idxs, period, consumed);
-      }
-    });
-  }
+  if (!done) merge_classes(ValueClasses(in, rt));
   std::vector<uint32_t> rows;
   std::vector<Period> periods;
   for (uint32_t i = 0; i < n; ++i) {
@@ -1191,19 +1473,51 @@ struct GroupTable {
     }
     return true;
   }
+  /// HashRow of every row, morsel-parallel.
+  std::vector<uint64_t> Hashes(const VexecRuntime& rt) const {
+    std::vector<uint64_t> h(in.rows());
+    rt.ForRows(in.rows(), [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) h[i] = HashRow(static_cast<uint32_t>(i));
+    });
+    return h;
+  }
 };
 
-struct GroupKey {
-  uint32_t row;
-  uint64_t hash;
-};
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& k) const { return k.hash; }
-};
-struct GroupKeyEq {
-  const GroupTable* gt;
-  bool operator()(const GroupKey& a, const GroupKey& b) const {
-    return a.hash == b.hash && gt->RowsEqual(a.row, b.row);
+// The group classes of the rows of `gt`'s table, given their key hashes.
+ClassIndex GroupClasses(const GroupTable& gt, const std::vector<uint64_t>& hash,
+                        const VexecRuntime& rt) {
+  return BuildClassIndex(
+      hash, [&](uint32_t a, uint32_t b) { return gt.RowsEqual(a, b); }, rt);
+}
+
+// One VecAggState per aggregate, folding rows of `t` (COUNT(*) folds Int 1).
+struct AggFold {
+  const ColumnTable& t;
+  const std::vector<AggSpec>& aggs;
+  const std::vector<int>& agg_idx;
+  const std::vector<ValueType>& agg_type;
+  std::vector<VecAggState> st;
+
+  void Reset() { st.assign(aggs.size(), VecAggState()); }
+
+  void Add(uint32_t row) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      CellRef cell;
+      if (agg_idx[a] < 0) {
+        cell.type = ValueType::kInt;
+        cell.i = 1;
+      } else {
+        cell = t.col(static_cast<size_t>(agg_idx[a])).At(row);
+      }
+      st[a].Add(cell);
+    }
+  }
+
+  /// Writes the finished aggregates to out[0, aggs.size()).
+  void Finish(Value* out) const {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      out[a] = st[a].Finish(aggs[a].func, agg_type[a]);
+    }
   }
 };
 
@@ -1215,21 +1529,43 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
   std::vector<ValueType> agg_type;
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
-  GroupTable gt{in, group_idx};
-  // Group-key hashes morsel-parallel; accumulation stays serial so every
-  // group's cells fold in global row order (floating-point sums are not
-  // associative — the order is part of the contract).
-  std::vector<uint64_t> gh(in.rows());
-  rt.ForRows(in.rows(), [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) gh[i] = gt.HashRow(i);
-  });
+  const size_t na = aggs.size();
+  // Groups in first-occurrence order: each group's first row and its
+  // finished aggregates (group-major).
+  std::vector<uint32_t> first_row;
+  std::vector<Value> finished;
+  // Folds every class of `idx` (rows of `t`) in row order — floating-point
+  // sums are not associative, so the order is part of the contract — with
+  // the classes in parallel, and appends the groups; `orig` maps t's rows
+  // to input rows (null: t is the input).
+  auto fold_groups = [&](const ColumnTable& t, const ClassIndex& idx,
+                         const std::vector<uint32_t>* orig) {
+    const size_t base = first_row.size();
+    first_row.resize(base + idx.classes());
+    finished.resize(first_row.size() * na);
+    rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
+      AggFold fold{t, aggs, agg_idx, agg_type, {}};
+      for (size_t g = cb; g < ce; ++g) {
+        fold.Reset();
+        for (const uint32_t* m = idx.begin(g); m != idx.end(g); ++m) {
+          fold.Add(*m);
+        }
+        fold.Finish(finished.data() + (base + g) * na);
+        uint32_t first = *idx.begin(g);
+        first_row[base + g] = orig == nullptr ? first : (*orig)[first];
+      }
+    });
+  };
 
+  bool done = false;
   if (ShouldSpill(in, rt)) {
     // Grace-partitioned aggregation: equal group keys share a hash, hence a
     // partition, and a partition's rows read back in ascending row order —
-    // so per-partition accumulation folds each group in exactly the global
-    // row order. Groups re-sort by first-occurrence row before emission.
+    // so folding each partition's classes folds each group in exactly the
+    // global row order. Groups re-sort by first-occurrence row before
+    // emission.
     TraceSpan spill_span(rt.tracer, "vexec", "spill_aggregate");
+    std::vector<uint64_t> gh = GroupTable{in, group_idx}.Hashes(rt);
     size_t parts = SpillPartitionCount(in.ApproxBytes(), rt.memory_budget);
     SpillPartitioner sp(parts);
     if (sp.ok()) {
@@ -1237,109 +1573,53 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
       sp.FlushAll();
       rt.spill.bytes += static_cast<int64_t>(sp.bytes_written());
       rt.spill.runs += static_cast<int64_t>(parts);
-      struct GroupOut {
-        uint32_t first_row;
-        std::vector<Value> finished;
-      };
-      std::vector<GroupOut> groups;
       std::vector<uint32_t> orig;
       std::vector<std::vector<Value>> vals;
       for (size_t p = 0; p < parts; ++p) {
         sp.ReadPartition(p, &orig, &vals);
         ColumnTable part = TableFromRows(in.schema(), vals);
-        GroupTable pgt{part, group_idx};
-        std::unordered_map<GroupKey, uint32_t, GroupKeyHash, GroupKeyEq>
-            group_of(16, GroupKeyHash{}, GroupKeyEq{&pgt});
-        std::vector<uint32_t> first_orig;
-        std::vector<std::vector<VecAggState>> states;
-        for (uint32_t k = 0; k < part.rows(); ++k) {
-          auto [it, inserted] = group_of.try_emplace(
-              GroupKey{k, gh[orig[k]]}, static_cast<uint32_t>(states.size()));
-          if (inserted) {
-            first_orig.push_back(orig[k]);
-            states.emplace_back(aggs.size());
-          }
-          std::vector<VecAggState>& st = states[it->second];
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            CellRef cell;
-            if (agg_idx[a] < 0) {
-              cell.type = ValueType::kInt;
-              cell.i = 1;
-            } else {
-              cell = part.col(static_cast<size_t>(agg_idx[a])).At(k);
-            }
-            st[a].Add(cell);
-          }
-        }
-        for (size_t g = 0; g < states.size(); ++g) {
-          GroupOut go;
-          go.first_row = first_orig[g];
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            go.finished.push_back(states[g][a].Finish(aggs[a].func,
-                                                      agg_type[a]));
-          }
-          groups.push_back(std::move(go));
-        }
+        std::vector<uint64_t> ph(orig.size());
+        for (size_t k = 0; k < orig.size(); ++k) ph[k] = gh[orig[k]];
+        fold_groups(part, GroupClasses(GroupTable{part, group_idx}, ph, rt),
+                    &orig);
       }
-      std::sort(groups.begin(), groups.end(),
-                [](const GroupOut& a, const GroupOut& b) {
-                  return a.first_row < b.first_row;
+      std::vector<uint32_t> by_first(first_row.size());
+      for (uint32_t g = 0; g < by_first.size(); ++g) by_first[g] = g;
+      std::sort(by_first.begin(), by_first.end(),
+                [&](uint32_t a, uint32_t b) {
+                  return first_row[a] < first_row[b];
                 });
-      ColumnTable out(out_schema);
-      size_t pos = 0;
-      for (int gi : group_idx) {
-        ColumnVec& dst = out.mutable_col(pos++);
-        for (const GroupOut& g : groups) {
-          dst.AppendFrom(in.col(static_cast<size_t>(gi)), g.first_row);
+      std::vector<uint32_t> sorted_first;
+      std::vector<Value> sorted_finished;
+      for (uint32_t g : by_first) {
+        sorted_first.push_back(first_row[g]);
+        for (size_t a = 0; a < na; ++a) {
+          sorted_finished.push_back(std::move(finished[g * na + a]));
         }
       }
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        ColumnVec& dst = out.mutable_col(pos++);
-        for (const GroupOut& g : groups) dst.AppendValue(g.finished[a]);
-      }
-      out.CommitRows(groups.size());
-      return out;
+      first_row = std::move(sorted_first);
+      finished = std::move(sorted_finished);
+      done = true;
     }
   }
-
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash, GroupKeyEq> group_of(
-      16, GroupKeyHash{}, GroupKeyEq{&gt});
-  std::vector<uint32_t> first_row;  // groups in first-occurrence order
-  std::vector<std::vector<VecAggState>> states;
-  for (uint32_t i = 0; i < in.rows(); ++i) {
-    auto [it, inserted] = group_of.try_emplace(
-        GroupKey{i, gh[i]}, static_cast<uint32_t>(first_row.size()));
-    if (inserted) {
-      first_row.push_back(i);
-      states.emplace_back(aggs.size());
-    }
-    std::vector<VecAggState>& st = states[it->second];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      CellRef cell;
-      if (agg_idx[a] < 0) {
-        cell.type = ValueType::kInt;
-        cell.i = 1;
-      } else {
-        cell = in.col(static_cast<size_t>(agg_idx[a])).At(i);
-      }
-      st[a].Add(cell);
-    }
+  if (!done) {
+    GroupTable gt{in, group_idx};
+    fold_groups(in, GroupClasses(gt, gt.Hashes(rt), rt), nullptr);
   }
 
   ColumnTable out(out_schema);
-  size_t pos = 0;
-  for (int gi : group_idx) {
-    ColumnVec& dst = out.mutable_col(pos++);
-    for (uint32_t g : first_row) {
-      dst.AppendFrom(in.col(static_cast<size_t>(gi)), g);
+  rt.ForTasks(out.num_cols(), [&](size_t pos) {
+    ColumnVec& dst = out.mutable_col(pos);
+    if (pos < group_idx.size()) {
+      dst.AppendGather(in.col(static_cast<size_t>(group_idx[pos])),
+                       first_row.data(), first_row.size());
+      return;
     }
-  }
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    ColumnVec& dst = out.mutable_col(pos++);
+    const size_t a = pos - group_idx.size();
     for (size_t g = 0; g < first_row.size(); ++g) {
-      dst.AppendValue(states[g][a].Finish(aggs[a].func, agg_type[a]));
+      dst.AppendValue(finished[g * na + a]);
     }
-  }
+  });
   out.CommitRows(first_row.size());
   return out;
 }
@@ -1349,102 +1629,95 @@ Result<ColumnTable> VecAggregateT(const ColumnTable& in,
                                   const std::vector<AggSpec>& aggs,
                                   const Schema& out_schema,
                                   const VexecRuntime& rt) {
+  // EvalAggregateT as an endpoint sweep per group: the sweep keeps the
+  // members covering the current elementary interval in row order, so each
+  // interval folds exactly the members the reference's rescan admits, in
+  // its order (float sums and first-extremum MIN/MAX stay exact), and
+  // adjacent intervals with equal results merge into maximal constancy
+  // intervals. Groups sweep in parallel; their rows concatenate in
+  // first-occurrence order.
   std::vector<int> group_idx, agg_idx;
   std::vector<ValueType> agg_type;
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
+  const size_t na = aggs.size();
   GroupTable gt{in, group_idx};
-  // Hash and period precompute morsel-parallel; the per-group constancy
-  // interval sweep appends output rows group-at-a-time and stays serial.
-  std::vector<uint64_t> gh(in.rows());
-  rt.ForRows(in.rows(), [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) gh[i] = gt.HashRow(i);
-  });
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash, GroupKeyEq> group_of(
-      16, GroupKeyHash{}, GroupKeyEq{&gt});
-  std::vector<uint32_t> first_row;
-  std::vector<std::vector<uint32_t>> members;
-  for (uint32_t i = 0; i < in.rows(); ++i) {
-    auto [it, inserted] = group_of.try_emplace(
-        GroupKey{i, gh[i]}, static_cast<uint32_t>(first_row.size()));
-    if (inserted) {
-      first_row.push_back(i);
-      members.emplace_back();
-    }
-    members[it->second].push_back(i);
-  }
+  ClassIndex idx = GroupClasses(gt, gt.Hashes(rt), rt);
+  std::vector<TimePoint> begins, ends;
+  ExtractPeriods(in, &begins, &ends, rt);
 
-  std::vector<Period> row_period(in.rows());
-  rt.ForRows(in.rows(), [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) row_period[i] = in.RowPeriod(i);
+  struct GroupRows {
+    std::vector<uint32_t> key_row;  // the group's first row
+    std::vector<Value> aggs;        // na per output row
+    std::vector<Period> period;
+  };
+  std::vector<GroupRows> out_rows(rt.UnitChunks());
+  rt.ForUnits(idx.offsets, [&](size_t chunk, size_t cb, size_t ce) {
+    GroupRows& o = out_rows[chunk];
+    AggFold fold{in, aggs, agg_idx, agg_type, {}};
+    std::vector<TimePoint> cuts;
+    ActiveSet active;
+    std::vector<Value> cur(na), prev(na);
+    for (size_t g = cb; g < ce; ++g) {
+      const uint32_t* mb = idx.begin(g);
+      const uint32_t* me = idx.end(g);
+      CutPoints(mb, me, begins, ends, &cuts);
+      active.Reset(mb, static_cast<size_t>(me - mb), begins, ends);
+      Period open;
+      bool has_open = false;
+      auto flush = [&]() {
+        if (!has_open) return;
+        o.key_row.push_back(*mb);
+        o.aggs.insert(o.aggs.end(), prev.begin(), prev.end());
+        o.period.push_back(open);
+        has_open = false;
+      };
+      for (size_t ci = 0; ci + 1 < cuts.size(); ++ci) {
+        const Period elem(cuts[ci], cuts[ci + 1]);
+        active.AdvanceTo(elem.begin);
+        if (active.active().empty()) {
+          flush();
+          continue;
+        }
+        fold.Reset();
+        for (uint32_t k : active.active()) fold.Add(mb[k]);
+        fold.Finish(cur.data());
+        if (has_open && cur == prev && open.end == elem.begin) {
+          open.end = elem.end;
+        } else {
+          flush();
+          open = elem;
+          prev.swap(cur);
+          has_open = true;
+        }
+      }
+      flush();
+    }
   });
 
   ColumnTable out(out_schema);
+  size_t rows = 0;
+  for (const GroupRows& o : out_rows) rows += o.key_row.size();
   const size_t key_cols = group_idx.size();
-  for (size_t g = 0; g < first_row.size(); ++g) {
-    std::vector<TimePoint> cuts;
-    for (uint32_t m : members[g]) {
-      cuts.push_back(row_period[m].begin);
-      cuts.push_back(row_period[m].end);
-    }
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-    std::vector<Value> prev_aggs;
-    Period open;
-    bool has_open = false;
-    auto flush = [&]() {
-      if (!has_open) return;
-      size_t pos = 0;
-      for (size_t c = 0; c < key_cols; ++c) {
-        out.mutable_col(pos++).AppendFrom(
-            in.col(static_cast<size_t>(group_idx[c])), first_row[g]);
-      }
-      for (const Value& v : prev_aggs) {
-        out.mutable_col(pos++).AppendValue(v);
-      }
-      out.mutable_col(pos++).AppendValue(Value::Time(open.begin));
-      out.mutable_col(pos++).AppendValue(Value::Time(open.end));
-      out.CommitRows(1);
-      has_open = false;
-    };
-    for (size_t c = 0; c + 1 < cuts.size(); ++c) {
-      Period elem(cuts[c], cuts[c + 1]);
-      std::vector<VecAggState> st(aggs.size());
-      int64_t covering = 0;
-      for (uint32_t m : members[g]) {
-        if (!row_period[m].Contains(elem)) continue;
-        ++covering;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          CellRef cell;
-          if (agg_idx[a] < 0) {
-            cell.type = ValueType::kInt;
-            cell.i = 1;
-          } else {
-            cell = in.col(static_cast<size_t>(agg_idx[a])).At(m);
-          }
-          st[a].Add(cell);
+  rt.ForTasks(out.num_cols(), [&](size_t pos) {
+    ColumnVec& dst = out.mutable_col(pos);
+    for (const GroupRows& o : out_rows) {
+      if (pos < key_cols) {
+        dst.AppendGather(in.col(static_cast<size_t>(group_idx[pos])),
+                         o.key_row.data(), o.key_row.size());
+      } else if (pos < key_cols + na) {
+        for (size_t r = 0; r < o.key_row.size(); ++r) {
+          dst.AppendValue(o.aggs[r * na + (pos - key_cols)]);
+        }
+      } else {
+        for (const Period& p : o.period) {
+          dst.AppendValue(
+              Value::Time(pos == key_cols + na ? p.begin : p.end));
         }
       }
-      if (covering == 0) {
-        flush();
-        continue;
-      }
-      std::vector<Value> cur;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        cur.push_back(st[a].Finish(aggs[a].func, agg_type[a]));
-      }
-      if (has_open && cur == prev_aggs && open.end == elem.begin) {
-        open.end = elem.end;
-      } else {
-        flush();
-        open = elem;
-        prev_aggs = std::move(cur);
-        has_open = true;
-      }
     }
-    flush();
-  }
+  });
+  out.CommitRows(rows);
   return out;
 }
 
@@ -1615,6 +1888,16 @@ struct VecTreeExecutor : PlanDriver<VecTreeExecutor, ColumnTable> {
     rows.set_order(info.order);
     return rows;
   }
+
+  // The root's row form, converted once on a result-cache miss: the cache
+  // gets a copy and ExecuteVectorized returns this one.
+  std::optional<Relation> root_rows;
+
+  Relation RootToRows(const ColumnTable& t, const NodeInfo& info) {
+    root_rows = VecToRelation(t, rt);
+    root_rows->set_order(info.order);
+    return *root_rows;
+  }
   static void StampOrder(ColumnTable*, const NodeInfo&) {}
 
   // The columnar scramble rebuilds the table: one more materialization.
@@ -1780,7 +2063,8 @@ Result<Relation> ExecuteVectorized(const AnnotatedPlan& plan,
   }
   VecTreeExecutor ex{plan, config, stats, opts, rt};
   TQP_ASSIGN_OR_RETURN(table, ex.Eval(plan.plan(), profile));
-  Relation out = VecToRelation(table, rt);
+  Relation out = ex.root_rows.has_value() ? std::move(*ex.root_rows)
+                                          : VecToRelation(table, rt);
   out.set_order(plan.root_info().order);
   if (stats != nullptr) {
     stats->spill_bytes += rt.spill.bytes;

@@ -5,9 +5,9 @@
 // scans convert base relations to ColumnTables batch-wise, selections and
 // projections evaluate compiled expressions over column batches into
 // selection vectors / fresh columns, joins run over flat period arrays, and
-// the order/duplicate-sensitive operations (rdup, rdupT, coalT, \T, ∪T, ℵT)
-// run the reference algorithms over row indices and typed columns instead of
-// per-tuple Value vectors.
+// the class operators (rdupT, coalT, \T, ∪T, ℵT, ℵ) run on one
+// hash-partitioned class index, ℵT and \T as endpoint sweeps (see
+// vexec.cc).
 //
 // The list-semantics parity contract: for every plan, configuration (both
 // dbms_scrambles_order modes), and catalog, the returned Relation is

@@ -56,12 +56,14 @@ void ExpectStatsAgree(const ExecStats& ref, const ExecStats& vec,
   EXPECT_EQ(vec.vec_rows, vec.tuples_produced) << label;
 }
 
-/// Runs one plan through both executors under one config and compares.
-void CheckPlanWithOptions(const PlanPtr& plan, const Catalog& catalog,
-                          const EngineConfig& config, const std::string& label,
-                          const VexecOptions& vopts) {
-  ExecStats ref_stats, vec_stats;
-  Result<Relation> ref = EvaluatePlan(plan, catalog, config, &ref_stats);
+/// Runs one plan through the vectorized executor and compares it with the
+/// reference evaluator's run of the same plan, catalog and config.
+void CheckAgainstReference(const Result<Relation>& ref,
+                           const ExecStats& ref_stats, const PlanPtr& plan,
+                           const Catalog& catalog, const EngineConfig& config,
+                           const std::string& label,
+                           const VexecOptions& vopts) {
+  ExecStats vec_stats;
   Result<Relation> vec =
       ExecuteVectorizedPlan(plan, catalog, config, &vec_stats, vopts);
   ASSERT_EQ(ref.ok(), vec.ok()) << label << ": " << ref.status().ToString()
@@ -72,6 +74,15 @@ void CheckPlanWithOptions(const PlanPtr& plan, const Catalog& catalog,
   }
   ExpectListIdentical(ref.value(), vec.value(), label);
   ExpectStatsAgree(ref_stats, vec_stats, label);
+}
+
+/// Runs one plan through both executors under one config and compares.
+void CheckPlanWithOptions(const PlanPtr& plan, const Catalog& catalog,
+                          const EngineConfig& config, const std::string& label,
+                          const VexecOptions& vopts) {
+  ExecStats ref_stats;
+  Result<Relation> ref = EvaluatePlan(plan, catalog, config, &ref_stats);
+  CheckAgainstReference(ref, ref_stats, plan, catalog, config, label, vopts);
 }
 
 void CheckPlan(const PlanPtr& plan, const Catalog& catalog,
@@ -145,6 +156,90 @@ Relation WithNulls() {
   return r;
 }
 
+/// A skewed temporal relation: Zipf-drawn Name and Val over small domains
+/// plus bursts of chained overlaps, so some value-equivalence classes and
+/// Name groups hold hundreds of members with long overlap chains, and a
+/// 4-thread run cuts the classes into chunks on different workers.
+Relation Skewed(uint64_t seed) {
+  RelationGenParams p;
+  p.cardinality = 1200;
+  p.num_names = 8;
+  p.num_categories = 2;
+  p.num_values = 4;
+  p.value_zipf = 1.1;
+  p.overlap_burst = 4;
+  p.time_horizon = 1000;
+  p.max_period_length = 50;
+  p.duplicate_fraction = 0.1;
+  p.adjacency_fraction = 0.2;
+  p.overlap_fraction = 0.2;
+  p.seed = seed;
+  return GenerateRelation(p);
+}
+
+/// Hand-built temporal edge cases for the class sweeps, as (Name, M, X,
+/// T1, T2); `right` selects the subtrahend side of the \T/∪T plans.
+/// - Group "a" folds X = 1e16, -1e16, 1 over [5, 20): the float sum is 1 in
+///   row order and 0 in begin-time order; M = Int 3 / Double 3.0 ties, so
+///   MIN/MAX keep whichever the fold meets first.
+/// - Empty (T1 = T2) and inverted (T1 > T2) periods, inside and outside
+///   their class's coverage, and periods sharing endpoints.
+/// - NULLs in the key and the aggregated columns; Int 1 and Double 1.0
+///   share a class.
+/// - On the right: a class covered entirely (two copies over both left
+///   members), a class with no left match ("e"), a left class with no right
+///   rows ("d", empty period included), partial cancellations, and an empty
+///   right period that only adds cut points.
+Relation EdgeCases(bool right) {
+  Schema s;
+  s.Add(Attribute{"Name", ValueType::kString});
+  s.Add(Attribute{"M", ValueType::kDouble});
+  s.Add(Attribute{"X", ValueType::kDouble});
+  s.Add(Attribute{kT1, ValueType::kTime});
+  s.Add(Attribute{kT2, ValueType::kTime});
+  Relation r(s);
+  auto add = [&](Value name, Value m, Value x, TimePoint a, TimePoint b) {
+    Tuple t;
+    t.push_back(std::move(name));
+    t.push_back(std::move(m));
+    t.push_back(std::move(x));
+    t.push_back(Value::Time(a));
+    t.push_back(Value::Time(b));
+    r.Append(std::move(t));
+  };
+  const Value a = Value::String("a"), b = Value::String("b"),
+             c = Value::String("c"), d = Value::String("d"),
+             e = Value::String("e"), null = Value::Null();
+  if (right) {
+    add(c, Value::Int(7), Value::Double(0.5), 0, 100);
+    add(c, Value::Int(7), Value::Double(0.5), 0, 100);
+    add(a, Value::Int(3), Value::Double(1e16), 8, 12);
+    add(e, Value::Int(9), Value::Double(9.0), 0, 10);
+    add(null, Value::Int(1), null, 8, 9);
+    add(b, null, Value::Double(2.5), 0, 0);
+    add(a, Value::Double(3.0), Value::Double(1.0), 2, 4);
+    return r;
+  }
+  add(a, Value::Int(3), Value::Double(1e16), 5, 20);
+  add(a, Value::Double(3.0), Value::Double(-1e16), 3, 20);
+  add(a, Value::Double(3.0), Value::Double(1.0), 0, 20);
+  add(a, Value::Int(3), Value::Double(1e16), 20, 20);
+  add(a, Value::Double(3.0), Value::Double(-1e16), 10, 10);
+  add(a, Value::Int(3), Value::Double(1e16), 20, 30);
+  add(a, Value::Int(3), Value::Double(1e16), 12, 8);
+  add(null, Value::Int(1), null, 0, 10);
+  add(null, Value::Double(1.0), null, 5, 15);
+  add(b, null, Value::Double(2.5), 40, 50);
+  add(b, null, Value::Double(2.5), 50, 40);
+  add(b, null, Value::Double(2.5), 45, 45);
+  add(c, Value::Int(7), Value::Double(0.5), 0, 100);
+  add(c, Value::Int(7), Value::Double(0.5), 10, 20);
+  add(d, Value::Int(1), Value::Double(1.0), 5, 5);
+  add(d, Value::Int(1), Value::Double(1.0), 7, 9);
+  add(a, Value::Double(3.0), Value::Double(1.0), 20, 25);
+  return r;
+}
+
 Catalog MakeCatalog(uint64_t seed) {
   Catalog catalog;
   TQP_CHECK(
@@ -164,6 +259,18 @@ Catalog MakeCatalog(uint64_t seed) {
                 .ok());
   TQP_CHECK(
       catalog.RegisterWithInferredFlags("N", WithNulls(), Site::kDbms).ok());
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("K", Skewed(seed + 31), Site::kDbms)
+                .ok());
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("K2", Skewed(seed + 37), Site::kDbms)
+                .ok());
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("H", EdgeCases(false), Site::kDbms)
+                .ok());
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("H2", EdgeCases(true), Site::kDbms)
+                .ok());
   return catalog;
 }
 
@@ -254,6 +361,35 @@ std::vector<std::pair<std::string, PlanPtr>> AllOperatorPlans() {
       PlanNode::Sort(PlanNode::Rdup(PlanNode::Select(
                          PlanNode::Product(PlanNode::Rdup(C()), D()), equi2)),
                      {{"1.Name", true}, {"1.Val", false}}));
+  // The class kernels on heavy classes (K) and on hand-built edge cases
+  // (H), with every aggregate function.
+  auto K = [] { return PlanNode::Scan("K"); };
+  auto K2 = [] { return PlanNode::Scan("K2"); };
+  auto H = [] { return PlanNode::Scan("H"); };
+  auto H2 = [] { return PlanNode::Scan("H2"); };
+  std::vector<AggSpec> edge_aggs = {
+      AggSpec{AggFunc::kCount, "", "n"},  AggSpec{AggFunc::kSum, "X", "s"},
+      AggSpec{AggFunc::kAvg, "X", "avg"}, AggSpec{AggFunc::kMin, "M", "lo"},
+      AggSpec{AggFunc::kMax, "M", "hi"},  AggSpec{AggFunc::kCount, "X", "nx"},
+  };
+  plans.emplace_back("rdup-t-skewed", PlanNode::RdupT(K()));
+  plans.emplace_back("coalesce-skewed", PlanNode::Coalesce(K()));
+  plans.emplace_back("difference-t-skewed", PlanNode::DifferenceT(K(), K2()));
+  plans.emplace_back("union-t-skewed", PlanNode::UnionT(K(), K2()));
+  plans.emplace_back("aggregate-t-skewed",
+                     PlanNode::AggregateT(K(), {"Name", "Cat"}, aggs));
+  plans.emplace_back("aggregate-skewed",
+                     PlanNode::Aggregate(K(), {"Name", "Cat"}, aggs));
+  plans.emplace_back("rdup-t-edges", PlanNode::RdupT(H()));
+  plans.emplace_back("coalesce-edges", PlanNode::Coalesce(H()));
+  plans.emplace_back("difference-t-edges", PlanNode::DifferenceT(H(), H2()));
+  plans.emplace_back("difference-t-edges-flipped",
+                     PlanNode::DifferenceT(H2(), H()));
+  plans.emplace_back("union-t-edges", PlanNode::UnionT(H(), H2()));
+  plans.emplace_back("aggregate-t-edges",
+                     PlanNode::AggregateT(H(), {"Name"}, edge_aggs));
+  plans.emplace_back("aggregate-edges",
+                     PlanNode::Aggregate(H(), {"Name"}, edge_aggs));
   return plans;
 }
 
@@ -286,23 +422,26 @@ TEST(VexecParity, BatchSizeNeverChangesResults) {
 
 // The morsel-parallel and out-of-core paths obey the same contract as the
 // serial in-memory path: any thread count × memory budget × batch size is
-// list-identical to the reference evaluator, scramble on or off.
+// list-identical to the reference evaluator, scramble on or off. The
+// reference run does not depend on those options, so it runs once per plan.
 TEST(VexecParity, ThreadsAndBudgetsNeverChangeResults) {
   for (uint64_t seed : {11u, 12u}) {
     Catalog catalog = MakeCatalog(seed);
     for (const auto& [cfg_name, config] : Configs()) {
-      for (size_t threads : {2u, 4u}) {
-        for (uint64_t budget : {uint64_t{0}, uint64_t{512}}) {
-          for (size_t batch : {7u, 1024u}) {
-            VexecOptions vopts;
-            vopts.batch_size = batch;
-            vopts.threads = threads;
-            // Tiny morsels so 40-row inputs still split across workers.
-            vopts.morsel_rows = 8;
-            vopts.memory_budget = budget;
-            for (const auto& [plan_name, plan] : AllOperatorPlans()) {
-              CheckPlanWithOptions(
-                  plan, catalog, config,
+      for (const auto& [plan_name, plan] : AllOperatorPlans()) {
+        ExecStats ref_stats;
+        Result<Relation> ref = EvaluatePlan(plan, catalog, config, &ref_stats);
+        for (size_t threads : {2u, 4u}) {
+          for (uint64_t budget : {uint64_t{0}, uint64_t{512}}) {
+            for (size_t batch : {1u, 7u, 1024u}) {
+              VexecOptions vopts;
+              vopts.batch_size = batch;
+              vopts.threads = threads;
+              // Tiny morsels so 40-row inputs still split across workers.
+              vopts.morsel_rows = 8;
+              vopts.memory_budget = budget;
+              CheckAgainstReference(
+                  ref, ref_stats, plan, catalog, config,
                   "seed " + std::to_string(seed) + "/" + cfg_name + "/t" +
                       std::to_string(threads) + "/b" + std::to_string(budget) +
                       "/batch" + std::to_string(batch) + "/" + plan_name,

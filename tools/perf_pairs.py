@@ -15,8 +15,10 @@ run lasts BENCHMARK.json's run_seconds, which fixes each workload's op count.
 
 For every end-to-end metric BENCHMARK.json declares, it prints both sides'
 median and quartiles, the change in the median, and the pairs the head side
-won or tied, plus `failed` and `correct` per side. The verdict follows the
-benchmark's bounds (each a fraction of the base median):
+won or tied, plus `failed` and `correct` per side. Per query template it
+prints both sides' median of the runs' median latencies (perfbench's stderr
+line per template), so a change can be attributed to queries. The verdict
+follows the benchmark's bounds (each a fraction of the base median):
 
   * regression  - the head median is worse than the base median by more
                   than the bound;
@@ -36,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,6 +93,43 @@ def judge(base_runs, head_runs, better, bound):
             "wins": wins, "ties": ties, "verdict": verdict}
 
 
+# perfbench's per-template stderr line:
+#   "  name  N ops, p25 X, median X, p75 X, max X ms"
+TEMPLATE_LINE = re.compile(r"^\s+(\S+)\s+\d+ ops, p25\s+\S+, median\s+(\S+), "
+                           r"p75\s+\S+, max\s+\S+ ms$")
+
+
+def template_medians(stderr):
+    """{template: median latency in ms} from one run's standard error."""
+    out = {}
+    for line in stderr.splitlines():
+        m = TEMPLATE_LINE.match(line)
+        if m:
+            out[m.group(1)] = float(m.group(2))
+    return out
+
+
+def template_table(base_runs, head_runs):
+    """Per template (in the base's order): both sides' median of the runs'
+    medians, the change, and the pairs in which the head's was lower."""
+    names = []
+    for run in base_runs + head_runs:
+        names += [n for n in run if n not in names]
+    rows = []
+    for n in names:
+        pairs = [(b[n], h[n]) for b, h in zip(base_runs, head_runs)
+                 if n in b and n in h]
+        if not pairs:
+            continue
+        bm = quantile([b for b, _ in pairs], 0.5)
+        hm = quantile([h for _, h in pairs], 0.5)
+        rows.append({"template": n, "base": bm, "head": hm,
+                     "change": (hm - bm) / bm if bm else 0.0,
+                     "wins": sum(h < b for b, h in pairs),
+                     "pairs": len(pairs)})
+    return rows
+
+
 def overall(verdicts, base_failed, head_failed, all_correct):
     if not all_correct or head_failed > base_failed or "regression" in verdicts:
         return "regression"
@@ -137,6 +177,24 @@ def selftest():
     assert overall(["regression", "unresolved"], 0, 0, True) == "regression"
     assert overall(["within bound"], 0, 1, True) == "regression"
     assert overall(["within bound"], 0, 0, False) == "regression"
+    err = ("[100%] Built target tqp_perfbench\n"
+           "op sequence: 133 ops, digest dbc8e2580936780e\n"
+           "  select_sort                      19 ops, p25    30.228, "
+           "median    31.316, p75    34.692, max    42.851 ms\n"
+           "  write                             3 ops, p25     1.000, "
+           "median     2.500, p75     3.000, max     4.000 ms\n"
+           "analytic: 133 ops, 133 ok, 0 failed, 7.502 s timed\n")
+    assert template_medians(err) == {"select_sort": 31.316, "write": 2.5}
+    assert template_medians("no template lines\n") == {}
+    rows = template_table([{"q": 10.0, "r": 4.0}, {"q": 12.0, "r": 4.0},
+                           {"q": 14.0}],
+                          [{"q": 5.0, "r": 5.0}, {"q": 13.0, "r": 3.0},
+                           {"q": 7.0}])
+    assert [r["template"] for r in rows] == ["q", "r"], rows
+    assert rows[0]["base"] == 12.0 and rows[0]["head"] == 7.0, rows
+    assert rows[0]["wins"] == 2 and rows[0]["pairs"] == 3, rows
+    assert rows[1]["base"] == 4.0 and rows[1]["head"] == 4.0, rows
+    assert rows[1]["wins"] == 1 and rows[1]["pairs"] == 2, rows
     print("perf_pairs selftest: OK")
 
 
@@ -178,7 +236,9 @@ class Side:
         if p.returncode != 0 or not lines:
             sys.exit(f"perf_pairs: {self.label} {workload} exited "
                      f"{p.returncode}\n{p.stderr[-3000:]}")
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
+        result["templates"] = template_medians(p.stderr)
+        return result
 
 
 def value(result, metric):
@@ -228,6 +288,12 @@ def compare(args):
               f"{r['wins']}/{r['ties']:<8}{r['verdict']}"
               + (f" (base spread {r['spread']:.2f})"
                  if r["verdict"] == "unresolved" else ""))
+    print(f"\n{'query template':<32}{'base median':>12}{'head median':>12}"
+          f"{'change':>9}  wins")
+    for r in template_table([x["templates"] for x in runs["base"]],
+                            [x["templates"] for x in runs["head"]]):
+        print(f"{r['template']:<32}{r['base']:>12.4g}{r['head']:>12.4g}"
+              f"{r['change']:>+9.1%}  {r['wins']}/{r['pairs']}")
     failed = {n: sum(r["failed"] for r in runs[n]) for n in runs}
     correct = {n: all(r["correct"] for r in runs[n]) for n in runs}
     print(f"failed: base {failed['base']}, head {failed['head']}; correct: "
