@@ -13,6 +13,7 @@ Status Catalog::Register(const std::string& name, CatalogEntry entry) {
   TQP_RETURN_IF_ERROR(Verify(name, entry));
   entry.data.set_order(entry.order);
   relation_digests_[name] = ContentDigest(entry.data);
+  twins_[name] = std::make_shared<ColumnarTwin>();
   entries_.emplace(name, std::move(entry));
   relation_versions_[name] = ++version_;
   return Status::OK();
@@ -22,6 +23,7 @@ Status Catalog::Update(const std::string& name, CatalogEntry entry) {
   TQP_RETURN_IF_ERROR(Verify(name, entry));
   entry.data.set_order(entry.order);
   relation_digests_[name] = ContentDigest(entry.data);
+  twins_[name] = std::make_shared<ColumnarTwin>();
   entries_[name] = std::move(entry);
   relation_versions_[name] = ++version_;
   return Status::OK();
@@ -30,6 +32,7 @@ Status Catalog::Update(const std::string& name, CatalogEntry entry) {
 bool Catalog::Drop(const std::string& name) {
   if (entries_.erase(name) == 0) return false;
   relation_digests_.erase(name);
+  twins_.erase(name);
   // Tombstone: the drop is a mutation of `name`, visible to per-relation
   // consumers exactly like an update.
   relation_versions_[name] = ++version_;
@@ -44,6 +47,15 @@ uint64_t Catalog::relation_version(const std::string& name) const {
 uint64_t Catalog::relation_digest(const std::string& name) const {
   auto it = relation_digests_.find(name);
   return it == relation_digests_.end() ? 0 : it->second;
+}
+
+ColumnTable Catalog::Columns(
+    const std::string& name,
+    const std::function<ColumnTable(const Relation&)>& build) const {
+  ColumnarTwin& twin = *twins_.at(name);
+  std::call_once(twin.built,
+                 [&] { twin.table = build(entries_.at(name).data); });
+  return twin.table;
 }
 
 Status Catalog::Verify(const std::string& name,

@@ -9,10 +9,14 @@
 #define TQP_CORE_CATALOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/column_batch.h"
 #include "core/relation.h"
 
 namespace tqp {
@@ -64,6 +68,12 @@ struct CatalogEntry {
 /// data. Consumers that must recognize contents across catalogs or processes
 /// (the SQLite backend's mirror) key on relation_digest(name) instead, the
 /// ContentDigest computed once when Register/Update accepts the relation.
+///
+/// Each relation version also has a columnar twin (Columns()), the
+/// ColumnTable the vectorized executor scans. It is built on the first
+/// vectorized scan of that version and lives with the catalog until
+/// Register/Update replaces it or Drop releases it; it is never edited, so
+/// a Catalog copy shares its twins with the original.
 class Catalog {
  public:
   /// Registers a relation; metadata flags are *verified* against the data so
@@ -99,7 +109,22 @@ class Catalog {
   /// registered.
   uint64_t relation_digest(const std::string& name) const;
 
+  /// The columnar twin of `name`'s registered relation version, as a table
+  /// that shares the twin's columns (copy-on-write, so O(columns)). The
+  /// first call for a version runs `build` on the relation under a
+  /// once-flag: concurrent first callers build it once, and the others
+  /// wait for it. `name` must be registered.
+  ColumnTable Columns(
+      const std::string& name,
+      const std::function<ColumnTable(const Relation&)>& build) const;
+
  private:
+  /// One relation version's columnar twin, built at most once.
+  struct ColumnarTwin {
+    std::once_flag built;
+    ColumnTable table;
+  };
+
   Status Verify(const std::string& name, const CatalogEntry& entry) const;
 
   std::map<std::string, CatalogEntry> entries_;
@@ -107,6 +132,8 @@ class Catalog {
   std::map<std::string, uint64_t> relation_versions_;
   /// ContentDigest of every registered relation.
   std::map<std::string, uint64_t> relation_digests_;
+  /// The columnar twin of every registered relation version.
+  std::map<std::string, std::shared_ptr<ColumnarTwin>> twins_;
   uint64_t version_ = 0;
 };
 

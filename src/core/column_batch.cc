@@ -368,26 +368,32 @@ uint64_t ColumnVec::ApproxBytes() const {
 ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
   cols_.reserve(schema_.size());
   for (size_t i = 0; i < schema_.size(); ++i) {
-    cols_.emplace_back(schema_.attr(i).type);
+    cols_.push_back(std::make_shared<ColumnVec>(schema_.attr(i).type));
   }
   t1_ = schema_.T1Index();
   t2_ = schema_.T2Index();
 }
 
+ColumnVec& ColumnTable::mutable_col(size_t i) {
+  std::shared_ptr<ColumnVec>& c = cols_[i];
+  if (c.use_count() > 1) c = std::make_shared<ColumnVec>(*c);
+  return *c;
+}
+
 void ColumnTable::CommitRows(size_t n) {
   rows_ += n;
-  for (const ColumnVec& c : cols_) {
-    TQP_DCHECK(c.size() == rows_);
+  for (const auto& c : cols_) {
+    TQP_DCHECK(c->size() == rows_);
     (void)c;
   }
 }
 
 ColumnTable ColumnTable::FromRelation(const Relation& r) {
   ColumnTable out(r.schema());
-  for (ColumnVec& c : out.cols_) c.Reserve(r.size());
+  for (const auto& c : out.cols_) c->Reserve(r.size());
   for (const Tuple& t : r.tuples()) {
     for (size_t i = 0; i < out.cols_.size(); ++i) {
-      out.cols_[i].AppendValue(t.at(i));
+      out.cols_[i]->AppendValue(t.at(i));
     }
   }
   out.rows_ = r.size();
@@ -395,22 +401,22 @@ ColumnTable ColumnTable::FromRelation(const Relation& r) {
 }
 
 Relation ColumnTable::ToRelation() const {
-  Relation out(schema_);
-  out.mutable_tuples().reserve(rows_);
+  std::vector<Tuple> tuples;
+  tuples.reserve(rows_);
   for (size_t r = 0; r < rows_; ++r) {
     std::vector<Value> vals;
     vals.reserve(cols_.size());
-    for (const ColumnVec& c : cols_) vals.push_back(c.ValueAt(r));
-    out.mutable_tuples().emplace_back(std::move(vals));
+    for (const auto& c : cols_) vals.push_back(c->ValueAt(r));
+    tuples.emplace_back(std::move(vals));
   }
-  return out;
+  return Relation(schema_, std::move(tuples));
 }
 
 uint64_t ColumnTable::RowHash(size_t row) const {
   // Bit-for-bit Tuple::Hash over the row's cells.
   uint64_t seed = 0x51ab1e5;
-  for (const ColumnVec& c : cols_) {
-    seed ^= c.At(row).Hash() + 0x9e3779b97f4a7c15ULL + (seed << 6) +
+  for (const auto& c : cols_) {
+    seed ^= c->At(row).Hash() + 0x9e3779b97f4a7c15ULL + (seed << 6) +
             (seed >> 2);
   }
   return seed;
@@ -420,7 +426,7 @@ int ColumnTable::RowCompare(const ColumnTable& a, size_t ra,
                             const ColumnTable& b, size_t rb) {
   size_t n = std::min(a.cols_.size(), b.cols_.size());
   for (size_t i = 0; i < n; ++i) {
-    int c = CellRef::Compare(a.cols_[i].At(ra), b.cols_[i].At(rb));
+    int c = CellRef::Compare(a.cols_[i]->At(ra), b.cols_[i]->At(rb));
     if (c != 0) return c;
   }
   if (a.cols_.size() < b.cols_.size()) return -1;
@@ -435,7 +441,7 @@ uint64_t ColumnTable::RowHashNonTemporal(size_t row) const {
   uint64_t seed = 0x51ab1e5;
   for (size_t i = 0; i < cols_.size(); ++i) {
     if (static_cast<int>(i) == t1_ || static_cast<int>(i) == t2_) continue;
-    seed ^= cols_[i].At(row).ClassHash() + 0x9e3779b97f4a7c15ULL +
+    seed ^= cols_[i]->At(row).ClassHash() + 0x9e3779b97f4a7c15ULL +
             (seed << 6) + (seed >> 2);
   }
   return seed;
@@ -446,7 +452,7 @@ int ColumnTable::RowCompareNonTemporal(const ColumnTable& a, size_t ra,
   TQP_DCHECK(a.cols_.size() == b.cols_.size());
   for (size_t i = 0; i < a.cols_.size(); ++i) {
     if (static_cast<int>(i) == a.t1_ || static_cast<int>(i) == a.t2_) continue;
-    int c = CellRef::Compare(a.cols_[i].At(ra), b.cols_[i].At(rb));
+    int c = CellRef::Compare(a.cols_[i]->At(ra), b.cols_[i]->At(rb));
     if (c != 0) return c;
   }
   return 0;
@@ -454,38 +460,14 @@ int ColumnTable::RowCompareNonTemporal(const ColumnTable& a, size_t ra,
 
 Period ColumnTable::RowPeriod(size_t row) const {
   TQP_CHECK(t1_ >= 0 && t2_ >= 0);
-  return Period(cols_[static_cast<size_t>(t1_)].At(row).i,
-                cols_[static_cast<size_t>(t2_)].At(row).i);
+  return Period(col(static_cast<size_t>(t1_)).At(row).i,
+                col(static_cast<size_t>(t2_)).At(row).i);
 }
 
 uint64_t ColumnTable::ApproxBytes() const {
   uint64_t bytes = 0;
-  for (const ColumnVec& c : cols_) bytes += c.ApproxBytes();
+  for (const auto& c : cols_) bytes += c->ApproxBytes();
   return bytes;
-}
-
-void ColumnTable::AppendRow(const ColumnTable& src, size_t row) {
-  TQP_DCHECK(cols_.size() == src.cols_.size());
-  for (size_t i = 0; i < cols_.size(); ++i) cols_[i].AppendFrom(src.cols_[i], row);
-  ++rows_;
-}
-
-void ColumnTable::AppendRange(const ColumnTable& src, size_t begin,
-                              size_t end) {
-  TQP_DCHECK(cols_.size() == src.cols_.size());
-  for (size_t i = 0; i < cols_.size(); ++i) {
-    cols_[i].AppendRangeFrom(src.cols_[i], begin, end);
-  }
-  rows_ += end - begin;
-}
-
-void ColumnTable::AppendGather(const ColumnTable& src,
-                               const std::vector<uint32_t>& rows) {
-  TQP_DCHECK(cols_.size() == src.cols_.size());
-  for (size_t i = 0; i < cols_.size(); ++i) {
-    cols_[i].AppendGather(src.cols_[i], rows.data(), rows.size());
-  }
-  rows_ += rows.size();
 }
 
 }  // namespace tqp

@@ -1,12 +1,15 @@
 // Columnar storage for the vectorized batch executor (src/vexec).
 //
 // A ColumnTable is the columnar twin of a Relation: one typed ColumnVec per
-// schema attribute plus a row count. The list semantics of the algebra are
-// carried by the row index — row i of every column is tuple i — so every
-// row-order-sensitive definition of Table 1 (which occurrence survives rdup,
-// difference fragment order, rdupT's in-place discipline) transfers verbatim
-// to the columnar form. Conversions to and from Relation are exact: the
-// Value sequence of ToRelation(FromRelation(r)) is byte-identical to r.
+// schema attribute plus a row count. Its columns are copy-on-write, so
+// tables can share them: the catalog keeps one ColumnTable per relation
+// version (Catalog::Columns), whose columns every vectorized scan shares.
+// The list semantics of the algebra are carried by the row index — row i
+// of every column is tuple i — so every row-order-sensitive definition of
+// Table 1 (which occurrence survives rdup, difference fragment order,
+// rdupT's in-place discipline) transfers verbatim to the columnar form.
+// Conversions to and from Relation are exact: the Value sequence of
+// ToRelation(FromRelation(r)) is byte-identical to r.
 //
 // Storage is typed per column (int64 for kInt/kTime, double, string) with a
 // lazily allocated null mask. A value whose runtime type disagrees with the
@@ -22,6 +25,7 @@
 #define TQP_CORE_COLUMN_BATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -148,6 +152,14 @@ class ColumnVec {
 };
 
 /// A columnar relation: schema + one column per attribute + row count.
+///
+/// Columns are copy-on-write: copying a table shares its columns, and
+/// ShareCol lets a table take another's column as one of its own. The
+/// first write through mutable_col to a column that another table still
+/// shares copies that column first. So a scan hands
+/// out the catalog's columnar twin (core/catalog.h) in O(columns), a
+/// projection passes an attribute through without copying it, and neither
+/// can change the twin.
 class ColumnTable {
  public:
   ColumnTable() = default;
@@ -157,8 +169,13 @@ class ColumnTable {
   const Schema& schema() const { return schema_; }
   size_t rows() const { return rows_; }
   size_t num_cols() const { return cols_.size(); }
-  const ColumnVec& col(size_t i) const { return cols_[i]; }
-  ColumnVec& mutable_col(size_t i) { return cols_[i]; }
+  const ColumnVec& col(size_t i) const { return *cols_[i]; }
+  /// Column i for writing; copies it first if another table shares it.
+  ColumnVec& mutable_col(size_t i);
+  /// Makes column i share column j of `src`: no cell is copied.
+  void ShareCol(size_t i, const ColumnTable& src, size_t j) {
+    cols_[i] = src.cols_[j];
+  }
 
   /// Declares `n` more rows appended (kernels append column-wise and then
   /// commit the row count once; checked against every column in debug).
@@ -194,16 +211,9 @@ class ColumnTable {
   /// Rough in-memory footprint (sum of the columns'), for spill decisions.
   uint64_t ApproxBytes() const;
 
-  /// Appends row `row` of `src` (schemas must have equal width).
-  void AppendRow(const ColumnTable& src, size_t row);
-  /// Appends rows [begin, end) of `src` column-wise.
-  void AppendRange(const ColumnTable& src, size_t begin, size_t end);
-  /// Appends the given rows of `src` in index order, column-wise.
-  void AppendGather(const ColumnTable& src, const std::vector<uint32_t>& rows);
-
  private:
   Schema schema_;
-  std::vector<ColumnVec> cols_;
+  std::vector<std::shared_ptr<ColumnVec>> cols_;
   size_t rows_ = 0;
   int t1_ = -1;
   int t2_ = -1;

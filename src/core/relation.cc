@@ -52,9 +52,23 @@ uint64_t ContentDigest(const Relation& rel, size_t rows) {
   return h;
 }
 
+const std::vector<Tuple>& Relation::NoTuples() {
+  static const std::vector<Tuple> none;
+  return none;
+}
+
+std::vector<Tuple>& Relation::mutable_tuples() {
+  if (tuples_ == nullptr) {
+    tuples_ = std::make_shared<std::vector<Tuple>>();
+  } else if (tuples_.use_count() > 1) {
+    tuples_ = std::make_shared<std::vector<Tuple>>(*tuples_);
+  }
+  return *tuples_;
+}
+
 void Relation::Append(Tuple t) {
   TQP_CHECK(t.size() == schema_.size());
-  tuples_.push_back(std::move(t));
+  mutable_tuples().push_back(std::move(t));
 }
 
 Relation Relation::Snapshot(TimePoint t) const {
@@ -67,7 +81,7 @@ Relation Relation::Snapshot(TimePoint t) const {
     snap_schema.Add(schema_.attr(i));
   }
   Relation out(snap_schema);
-  for (const Tuple& tup : tuples_) {
+  for (const Tuple& tup : tuples()) {
     if (!TuplePeriod(tup, schema_).Contains(t)) continue;
     Tuple nt;
     for (size_t i = 0; i < schema_.size(); ++i) {
@@ -82,7 +96,7 @@ Relation Relation::Snapshot(TimePoint t) const {
 std::vector<TimePoint> Relation::TimeEndpoints() const {
   TQP_CHECK(IsTemporal());
   std::set<TimePoint> points;
-  for (const Tuple& t : tuples_) {
+  for (const Tuple& t : tuples()) {
     Period p = TuplePeriod(t, schema_);
     points.insert(p.begin);
     points.insert(p.end);
@@ -92,8 +106,8 @@ std::vector<TimePoint> Relation::TimeEndpoints() const {
 
 bool Relation::HasDuplicates() const {
   std::vector<const Tuple*> ptrs;
-  ptrs.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) ptrs.push_back(&t);
+  ptrs.reserve(size());
+  for (const Tuple& t : tuples()) ptrs.push_back(&t);
   std::sort(ptrs.begin(), ptrs.end(),
             [](const Tuple* a, const Tuple* b) { return a->Compare(*b) < 0; });
   for (size_t i = 1; i < ptrs.size(); ++i) {
@@ -108,8 +122,8 @@ bool Relation::HasSnapshotDuplicates() const {
   // any snapshot within the overlap. Sort by value-equivalence class, then
   // sweep periods within each class.
   std::vector<const Tuple*> ptrs;
-  ptrs.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) ptrs.push_back(&t);
+  ptrs.reserve(size());
+  for (const Tuple& t : tuples()) ptrs.push_back(&t);
   std::sort(ptrs.begin(), ptrs.end(), [this](const Tuple* a, const Tuple* b) {
     int c = CompareNonTemporal(*a, *b, schema_);
     if (c != 0) return c < 0;
@@ -128,8 +142,8 @@ bool Relation::HasSnapshotDuplicates() const {
 bool Relation::IsCoalesced() const {
   TQP_CHECK(IsTemporal());
   std::vector<const Tuple*> ptrs;
-  ptrs.reserve(tuples_.size());
-  for (const Tuple& t : tuples_) ptrs.push_back(&t);
+  ptrs.reserve(size());
+  for (const Tuple& t : tuples()) ptrs.push_back(&t);
   std::sort(ptrs.begin(), ptrs.end(), [this](const Tuple* a, const Tuple* b) {
     int c = CompareNonTemporal(*a, *b, schema_);
     if (c != 0) return c < 0;
@@ -147,8 +161,8 @@ bool Relation::IsCoalesced() const {
 
 bool Relation::IsSortedBy(const SortSpec& spec) const {
   TupleComparator cmp(spec, schema_);
-  for (size_t i = 1; i < tuples_.size(); ++i) {
-    if (cmp.Compare(tuples_[i - 1], tuples_[i]) > 0) return false;
+  for (size_t i = 1; i < size(); ++i) {
+    if (cmp.Compare(tuple(i - 1), tuple(i)) > 0) return false;
   }
   return true;
 }
@@ -159,7 +173,7 @@ std::string Relation::ToTable(const std::string& title) const {
   for (size_t i = 0; i < schema_.size(); ++i) {
     widths[i] = schema_.attr(i).name.size();
   }
-  for (const Tuple& t : tuples_) {
+  for (const Tuple& t : tuples()) {
     std::vector<std::string> row;
     for (size_t i = 0; i < schema_.size(); ++i) {
       row.push_back(t.at(i).ToString());

@@ -9,6 +9,7 @@
 #define TQP_CORE_RELATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,20 +19,33 @@
 namespace tqp {
 
 /// A relation schema instance: a schema plus a finite list of tuples.
+///
+/// The tuple list is copy-on-write. Copying a Relation shares the list; the
+/// first write through mutable_tuples() or Append() to a list that another
+/// Relation still shares copies it first. So returning a catalog relation
+/// from a scan, or splicing a cached result, copies no tuple, and no copy
+/// can change what the catalog or the cache holds. Copies sharing one list
+/// may be read and copied on several threads at once; only the holder of
+/// a list's sole reference writes to it in place.
 class Relation {
  public:
   Relation() = default;
   explicit Relation(Schema schema) : schema_(std::move(schema)) {}
   Relation(Schema schema, std::vector<Tuple> tuples)
-      : schema_(std::move(schema)), tuples_(std::move(tuples)) {}
+      : schema_(std::move(schema)),
+        tuples_(std::make_shared<std::vector<Tuple>>(std::move(tuples))) {}
 
   const Schema& schema() const { return schema_; }
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  std::vector<Tuple>& mutable_tuples() { return tuples_; }
+  const std::vector<Tuple>& tuples() const {
+    return tuples_ != nullptr ? *tuples_ : NoTuples();
+  }
+  /// The tuple list for writing; copies it first if another Relation
+  /// shares it.
+  std::vector<Tuple>& mutable_tuples();
 
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
-  const Tuple& tuple(size_t i) const { return tuples_[i]; }
+  size_t size() const { return tuples_ != nullptr ? tuples_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  const Tuple& tuple(size_t i) const { return (*tuples_)[i]; }
 
   /// Appends a tuple; checks arity.
   void Append(Tuple t);
@@ -72,8 +86,11 @@ class Relation {
   std::string ToTable(const std::string& title = "") const;
 
  private:
+  static const std::vector<Tuple>& NoTuples();
+
   Schema schema_;
-  std::vector<Tuple> tuples_;
+  /// Null = no tuples (also the state a move leaves behind).
+  std::shared_ptr<std::vector<Tuple>> tuples_;
   SortSpec order_;
 };
 

@@ -495,26 +495,33 @@ ColumnTable TableFromRows(const Schema& schema,
 
 // ---- Kernels --------------------------------------------------------------
 
-Result<ColumnTable> VecScan(const CatalogEntry& entry,
-                            const VexecRuntime& rt) {
-  if (rt.pool == nullptr) return ColumnTable::FromRelation(entry.data);
-  // Column-parallel conversion: each task appends one column's cells in row
-  // order — the same per-cell append sequence FromRelation performs.
-  const Relation& r = entry.data;
-  ColumnTable t(r.schema());
-  rt.ForTasks(t.num_cols(), [&](size_t c) {
-    ColumnVec& col = t.mutable_col(c);
-    col.Reserve(r.size());
-    for (size_t i = 0; i < r.size(); ++i) col.AppendValue(r.tuple(i).at(c));
+// The scan hands out the relation version's columnar twin
+// (Catalog::Columns), sharing its columns in O(columns). The first
+// vectorized scan of a version builds the twin on this query's pool: each
+// task appends one column's cells in row order — the same per-cell append
+// sequence FromRelation performs.
+ColumnTable VecScan(const Catalog& catalog, const std::string& name,
+                    const VexecRuntime& rt) {
+  return catalog.Columns(name, [&rt](const Relation& r) {
+    TraceSpan span(rt.tracer, "vexec", "twin_build");
+    if (span.active()) span.Arg("rows", static_cast<uint64_t>(r.size()));
+    ColumnTable t(r.schema());
+    rt.ForTasks(t.num_cols(), [&](size_t c) {
+      ColumnVec& col = t.mutable_col(c);
+      col.Reserve(r.size());
+      for (size_t i = 0; i < r.size(); ++i) col.AppendValue(r.tuple(i).at(c));
+    });
+    t.CommitRows(r.size());
+    return t;
   });
-  t.CommitRows(r.size());
-  return t;
 }
 
 // The columnar-to-row conversion of the root result, morsel-parallel:
 // tuples are written into pre-sized slots, so the row order never depends
 // on the thread count.
 Relation VecToRelation(const ColumnTable& t, const VexecRuntime& rt) {
+  TraceSpan span(rt.tracer, "vexec", "to_rows");
+  if (span.active()) span.Arg("rows", static_cast<uint64_t>(t.rows()));
   if (rt.pool == nullptr) return t.ToRelation();
   std::vector<Tuple> tuples(t.rows());
   rt.ForRows(t.rows(), [&](size_t b, size_t e) {
@@ -556,22 +563,33 @@ Result<ColumnTable> VecProject(const ColumnTable& in,
                                const std::vector<ProjItem>& items,
                                const Schema& out_schema, size_t batch_size,
                                const VexecRuntime& rt) {
-  // The reference fails with the error of the first erroring row (and that
-  // row's first erroring item): rows outermost, so an error at (row, item)
-  // is superseded only by one at a strictly smaller row. Evaluate
-  // column-at-a-time (items outermost, serial), keep the minimum error row,
-  // and bound every later item to rows below it: a strict `<` update means
-  // the earliest item to error on the final minimum row wins, exactly the
-  // reference's (row, item) order. Within an item the rows are evaluated
-  // morsel-parallel — VecEval is per-row pure, so evaluating rows the
-  // serial bound would have skipped changes nothing observable — and the
-  // per-morsel column pieces are stitched back in morsel order.
+  // An item naming an input attribute (ProjItem::Pass / Rename) shares that
+  // input column: it copies each cell unchanged and cannot err. Every other
+  // item is evaluated. The reference fails with the error of the first
+  // erroring row (and that row's first erroring item): rows outermost, so
+  // an error at (row, item) is superseded only by one at a strictly smaller
+  // row. Evaluate column-at-a-time (items outermost, serial), keep the
+  // minimum error row, and bound every later item to rows below it: a
+  // strict `<` update means the earliest item to error on the final
+  // minimum row wins, exactly the reference's (row, item) order. Within an
+  // item the rows are evaluated morsel-parallel — VecEval is per-row pure,
+  // so evaluating rows the serial bound would have skipped changes nothing
+  // observable — and the per-morsel column pieces are stitched back in
+  // morsel order.
   size_t err_row = static_cast<size_t>(-1);
   std::string err_msg;
   std::mutex err_mu;
   size_t grain = rt.morsel_rows == 0 ? 1 : rt.morsel_rows;
-  std::vector<ColumnVec> cols(items.size());
+  ColumnTable out(out_schema);
   for (size_t i = 0; i < items.size(); ++i) {
+    const ExprPtr& expr = items[i].expr;
+    const int src = expr->kind() == ExprKind::kAttr
+                        ? in.schema().IndexOf(expr->attr_name())
+                        : -1;
+    if (src >= 0) {
+      out.ShareCol(i, in, static_cast<size_t>(src));
+      continue;
+    }
     size_t limit = std::min(in.rows(), err_row);
     std::vector<ColumnVec> pieces(std::max<size_t>(1, rt.NumMorsels(limit)));
     rt.ForRows(limit, [&](size_t mb, size_t me) {
@@ -591,15 +609,11 @@ Result<ColumnTable> VecProject(const ColumnTable& in,
         piece.AppendRangeFrom(ec.col, 0, e - b);
       }
     });
-    for (ColumnVec& piece : pieces) {
-      cols[i].AppendRangeFrom(piece, 0, piece.size());
-    }
+    ColumnVec col;
+    for (ColumnVec& piece : pieces) col.AppendRangeFrom(piece, 0, piece.size());
+    out.mutable_col(i) = std::move(col);
   }
   if (err_row != static_cast<size_t>(-1)) return Status::Error(err_msg);
-  ColumnTable out(out_schema);
-  for (size_t i = 0; i < cols.size(); ++i) {
-    out.mutable_col(i) = std::move(cols[i]);
-  }
   out.CommitRows(in.rows());
   return out;
 }
@@ -1995,11 +2009,11 @@ struct VecTreeExecutor : PlanDriver<VecTreeExecutor, ColumnTable> {
   Result<ColumnTable> Apply(const PlanPtr& node, const NodeInfo& info,
                             std::vector<ColumnTable>& in) {
     switch (node->kind()) {
-      case OpKind::kScan: {
-        const CatalogEntry* e = ann.catalog().Find(node->rel_name());
-        if (e == nullptr) return Status::NotFound(node->rel_name());
-        return VecScan(*e, rt);
-      }
+      case OpKind::kScan:
+        if (!ann.catalog().Contains(node->rel_name())) {
+          return Status::NotFound(node->rel_name());
+        }
+        return VecScan(ann.catalog(), node->rel_name(), rt);
       case OpKind::kSelect:
         return VecSelect(in[0], node->predicate(), options.batch_size, rt);
       case OpKind::kProject:

@@ -2,11 +2,13 @@
 //
 // ExecuteVectorized compiles an AnnotatedPlan into a tree of vectorized
 // physical operators over columnar data (core/column_batch.h) and runs it:
-// scans convert base relations to ColumnTables batch-wise, selections and
-// projections evaluate compiled expressions over column batches into
-// selection vectors / fresh columns, joins run over flat period arrays, and
-// the class operators (rdupT, coalT, \T, ∪T, ℵT, ℵ) run on one
-// hash-partitioned class index, ℵT and \T as endpoint sweeps (see
+// scans share the columns of the catalog's columnar twin of each relation
+// version (Catalog::Columns; the first vectorized scan of a version builds
+// it), selections evaluate compiled expressions over column batches into
+// selection vectors, projections share the input columns they pass
+// through and evaluate the rest into fresh columns, joins run over flat
+// period arrays, and the class operators (rdupT, coalT, \T, ∪T, ℵT, ℵ) run
+// on one hash-partitioned class index, ℵT and \T as endpoint sweeps (see
 // vexec.cc).
 //
 // The list-semantics parity contract: for every plan, configuration (both
@@ -50,7 +52,9 @@ struct VexecOptions {
   /// input exceeds it, sort switches to an external merge sort (spilled
   /// runs) and rdup/coalesce/aggregate partition their class/group tables
   /// to a temp file (core/spill.h), processing one partition at a time.
-  /// 0 (default) = unlimited, never spill.
+  /// 0 (default) = unlimited, never spill. The budget covers what a query
+  /// materializes; the columnar twins that scans share live with the
+  /// catalog and do not count against it.
   uint64_t memory_budget = 0;
 };
 

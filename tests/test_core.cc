@@ -2,7 +2,13 @@
 // relations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "core/catalog.h"
+#include "core/column_batch.h"
 #include "core/period.h"
 #include "core/relation.h"
 #include "test_util.h"
@@ -257,6 +263,175 @@ TEST(CatalogTest, PerRelationVersionTracking) {
   EXPECT_EQ(catalog.relation_version("S"), 5u);
   EXPECT_EQ(catalog.relation_version("R"), 1u);
   EXPECT_EQ(catalog.version(), 5u);
+}
+
+// ---- Copy-on-write storage -------------------------------------------------
+
+TEST(RelationTest, CopiesShareTuplesUntilOneIsWritten) {
+  const Relation original = ConventionalRel({{"a", 1}, {"b", 2}, {"c", 3}});
+  const std::string before = original.ToTable();
+
+  Relation appended = original;
+  EXPECT_EQ(&appended.tuples(), &original.tuples());  // shared, not copied
+  appended.Append(Tuple({Value::String("d"), Value::Int(4)}));
+  EXPECT_EQ(appended.size(), 4u);
+
+  Relation rewritten = original;
+  std::vector<Tuple>& tuples = rewritten.mutable_tuples();
+  std::reverse(tuples.begin(), tuples.end());
+  tuples[1] = Tuple({Value::String("z"), Value::Int(9)});
+  EXPECT_EQ(rewritten.tuple(0), original.tuple(2));
+
+  EXPECT_EQ(original.ToTable(), before);
+  EXPECT_EQ(original.size(), 3u);
+}
+
+TEST(RelationTest, SoleHolderWritesInPlace) {
+  Relation r = ConventionalRel({{"a", 1}});
+  const std::vector<Tuple>* list = &r.tuples();
+  r.Append(Tuple({Value::String("b"), Value::Int(2)}));
+  r.mutable_tuples().pop_back();
+  EXPECT_EQ(&r.tuples(), list);
+  Relation empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(empty.tuples().empty());
+}
+
+// Sessions share tuple lists across threads: copies taken and written at
+// once each detach from the shared list, and the original never changes.
+TEST(RelationTest, ConcurrentCopiesWriteTheirOwnLists) {
+  std::vector<std::pair<std::string, int64_t>> rows;
+  for (int64_t i = 0; i < 200; ++i) rows.emplace_back("n", i);
+  const Relation original = ConventionalRel(rows);
+  const std::string before = original.ToTable();
+  std::vector<Relation> copies(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < copies.size(); ++t) {
+    threads.emplace_back([&, t] {
+      Relation mine = original;
+      mine.Append(
+          Tuple({Value::String("t"), Value::Int(static_cast<int64_t>(t))}));
+      std::reverse(mine.mutable_tuples().begin(), mine.mutable_tuples().end());
+      copies[t] = mine;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(original.ToTable(), before);
+  for (size_t t = 0; t < copies.size(); ++t) {
+    ASSERT_EQ(copies[t].size(), 201u);
+    EXPECT_EQ(copies[t].tuple(0).at(1), Value::Int(static_cast<int64_t>(t)));
+    EXPECT_EQ(copies[t].tuple(200), original.tuple(0));
+  }
+}
+
+TEST(ColumnTableTest, CopiesShareColumnsUntilOneIsWritten) {
+  const Relation rel = ConventionalRel({{"a", 1}, {"b", 2}});
+  const ColumnTable original = ColumnTable::FromRelation(rel);
+  ColumnTable copy = original;
+  EXPECT_EQ(&copy.col(1), &original.col(1));  // shared, not copied
+  copy.mutable_col(0).AppendValue(Value::String("c"));
+  copy.mutable_col(1).AppendValue(Value::Int(3));
+  copy.CommitRows(1);
+  EXPECT_EQ(copy.rows(), 3u);
+  EXPECT_EQ(copy.ToRelation().tuple(2).ToString(), "(c, 3)");
+  EXPECT_EQ(original.rows(), 2u);
+  EXPECT_EQ(original.col(0).size(), 2u);
+  EXPECT_EQ(original.col(1).size(), 2u);
+  EXPECT_EQ(original.ToRelation().ToTable(), rel.ToTable());
+}
+
+// A projection passes an attribute through by sharing its input column;
+// writing either table afterwards leaves the other as it was.
+TEST(ColumnTableTest, ColumnSharedByAProjectionStaysIntact) {
+  const Relation rel = ConventionalRel({{"a", 1}, {"b", 2}});
+  ColumnTable in = ColumnTable::FromRelation(rel);
+  Schema out_schema;
+  out_schema.Add(Attribute{"V", ValueType::kInt});
+  out_schema.Add(Attribute{"W", ValueType::kInt});
+  ColumnTable proj(out_schema);
+  proj.ShareCol(0, in, 1);
+  proj.ShareCol(1, in, 1);  // one attribute projected twice
+  proj.CommitRows(in.rows());
+  EXPECT_EQ(&proj.col(0), &in.col(1));
+  EXPECT_EQ(&proj.col(1), &in.col(1));
+
+  proj.mutable_col(0).AppendValue(Value::Int(7));
+  proj.mutable_col(1).AppendValue(Value::Int(8));
+  proj.CommitRows(1);
+  EXPECT_EQ(proj.ToRelation().tuple(2).ToString(), "(7, 8)");
+  EXPECT_EQ(in.ToRelation().ToTable(), rel.ToTable());
+
+  in.mutable_col(0).AppendValue(Value::String("c"));
+  in.mutable_col(1).AppendValue(Value::Int(3));
+  in.CommitRows(1);
+  EXPECT_EQ(proj.ToRelation().tuple(0).ToString(), "(1, 1)");
+  EXPECT_EQ(proj.rows(), 3u);
+  EXPECT_EQ(proj.col(0).size(), 3u);
+}
+
+TEST(CatalogTest, ColumnarTwinIsBuiltOncePerRelationVersion) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .RegisterWithInferredFlags(
+                      "R", ConventionalRel({{"a", 1}, {"b", 2}}))
+                  .ok());
+  int builds = 0;
+  auto build = [&builds](const Relation& r) {
+    ++builds;
+    return ColumnTable::FromRelation(r);
+  };
+  const ColumnTable first = catalog.Columns("R", build);
+  const ColumnTable again = catalog.Columns("R", build);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(&first.col(0), &again.col(0));  // one twin, shared
+
+  // A copy shares the built twin. Update gives the original a fresh twin
+  // and leaves the copy's alone.
+  const Catalog copy = catalog;
+  CatalogEntry entry;
+  entry.data = ConventionalRel({{"c", 3}});
+  ASSERT_TRUE(catalog.Update("R", entry).ok());
+  EXPECT_EQ(catalog.Columns("R", build).rows(), 1u);
+  EXPECT_EQ(builds, 2);
+  const ColumnTable old = copy.Columns("R", build);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(&old.col(0), &first.col(0));
+  EXPECT_EQ(old.ToRelation().ToTable(), first.ToRelation().ToTable());
+
+  // Drop releases the twin; a re-registered relation gets a new one.
+  EXPECT_TRUE(catalog.Drop("R"));
+  ASSERT_TRUE(catalog
+                  .RegisterWithInferredFlags(
+                      "R", ConventionalRel({{"d", 4}, {"e", 5}, {"f", 6}}))
+                  .ok());
+  EXPECT_EQ(catalog.Columns("R", build).rows(), 3u);
+  EXPECT_EQ(builds, 3);
+}
+
+TEST(CatalogTest, ConcurrentFirstCallsBuildTheTwinOnce) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .RegisterWithInferredFlags(
+                      "R", testing_util::RandomTemporal(5, 300))
+                  .ok());
+  std::atomic<int> builds{0};
+  std::atomic<size_t> ready{0};
+  std::vector<ColumnTable> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < got.size()) std::this_thread::yield();
+      got[t] = catalog.Columns("R", [&builds](const Relation& r) {
+        builds.fetch_add(1);
+        return ColumnTable::FromRelation(r);
+      });
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(builds.load(), 1);
+  for (const ColumnTable& t : got) EXPECT_EQ(&t.col(0), &got[0].col(0));
+  EXPECT_EQ(got[0].ToRelation().ToTable(), catalog.Find("R")->data.ToTable());
 }
 
 TEST(RelationTest, ToTableRendersAllCells) {

@@ -797,16 +797,34 @@ TEST(EngineTraceTest, VexecTraceIncludesMorselSpans) {
   JsonValue v = MustParse(result->trace_json);
   size_t vexec_spans = 0, morsel_like = 0;
   std::set<double> tids;
+  // The first vectorized query on the engine builds R's columnar twin; the
+  // root's conversion back to rows has a span of its own.
+  std::string twin_rows, to_rows;
   for (const JsonValue& ev : v.Find("traceEvents")->array) {
-    if (ev.Find("cat")->str == "vexec") ++vexec_spans;
+    if (ev.Find("cat")->str != "vexec") continue;
+    ++vexec_spans;
     const std::string& name = ev.Find("name")->str;
     if (name == "morsel" || name == "task" || name == "units") {
       ++morsel_like;
       tids.insert(ev.Find("tid")->number);
     }
+    if (name == "twin_build") twin_rows = ev.Find("args")->Find("rows")->str;
+    if (name == "to_rows") to_rows = ev.Find("args")->Find("rows")->str;
   }
   EXPECT_GT(vexec_spans, 0u);
   EXPECT_GT(morsel_like, 0u);  // the pool's per-morsel spans made it out
+  EXPECT_EQ(twin_rows,
+            std::to_string(engine.catalog().Find("R")->data.size()));
+  EXPECT_EQ(to_rows, std::to_string(result->relation.size()));
+
+  // A second query scans the built twin: no build span.
+  Result<QueryResult> again = engine.Query(
+      "VALIDTIME SELECT DISTINCT Name FROM R ORDER BY Name ASC", run);
+  ASSERT_TRUE(again.ok());
+  JsonValue again_trace = MustParse(again->trace_json);
+  for (const JsonValue& ev : again_trace.Find("traceEvents")->array) {
+    EXPECT_NE(ev.Find("name")->str, "twin_build");
+  }
 }
 
 // ---- Slow-query log --------------------------------------------------------

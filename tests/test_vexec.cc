@@ -10,7 +10,9 @@
 // must also agree, since both executors compute it from the same formulas.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine.h"
@@ -156,6 +158,20 @@ Relation WithNulls() {
   return r;
 }
 
+/// A conventional relation whose Gap column is NULL in every row.
+Relation WithNullColumn() {
+  Schema s;
+  s.Add(Attribute{"Name", ValueType::kString});
+  s.Add(Attribute{"Gap", ValueType::kInt});
+  s.Add(Attribute{"Val", ValueType::kInt});
+  Relation r(s);
+  for (int64_t i = 0; i < 7; ++i) {
+    r.Append(Tuple({Value::String(i % 3 == 0 ? "a" : "b"), Value::Null(),
+                    Value::Int(10 * (i % 4))}));
+  }
+  return r;
+}
+
 /// A skewed temporal relation: Zipf-drawn Name and Val over small domains
 /// plus bursts of chained overlaps, so some value-equivalence classes and
 /// Name groups hold hundreds of members with long overlap chains, and a
@@ -271,6 +287,9 @@ Catalog MakeCatalog(uint64_t seed) {
   TQP_CHECK(catalog
                 .RegisterWithInferredFlags("H2", EdgeCases(true), Site::kDbms)
                 .ok());
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("G", WithNullColumn(), Site::kDbms)
+                .ok());
   return catalog;
 }
 
@@ -309,6 +328,48 @@ std::vector<std::pair<std::string, PlanPtr>> AllOperatorPlans() {
   plans.emplace_back("select", PlanNode::Select(R(), pred));
   plans.emplace_back("select-string", PlanNode::Select(R(), name_eq));
   plans.emplace_back("project-arith", PlanNode::Project(C(), proj));
+  // Projections whose attribute items share their input column.
+  auto G = [] { return PlanNode::Scan("G"); };
+  plans.emplace_back(
+      "project-rename",
+      PlanNode::Project(C(), {ProjItem::Rename("Name", "Who"),
+                              ProjItem::Pass("Val")}));
+  plans.emplace_back(
+      "project-twice",
+      PlanNode::Sort(PlanNode::Project(C(), {ProjItem::Pass("Val"),
+                                             ProjItem::Rename("Val", "V2")}),
+                     {{"V2", false}}));
+  plans.emplace_back(
+      "project-mixed",
+      PlanNode::Project(
+          C(), {ProjItem::Pass("Cat"),
+                ProjItem{Expr::Arith(ArithOp::kMul, Expr::Attr("Val"),
+                                     Expr::Const(Value::Int(2))),
+                         "V2"},
+                ProjItem::Rename("Name", "Who"),
+                ProjItem{Expr::Arith(ArithOp::kAdd, Expr::Attr("Val"),
+                                     Expr::Attr("Cat")),
+                         "VC"},
+                ProjItem::Pass("Val")}));
+  plans.emplace_back(
+      "project-time",
+      PlanNode::Project(R(), {ProjItem::Pass("Name"),
+                              ProjItem::Rename(kT1, "Start"),
+                              ProjItem::Pass(kT1), ProjItem::Pass(kT2)}));
+  plans.emplace_back(
+      "project-null-column",
+      PlanNode::Project(
+          G(), {ProjItem::Pass("Gap"), ProjItem::Pass("Name"),
+                ProjItem{Expr::Arith(ArithOp::kAdd, Expr::Attr("Gap"),
+                                     Expr::Attr("Val")),
+                         "GV"}}));
+  plans.emplace_back(
+      "project-null-column-rdup",
+      PlanNode::Rdup(PlanNode::Project(
+          G(), {ProjItem::Pass("Gap"), ProjItem::Pass("Name")})));
+  plans.emplace_back(
+      "project-unknown",
+      PlanNode::Project(C(), {ProjItem::Pass("Name"), ProjItem::Pass("Nope")}));
   plans.emplace_back("union-all", PlanNode::UnionAll(R(), S()));
   plans.emplace_back("union-max", PlanNode::Union(C(), D()));
   plans.emplace_back("difference", PlanNode::Difference(C(), D()));
@@ -671,6 +732,137 @@ TEST(VexecParity, FigureThreeRdupT) {
               "fig3-rdupt/" + cfg_name);
     CheckPlan(PlanNode::Coalesce(PlanNode::Scan("R1")), catalog, config,
               "fig3-coalesce/" + cfg_name);
+  }
+}
+
+// ---- Columnar twins ---------------------------------------------------------
+
+/// Every operator plan on `catalog`, against the reference.
+void CheckAllPlans(const Catalog& catalog, const std::string& step) {
+  for (const auto& [plan_name, plan] : AllOperatorPlans()) {
+    CheckPlan(plan, catalog, EngineConfig(), step + "/" + plan_name);
+  }
+}
+
+// A twin belongs to one relation version: after Update, and after Drop plus
+// re-Register, vectorized scans return the new contents.
+TEST(VexecTwin, ScansFollowCatalogMutations) {
+  Catalog catalog = MakeCatalog(61);
+  CheckAllPlans(catalog, "before");  // builds every twin
+  CatalogEntry r;
+  r.data = Messy(62, 35);
+  ASSERT_TRUE(catalog.Update("R", r).ok());
+  CatalogEntry c;
+  c.data = MessyConventional(63, 25);
+  ASSERT_TRUE(catalog.Update("C", c).ok());
+  CheckAllPlans(catalog, "updated");
+  ASSERT_TRUE(catalog.Drop("S"));
+  ASSERT_TRUE(
+      catalog.RegisterWithInferredFlags("S", Messy(64, 20), Site::kDbms).ok());
+  CheckAllPlans(catalog, "re-registered");
+  for (const char* name : {"R", "C", "S"}) {
+    Result<Relation> scan =
+        ExecuteVectorizedPlan(PlanNode::Scan(name), catalog);
+    ASSERT_TRUE(scan.ok()) << name;
+    ExpectListIdentical(catalog.Find(name)->data, scan.value(), name);
+  }
+}
+
+// A Catalog copy shares the twins built before it was taken; an update of
+// the original replaces the original's twin and leaves the copy's alone.
+TEST(VexecTwin, CatalogCopyKeepsScanningItsContents) {
+  Catalog original = MakeCatalog(71);
+  CheckAllPlans(original, "original");  // builds every twin
+  Catalog copy = original;
+  const Relation old_r = copy.Find("R")->data;
+  CatalogEntry r;
+  r.data = Messy(72, 33);
+  ASSERT_TRUE(original.Update("R", r).ok());
+  CheckAllPlans(copy, "copy");
+  CheckAllPlans(original, "updated original");
+  Result<Relation> from_copy = ExecuteVectorizedPlan(PlanNode::Scan("R"), copy);
+  ASSERT_TRUE(from_copy.ok());
+  ExpectListIdentical(old_r, from_copy.value(), "copy scan");
+  Result<Relation> from_original =
+      ExecuteVectorizedPlan(PlanNode::Scan("R"), original);
+  ASSERT_TRUE(from_original.ok());
+  ExpectListIdentical(r.data, from_original.value(), "original scan");
+}
+
+// Engine::MutateCatalog replaces the twin of the relation it updates.
+TEST(VexecTwin, EngineMutationsReachVectorizedScans) {
+  Catalog catalog = MakeCatalog(67);
+  EngineOptions vec_opts;
+  vec_opts.executor = ExecutorKind::kVectorized;
+  vec_opts.vexec_threads = 4;
+  Engine ref_engine(catalog, EngineOptions());
+  Engine vec_engine(catalog, vec_opts);
+  const std::vector<std::string> queries = {
+      "SELECT Name, Val FROM C WHERE Val > 200 ORDER BY Val DESC",
+      "VALIDTIME COALESCED SELECT DISTINCT Name FROM R",
+  };
+  auto check = [&](const std::string& step) {
+    for (const std::string& q : queries) {
+      Result<QueryResult> ref = ref_engine.Query(q);
+      Result<QueryResult> vec = vec_engine.Query(q);
+      ASSERT_TRUE(ref.ok() && vec.ok()) << step << ": " << q;
+      ExpectListIdentical(ref->relation, vec->relation, step + ": " + q);
+    }
+  };
+  check("before");
+  auto update = [](Catalog& c) {
+    CatalogEntry conventional;
+    conventional.data = MessyConventional(68, 26);
+    TQP_RETURN_IF_ERROR(c.Update("C", conventional));
+    CatalogEntry temporal;
+    temporal.data = Messy(69, 31);
+    return c.Update("R", temporal);
+  };
+  ASSERT_TRUE(ref_engine.MutateCatalog(update).ok());
+  ASSERT_TRUE(vec_engine.MutateCatalog(update).ok());
+  check("after MutateCatalog");
+}
+
+// Four sessions run their first vectorized queries at once on a fresh
+// engine: their scans of R and S race to build the twins, which are built
+// once, and every session gets the reference result.
+TEST(VexecTwin, ConcurrentFirstQueriesMatchTheReference) {
+  const Catalog catalog = MakeCatalog(73);
+  const std::vector<std::string> queries = {
+      "VALIDTIME SELECT DISTINCT Name FROM R ORDER BY Name ASC",
+      "SELECT Name FROM R UNION SELECT Name FROM S",
+      "VALIDTIME COALESCED SELECT DISTINCT Name FROM R",
+      "SELECT Cat, COUNT(*) AS n FROM R GROUP BY Cat ORDER BY Cat",
+  };
+  Engine ref_engine(catalog, EngineOptions());
+  std::vector<Relation> want;
+  for (const std::string& q : queries) {
+    Result<QueryResult> ref = ref_engine.Query(q);
+    ASSERT_TRUE(ref.ok()) << q;
+    want.push_back(ref->relation);
+  }
+  EngineOptions vec_opts;
+  vec_opts.executor = ExecutorKind::kVectorized;
+  vec_opts.vexec_threads = 2;
+  Engine vec_engine(catalog, vec_opts);
+  std::vector<Relation> got(queries.size());
+  std::vector<int> ok(queries.size(), 0);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> sessions;
+  for (size_t t = 0; t < queries.size(); ++t) {
+    sessions.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < queries.size()) std::this_thread::yield();
+      Result<QueryResult> r = vec_engine.Query(queries[t]);
+      if (!r.ok()) return;
+      ok[t] = 1;
+      got[t] = r->relation;
+    });
+  }
+  for (std::thread& s : sessions) s.join();
+  for (size_t t = 0; t < queries.size(); ++t) {
+    ASSERT_TRUE(ok[t]) << queries[t];
+    ExpectListIdentical(want[t], got[t], queries[t]);
   }
 }
 
