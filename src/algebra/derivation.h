@@ -113,8 +113,8 @@ struct NodeInfo {
 /// default no locks are taken (the single-threaded path is lock-free);
 /// EnableConcurrentAccess() makes concurrent Find/Derive safe — entry values
 /// are pure functions of the node, so racing derivations of the same node
-/// compute identical info and the first insert wins. The parallel
-/// enumeration driver and tqp::Engine's shared session cache rely on this.
+/// compute identical info and the first insert wins. tqp::Engine's shared
+/// session cache relies on this.
 class DerivationCache {
  public:
   /// Derives (memoized) the bottom-up information of every node in `plan`,

@@ -64,13 +64,12 @@ class PlanInterner {
 
   /// Switches the table to concurrent mode: every probe/insert takes the
   /// striped lock of the shard it touches. One-way (the flag is a monotonic
-  /// relaxed atomic, so concurrent re-enables — e.g. every parallel search
-  /// over one session interner — are benign), and must be called before the
-  /// table is first shared between threads. Interning stays deterministic
-  /// in what it *stores* (the set of canonical nodes is a pure function of
-  /// the set of interned plans); only which racing thread's
-  /// structurally-equal node becomes the canonical object depends on timing,
-  /// and pointer values are never observable in results.
+  /// relaxed atomic, so concurrent re-enables are benign), and must be
+  /// called before the table is first shared between threads. Interning
+  /// stays deterministic in what it *stores* (the set of canonical nodes is
+  /// a pure function of the set of interned plans); only which racing
+  /// thread's structurally-equal node becomes the canonical object depends
+  /// on timing, and pointer values are never observable in results.
   void EnableConcurrentAccess() {
     concurrent_.store(true, std::memory_order_relaxed);
   }

@@ -90,8 +90,9 @@ struct EngineOptions {
   /// TQL → initial plan (layered architecture on/off).
   TranslatorOptions translator;
   /// Figure 5 search knobs, including the frontier strategy (breadth-first
-  /// vs cost-directed best-first), the pruning/expansion budgets, and
-  /// `num_threads` for the parallel driver. `fill_canonical` defaults OFF
+  /// vs cost-directed best-first) and the pruning/expansion budgets. Each
+  /// query's search runs serially on its calling thread; concurrent sessions
+  /// share the interner and derivation cache. `fill_canonical` defaults OFF
   /// here — the facade never asserts on canonical strings — unlike the bare
   /// EnumeratePlans default, which stays on for the string-asserting tests
   /// and benches.

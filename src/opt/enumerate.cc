@@ -1,12 +1,16 @@
 #include "opt/enumerate.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <optional>
-#include <thread>
+#include <queue>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
+#include "algebra/intern.h"
 #include "core/trace.h"
-#include "opt/enumerate_internal.h"
 
 namespace tqp {
 
@@ -64,16 +68,33 @@ bool IsOrderSafeAcrossSites(const std::string& rule_id) {
 
 namespace {
 
-using enumerate_internal::CandidateEvent;
-using enumerate_internal::EnumerateMemoParallel;
-using enumerate_internal::kMaxUnfoldedPlanSize;
-using enumerate_internal::PlanExpander;
-using enumerate_internal::SearchState;
+// Bound on a plan's unfolded (per-occurrence) node count: the per-plan walks
+// are linear in it, and adversarial DAG chains could otherwise make it
+// exponential in the node count.
+constexpr size_t kMaxUnfoldedPlanSize = 1u << 20;
+
+// Section 4.5: ≡L rules are weakened to ≡M when the location spans DBMS-site
+// operations, except the order-safe sort rules.
+EquivalenceType EffectiveEquivalence(const Rule& rule, const RuleMatch& match,
+                                     const PlanContext& ctx) {
+  EquivalenceType effective = rule.equivalence();
+  if (effective == EquivalenceType::kList &&
+      !IsOrderSafeAcrossSites(rule.id())) {
+    for (const PlanNode* op : match.location) {
+      if (ctx.info(op).site == Site::kDbms) {
+        return EquivalenceType::kMultiset;
+      }
+    }
+  }
+  return effective;
+}
 
 // The seed implementation: canonical-string dedup, a full rule × location
 // scan per plan, and two annotation passes per distinct plan. Retained
-// verbatim as the "before" side of bench_fig5_enumeration's A/B comparison;
-// it must keep producing the identical plan sequence as the memo path.
+// verbatim as the reference tests/test_plan_identity.cc checks the memo
+// search against and as the "before" side of bench_fig5_enumeration's A/B
+// comparison; it must keep producing the identical plan sequence as the
+// memo path.
 Result<EnumerationResult> EnumerateLegacy(const PlanPtr& initial,
                                           const Catalog& catalog,
                                           const QueryContract& contract,
@@ -138,7 +159,7 @@ Result<EnumerationResult> EnumerateLegacy(const PlanPtr& initial,
         ++result.matches;
 
         EquivalenceType effective =
-            enumerate_internal::EffectiveEquivalence(rule, *match, ann);
+            EffectiveEquivalence(rule, *match, ann);
         if (options.admitted.count(effective) == 0) continue;
         if (!RuleAdmitted(effective, match->location, ann)) {
           ++result.gated_out;
@@ -170,12 +191,371 @@ Result<EnumerationResult> EnumerateLegacy(const PlanPtr& initial,
   return result;
 }
 
-// The serial memo path: hash-consed plans, pointer-keyed dedup, path-copy
+// Canonical strings of interned plans, memoized per canonical node so the
+// serialization of a shared subtree is built once across the whole plan
+// space. Produces byte-identical output to CanonicalString().
+class CanonicalCache {
+ public:
+  const std::string& Of(const PlanPtr& plan) {
+    auto it = memo_.find(plan.get());
+    if (it != memo_.end()) return it->second;
+    std::string out = plan->Describe();
+    if (!plan->children().empty()) {
+      out += "(";
+      for (size_t i = 0; i < plan->children().size(); ++i) {
+        if (i > 0) out += ",";
+        out += Of(plan->child(i));
+      }
+      out += ")";
+    }
+    return memo_.emplace(plan.get(), std::move(out)).first->second;
+  }
+
+ private:
+  std::unordered_map<const PlanNode*, std::string> memo_;
+};
+
+// The frontier of unexpanded plan indices. Breadth-first consumes admitted
+// plans in index order (the exact Figure 5 worklist); best-first pops the
+// cheapest plan first, breaking cost ties on the admission index so repeated
+// runs pop in the identical order.
+class Frontier {
+ public:
+  explicit Frontier(bool best_first) : best_first_(best_first) {}
+
+  /// Breadth-first reads plans straight out of result.plans, so only the
+  /// best-first heap needs explicit pushes.
+  void Push(size_t index, double cost) {
+    if (best_first_) heap_.emplace(cost, index);
+  }
+
+  /// Next plan index to consider, or nullopt when the frontier is drained.
+  /// `admitted` is the current result.plans.size().
+  std::optional<size_t> Pop(size_t admitted) {
+    if (best_first_) {
+      if (heap_.empty()) return std::nullopt;
+      size_t index = heap_.top().second;
+      heap_.pop();
+      return index;
+    }
+    if (next_ >= admitted) return std::nullopt;
+    return next_++;
+  }
+
+ private:
+  bool best_first_;
+  size_t next_ = 0;  // breadth-first cursor
+  // (cost, admission index), cheapest first; index tie-break via
+  // std::greater on the pair.
+  std::priority_queue<std::pair<double, size_t>,
+                      std::vector<std::pair<double, size_t>>,
+                      std::greater<std::pair<double, size_t>>>
+      heap_;
+};
+
+// The memo search: hash-consed plans, pointer-keyed dedup, path-copy
 // rewrites, one annotation per distinct plan against a shared bottom-up
-// cache, and optional cost-bounded pruning. Structured as expand-then-replay
-// over the shared SearchState so that the parallel driver — which runs the
-// same replay against events computed on worker threads — is byte-identical
-// by construction.
+// cache, and optional cost-bounded pruning. The driver pops a plan
+// (NextToExpand) and expands it (Expand); expansion admits each rule match
+// on the spot, so the admitted sequence is the Figure 5 worklist's.
+class MemoSearch {
+ public:
+  MemoSearch(const Catalog& catalog, const QueryContract& contract,
+             const std::vector<Rule>& rules, const EnumerationOptions& options,
+             PlanInterner& interner, DerivationCache& cache)
+      : catalog_(catalog),
+        contract_(contract),
+        rules_(rules),
+        options_(options),
+        interner_(interner),
+        cache_(cache),
+        pruning_(options.cost_prune_factor > 0.0),
+        best_first_(options.strategy == SearchStrategy::kBestFirst),
+        costing_(pruning_ || best_first_),
+        frontier_(best_first_),
+        // Costing runs against a context backed solely by the shared
+        // derivation cache: each plan is costed right after it is derived,
+        // so every bottom-up fact it needs is present, and the context
+        // cannot read the *expanding* plan's props table or occurrence
+        // window (which describe the parent, not the rewritten plan).
+        cost_ctx_(&cache, /*props=*/nullptr, &contract_),
+        ctx_(&cache, &props_, &contract_),
+        root_props_{contract.result_type == ResultType::kList,
+                    contract.result_type != ResultType::kSet,
+                    /*period_preserving=*/true} {
+    memo_.reserve(std::min<size_t>(options.max_plans, 4096) + 1);
+  }
+
+  /// Interns, validates, and admits the initial plan; must be called once
+  /// before the driver loop.
+  Status Start(const PlanPtr& initial) {
+    PlanPtr root = interner_.Intern(initial);
+    TQP_RETURN_IF_ERROR(cache_.Derive(root, catalog_, options_.cardinality));
+    size_cap_ = root->subtree_size() + options_.max_plan_growth;
+    result_.plans.push_back(
+        EnumeratedPlan{root, CanonOf(root), root->fingerprint(), -1, ""});
+    memo_[root->fingerprint()].push_back(0);
+    if (costing_) {
+      // The root is costed only now, after cache.Derive(root) above made its
+      // bottom-up facts (cardinalities, sites) available.
+      best_cost_ = EstimatePlanCost(root, cost_ctx_, options_.cost_engine);
+      result_.costs.push_back(best_cost_);
+    }
+    frontier_.Push(0, costing_ ? result_.costs[0] : 0.0);
+    return Status::OK();
+  }
+
+  /// The driver loop head: pops the next plan to consider and applies the
+  /// pruning decision and expansion budget. Returns the index to expand, or
+  /// nullopt when the search is over (frontier drained, plan cap, or budget
+  /// exhausted — the cap/budget cases also set `truncated`).
+  std::optional<size_t> NextToExpand() {
+    while (true) {
+      if (result_.plans.size() >= options_.max_plans) {
+        result_.truncated = true;
+        return std::nullopt;
+      }
+      std::optional<size_t> popped = frontier_.Pop(result_.plans.size());
+      if (!popped.has_value()) return std::nullopt;
+      size_t p = *popped;
+      // The pruning decision happens at pop time, against the bound as it
+      // stands now. best_cost only ever tightens, so a plan failing here
+      // could never pass later: pruned plans are final, never re-queued,
+      // and every admitted plan is popped exactly once unless a budget ends
+      // the search first, which makes cost_pruned deterministic under both
+      // strategies.
+      if (pruning_ &&
+          result_.costs[p] > best_cost_ * options_.cost_prune_factor) {
+        ++result_.cost_pruned;
+        continue;
+      }
+      if (options_.max_expansions > 0 &&
+          result_.expanded >= options_.max_expansions) {
+        // Expansion budget exhausted with this (unpruned) plan still
+        // pending.
+        result_.truncated = true;
+        return std::nullopt;
+      }
+      ++result_.expanded;
+      return p;
+    }
+  }
+
+  /// Expands plan `p`: the Table 2 props walk, then every rule at every
+  /// location in the Figure 5 order, each match admitted on the spot. Stops
+  /// as soon as the plan cap is reached. Fails only on an internal
+  /// derivation-cache miss.
+  Status Expand(size_t p) {
+    // By value: admission appends to result_.plans, which may reallocate.
+    const PlanPtr plan = result_.plans[p].plan;
+    props_.clear();
+    props_.reserve(plan->subtree_size());
+    walk_ok_ = true;
+    VisitProps(plan, root_props_);
+    if (!walk_ok_) {
+      return Status::Error(
+          "internal: derivation cache miss while computing Table 2 "
+          "properties");
+    }
+
+    locations_.clear();
+    CollectLocations(plan, &locations_);
+    for (auto& bucket : by_kind_) bucket.clear();
+    for (uint32_t i = 0; i < locations_.size(); ++i) {
+      by_kind_[static_cast<size_t>(locations_[i].node->kind())].push_back(i);
+    }
+
+    // Rule × location: per-kind buckets preserve pre-order within a kind,
+    // so candidates arrive in the order a full pre-order scan per rule
+    // would produce them.
+    for (const Rule& rule : rules_) {
+      const std::vector<OpKind>& kinds = rule.root_kinds();
+      if (kinds.size() == 1) {
+        for (uint32_t li : by_kind_[static_cast<size_t>(kinds[0])]) {
+          if (!TryLocation(rule, li, plan, p)) return Status::OK();
+        }
+      } else {
+        for (uint32_t li = 0; li < locations_.size(); ++li) {
+          if (!rule.MatchesRootKind(locations_[li].node->kind())) continue;
+          if (!TryLocation(rule, li, plan, p)) return Status::OK();
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Finalizes counters and hands the result out.
+  EnumerationResult Finish() {
+    if (result_.plans.size() >= options_.max_plans) result_.truncated = true;
+    result_.interner_nodes = interner_.unique_nodes();
+    result_.interner_hits = interner_.hits();
+    result_.cache_nodes = cache_.size();
+    return std::move(result_);
+  }
+
+  size_t matches() const { return result_.matches; }
+
+ private:
+  // Computes the Table 2 properties of every node occurrence of `plan`, one
+  // entry per occurrence in pre-order — the same order CollectLocations
+  // uses, so occurrence i of the props table is location i. The walk
+  // touches exactly subtree_size() occurrences, which the enumeration's
+  // size bound keeps small. Every node of an expanded plan was derived into
+  // the cache when the plan was admitted, so a miss here means the cache
+  // and the plan set went out of sync — an internal invariant violation,
+  // never valid input. DCHECK loudly in debug builds; in release, flag the
+  // walk as failed so the enumeration surfaces an error status instead of
+  // dereferencing null.
+  void VisitProps(const PlanPtr& node, const NodeProps& p) {
+    props_.push_back({node.get(), p});
+    for (size_t i = 0; i < node->arity(); ++i) {
+      bool ldf = false, lsdf = false, csdf = false;
+      switch (node->kind()) {
+        case OpKind::kDifference:
+        case OpKind::kDifferenceT: {
+          const NodeInfo* left = cache_.Find(node->child(0).get());
+          TQP_DCHECK(left != nullptr &&
+                     "derivation cache miss under a difference node");
+          if (left == nullptr) {
+            walk_ok_ = false;
+            return;
+          }
+          ldf = left->duplicate_free;
+          lsdf = left->snapshot_duplicate_free;
+          break;
+        }
+        case OpKind::kCoalesce: {
+          const NodeInfo* child = cache_.Find(node->child(i).get());
+          TQP_DCHECK(child != nullptr &&
+                     "derivation cache miss under a coalesce node");
+          if (child == nullptr) {
+            walk_ok_ = false;
+            return;
+          }
+          csdf = child->snapshot_duplicate_free;
+          break;
+        }
+        default:
+          break;
+      }
+      VisitProps(node->child(i), DeriveChildProps(*node, i, p, ldf, lsdf, csdf));
+      if (!walk_ok_) return;
+    }
+  }
+
+  // One rule application attempt at location index `li` of plan `p`: a
+  // match is counted, gated, and — when admissible — admitted. Returns
+  // false once the plan cap is reached (stop expanding).
+  bool TryLocation(const Rule& rule, uint32_t li, const PlanPtr& plan,
+                   size_t p) {
+    const PlanLocation& loc = locations_[li];
+    if (!rule.MatchesChild0(*loc.node)) return true;
+    // Gate against the matched occurrence(s) only: restrict property
+    // lookups to the pre-order span of the matched subtree.
+    ctx_.SetOccurrenceWindow(li, li + loc.node->subtree_size());
+    std::optional<RuleMatch> match = rule.TryApply(loc.node, ctx_);
+    if (!match.has_value()) return true;
+    ++result_.matches;
+
+    EquivalenceType effective = EffectiveEquivalence(rule, *match, ctx_);
+    if (options_.admitted.count(effective) == 0) return true;
+    if (!RuleAdmitted(effective, match->location, ctx_)) {
+      ++result_.gated_out;
+      return true;
+    }
+    ++result_.admitted;
+    // O(1) size bound check before any rewriting happens.
+    size_t new_size = plan->subtree_size() - loc.node->subtree_size() +
+                      match->replacement->subtree_size();
+    if (new_size > size_cap_) return true;
+    return Admit(rule, plan, p, loc.path, std::move(match->replacement));
+  }
+
+  // The memo step for "`plan` with the subtree at `path` replaced by
+  // `replacement`". The probe needs only the would-be root fingerprint
+  // (FingerprintAtPath walks the spine without constructing a node) and
+  // confirms a hit structurally, so fingerprint collisions can never merge
+  // distinct plans and a duplicate candidate allocates nothing. A confirmed
+  // miss is interned, validated, costed, and pushed onto the frontier.
+  // Returns false once the plan cap is reached.
+  bool Admit(const Rule& rule, const PlanPtr& plan, size_t p,
+             const PlanPath& path, PlanPtr replacement) {
+    uint64_t fingerprint =
+        FingerprintAtPath(plan, path, replacement->fingerprint());
+    if (auto bucket = memo_.find(fingerprint); bucket != memo_.end()) {
+      for (size_t idx : bucket->second) {
+        if (EqualsWithReplacement(result_.plans[idx].plan, plan, path,
+                                  replacement)) {
+          ++result_.memo_hits;
+          return true;
+        }
+      }
+    }
+    PlanPtr rewritten =
+        interner_.RewriteInterned(plan, path, std::move(replacement));
+    TQP_DCHECK(rewritten->fingerprint() == fingerprint);
+    // Validate: only nodes the cache has never seen (the rebuilt spine) are
+    // actually derived; a cached node heads a known-valid subtree. An
+    // invalid composition is dropped and not memoized.
+    if (!cache_.Derive(rewritten, catalog_, options_.cardinality).ok()) {
+      return true;
+    }
+    double cost = 0.0;
+    if (costing_) {
+      // Costed against cost_ctx_, never the expansion's window-scoped
+      // context. cache_.Derive just ran, so every bottom-up fact the cost
+      // model reads is present.
+      cost = EstimatePlanCost(rewritten, cost_ctx_, options_.cost_engine);
+    }
+    size_t index = result_.plans.size();
+    memo_[fingerprint].push_back(index);
+    result_.plans.push_back(EnumeratedPlan{rewritten, CanonOf(rewritten),
+                                           fingerprint, static_cast<int>(p),
+                                           rule.id()});
+    if (costing_) {
+      result_.costs.push_back(cost);
+      if (cost < best_cost_) best_cost_ = cost;
+    }
+    frontier_.Push(index, cost);
+    return result_.plans.size() < options_.max_plans;
+  }
+
+  std::string CanonOf(const PlanPtr& p) {
+    // Canonical strings are presentation-only here (identity is the
+    // fingerprint-keyed memo); skip serialization entirely when the caller
+    // doesn't assert on them.
+    return options_.fill_canonical ? canon_.Of(p) : std::string();
+  }
+
+  const Catalog& catalog_;
+  const QueryContract& contract_;
+  const std::vector<Rule>& rules_;
+  const EnumerationOptions& options_;
+  PlanInterner& interner_;
+  DerivationCache& cache_;
+  const bool pruning_;
+  const bool best_first_;
+  const bool costing_;
+
+  EnumerationResult result_;
+  // The memo over admitted plans: fingerprint -> indices in result_.plans (a
+  // bucket longer than one only on a fingerprint collision).
+  std::unordered_map<uint64_t, std::vector<size_t>> memo_;
+  Frontier frontier_;
+  CanonicalCache canon_;
+  PlanContext cost_ctx_;
+  double best_cost_ = 0.0;
+  size_t size_cap_ = 0;
+
+  // Per-expansion scratch.
+  PlanContext::PropsTable props_;
+  PlanContext ctx_;
+  NodeProps root_props_;
+  bool walk_ok_ = true;
+  std::vector<PlanLocation> locations_;
+  std::array<std::vector<uint32_t>, kOpKindCount> by_kind_;
+};
+
 Result<EnumerationResult> EnumerateMemo(const PlanPtr& initial,
                                         const Catalog& catalog,
                                         const QueryContract& contract,
@@ -196,27 +576,19 @@ Result<EnumerationResult> EnumerateMemo(const PlanPtr& initial,
   PlanInterner& interner = ext_interner ? *ext_interner : local_interner;
   DerivationCache& cache = ext_derivation ? *ext_derivation : local_derivation;
 
-  SearchState state(catalog, contract, options, interner, cache);
-  TQP_RETURN_IF_ERROR(state.Start(initial));
-  PlanExpander expander(cache, contract, rules, options, state.size_cap());
-
-  std::vector<CandidateEvent> events;
-  while (true) {
-    std::optional<size_t> popped = state.NextToExpand();
-    if (!popped.has_value()) break;
-    size_t p = *popped;
+  MemoSearch search(catalog, contract, rules, options, interner, cache);
+  TQP_RETURN_IF_ERROR(search.Start(initial));
+  while (std::optional<size_t> p = search.NextToExpand()) {
     TraceSpan span(options.tracer, "opt", "expand");
-    events.clear();
-    TQP_RETURN_IF_ERROR(expander.Expand(state.plan(p), &events));
-    for (CandidateEvent& ev : events) {
-      if (!state.ReplayEvent(ev, p)) break;  // plan cap reached
-    }
+    size_t matches_before = search.matches();
+    TQP_RETURN_IF_ERROR(search.Expand(*p));
     if (span.active()) {
-      span.Arg("plan", static_cast<uint64_t>(p));
-      span.Arg("candidates", static_cast<uint64_t>(events.size()));
+      span.Arg("plan", static_cast<uint64_t>(*p));
+      span.Arg("candidates",
+               static_cast<uint64_t>(search.matches() - matches_before));
     }
   }
-  return state.Finish();
+  return search.Finish();
 }
 
 }  // namespace
@@ -228,34 +600,18 @@ Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
                                          const EnumerationOptions& options,
                                          PlanInterner* interner,
                                          DerivationCache* derivation) {
-  size_t threads = options.num_threads != 0
-                       ? options.num_threads
-                       : std::max<size_t>(1, std::thread::hardware_concurrency());
   TraceSpan span(options.tracer, "opt", "enumerate");
   if (span.active()) {
-    span.Arg("driver", options.use_legacy_string_dedup
-                           ? "legacy"
-                           : (threads > 1 ? "parallel" : "memo"));
+    span.Arg("driver", options.use_legacy_string_dedup ? "legacy" : "memo");
     span.Arg("strategy", options.strategy == SearchStrategy::kBestFirst
                              ? "best_first"
                              : "breadth_first");
   }
-  Result<EnumerationResult> res = [&]() -> Result<EnumerationResult> {
-    if (options.use_legacy_string_dedup) {
-      if (threads > 1) {
-        return Status::InvalidArgument(
-            "legacy enumeration is single-threaded; the parallel driver "
-            "requires the memo enumerator");
-      }
-      return EnumerateLegacy(initial, catalog, contract, rules, options);
-    }
-    if (threads > 1) {
-      return EnumerateMemoParallel(initial, catalog, contract, rules, options,
-                                   interner, derivation);
-    }
-    return EnumerateMemo(initial, catalog, contract, rules, options, interner,
-                         derivation);
-  }();
+  Result<EnumerationResult> res =
+      options.use_legacy_string_dedup
+          ? EnumerateLegacy(initial, catalog, contract, rules, options)
+          : EnumerateMemo(initial, catalog, contract, rules, options,
+                          interner, derivation);
   if (span.active() && res.ok()) {
     const EnumerationResult& r = res.value();
     span.Arg("plans", static_cast<uint64_t>(r.plans.size()));

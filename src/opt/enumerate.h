@@ -23,8 +23,10 @@
 // serialization). Rules rewrite at a location path — only the spine above
 // the rewritten node is rebuilt — and each distinct plan is annotated exactly
 // once, against a cross-plan DerivationCache of bottom-up node information.
+// Each expansion admits its rule matches on the spot, in the Figure 5 order.
 // The legacy string-dedup worklist is kept behind
-// EnumerationOptions::use_legacy_string_dedup for A/B measurement
+// EnumerationOptions::use_legacy_string_dedup as the reference of
+// tests/test_plan_identity.cc and for A/B measurement
 // (bench_fig5_enumeration); both produce the identical plan sequence.
 //
 // Frontier ordering: unexpanded plans are held in a frontier that is either
@@ -32,14 +34,6 @@
 // queue keyed by estimated plan cost with admission-index tie-break
 // (best-first, cost-directed). Cost-bounded pruning and an explicit
 // expansion budget apply under either order; see EnumerationOptions.
-//
-// Parallelism: with EnumerationOptions::num_threads > 1, worker threads
-// expand plans (rule matching, gating, candidate fingerprints — the pure,
-// memo-independent part) from a shared work-stealing frontier while the
-// calling thread replays admission serially in the exact single-threaded
-// order. The admitted plan set, derivation edges, costs, and all counters
-// are byte-identical to the serial run by construction; see
-// enumerate_internal.h for the expand/replay split.
 //
 // Termination: the default rule set excludes expanding rules (Section 6) and
 // a plan-size growth bound caps rule chains that grow plans (e.g. repeated
@@ -105,30 +99,14 @@ struct EnumerationOptions {
   /// (pruned pops do not count). 0 (default) = unlimited. Only the memo
   /// path enforces it.
   size_t max_expansions = 0;
-  /// Threads for the memo search. 1 (default) runs the serial driver — the
-  /// lock-free fast path, byte-identical to every earlier release. >1 runs
-  /// the parallel driver: worker threads expand and materialize plans from
-  /// a shared work-stealing frontier while the calling thread replays
-  /// admission serially, so the admitted plan sequence (fingerprints,
-  /// parents, rule ids, canonical strings), the per-plan costs, and every
-  /// search counter (matches, admitted, gated_out, memo_hits, cost_pruned,
-  /// expanded, truncated) are byte-identical to the num_threads=1 run under
-  /// either search strategy, with pruning and budgets included
-  /// (tests/test_parallel_enumerate.cc locks this; bench_parallel_search
-  /// gates the speedup). Only the interner/cache session totals may differ
-  /// — they additionally count speculative work. 0 = one thread per
-  /// hardware core. The parallel driver switches any session
-  /// interner/derivation pair it is given into concurrent (striped-lock)
-  /// mode permanently. The legacy string-dedup path rejects
-  /// num_threads > 1.
-  size_t num_threads = 1;
   /// Cost/cardinality models backing the pruning bound and the best-first
   /// frontier order.
   EngineConfig cost_engine;
   CardinalityParams cardinality;
   /// Run the seed implementation (canonical-string dedup, two annotation
-  /// passes per plan, no interning). Kept as the before-side of the
-  /// before/after comparison in bench_fig5_enumeration.
+  /// passes per plan, no interning). Kept as the reference the memo search
+  /// must reproduce (tests/test_plan_identity.cc) and as the before-side of
+  /// the before/after comparison in bench_fig5_enumeration.
   bool use_legacy_string_dedup = false;
   /// Fill EnumeratedPlan::canonical with the plan's canonical string. Plan
   /// identity is fingerprint/pointer-based, so the memo path only serializes
@@ -137,8 +115,8 @@ struct EnumerationOptions {
   /// its dedup key.
   bool fill_canonical = true;
   /// Per-query span recorder (core/trace.h); non-owning, nullptr = untraced.
-  /// The enumeration drivers emit one span per run with the search counters
-  /// as attributes, plus per-expansion spans on the serial memo path.
+  /// EnumeratePlans emits one span per run with the search counters as
+  /// attributes, plus one span per expansion on the memo path.
   Tracer* tracer = nullptr;
 };
 
@@ -167,10 +145,8 @@ struct EnumerationResult {
   /// (the memo path's analogue of a string-dedup rejection).
   size_t memo_hits = 0;
   /// Distinct plan nodes owned by the interning table at the end.
-  /// Session/driver totals, not search outcomes: with session caches they
-  /// accumulate across queries, and under the parallel driver they include
-  /// speculative materialization of candidates the admission loop later
-  /// dropped. All other counters are deterministic across drivers.
+  /// Session totals, not search outcomes: with session caches they
+  /// accumulate across queries.
   size_t interner_nodes = 0;
   /// Intern() visits resolved to an already-canonical node (same caveat).
   size_t interner_hits = 0;

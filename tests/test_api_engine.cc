@@ -477,8 +477,8 @@ TEST(ApiEngineTest, PlanCacheLruEviction) {
 
 TEST(ApiEngineTest, ConcurrentSessionsAreByteIdentical) {
   // M threads × K queries × R rounds against ONE shared Engine (shared plan
-  // cache, interner, derivation cache, parallel-capable enumeration): every
-  // result must be byte-identical to a fresh single-threaded engine's.
+  // cache, interner, derivation cache): every result must be byte-identical
+  // to a fresh single-threaded engine's.
   const std::vector<std::string> queries = WorkloadQueries();
 
   // Expected outcomes from isolated single-threaded engines.
@@ -494,9 +494,7 @@ TEST(ApiEngineTest, ConcurrentSessionsAreByteIdentical) {
     expected_cost[q] = r->best_cost;
   }
 
-  EngineOptions options;
-  options.enumeration.num_threads = 2;  // concurrent sessions × parallel search
-  Engine shared(WorkloadCatalog(), options);
+  Engine shared(WorkloadCatalog());
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
@@ -641,26 +639,6 @@ TEST(ApiEngineTest, CatalogMutationMidFlightNeverServesStalePlans) {
   EXPECT_EQ(post_mutation_before.load(), 0);
   EXPECT_EQ(engine.Query(query)->relation.ToTable(), after);
   EXPECT_EQ(engine.stats().invalidations, 1u);
-}
-
-TEST(ApiEngineTest, ParallelEnumerationThreadsThroughTheFacade) {
-  // An engine with num_threads = 4 serves byte-identical results, plan
-  // fingerprints, costs, and plans_considered as the serial default.
-  Engine serial(PaperCatalog());
-  EngineOptions options;
-  options.enumeration.num_threads = 4;
-  Engine parallel(PaperCatalog(), options);
-
-  Result<QueryResult> a = serial.Query(PaperQueryText());
-  Result<QueryResult> b = parallel.Query(PaperQueryText());
-  ASSERT_TRUE(a.ok() && b.ok()) << a.status().message()
-                                << b.status().message();
-  ExpectIdentical(a->relation, b->relation);
-  EXPECT_EQ(a->plan_fingerprint, b->plan_fingerprint);
-  EXPECT_EQ(a->best_cost, b->best_cost);
-  EXPECT_EQ(a->initial_cost, b->initial_cost);
-  EXPECT_EQ(a->plans_considered, b->plans_considered);
-  EXPECT_EQ(a->derivation, b->derivation);
 }
 
 TEST(ApiEngineTest, CatalogVersioning) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "algebra/intern.h"
 #include "opt/enumerate.h"
@@ -183,6 +184,76 @@ TEST(EnumerateCostTest, MaxExpansionsBudgetIsRespected) {
   ASSERT_TRUE(all.ok());
   EXPECT_FALSE(all->truncated);
   EXPECT_EQ(all->expanded, all->plans.size());
+}
+
+// FNV-1a over every plan's (parent, rule id), in admission order. Written
+// out here rather than taken from core/hash.h so that the pinned digests
+// below cannot move with a library hash.
+uint64_t DerivationDigest(const EnumerationResult& res) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const EnumeratedPlan& p : res.plans) {
+    mix(std::to_string(p.parent) + ":" + p.rule_id + ";");
+  }
+  return h;
+}
+
+TEST(EnumerateCostTest, SearchesLegacyCannotRunMatchPinnedOutcomes) {
+  // Best-first, pruning and expansion budgets have no legacy reference to
+  // compare against, so their outcomes on the running example are pinned
+  // as literals: the admitted sequence (plan count and a digest of every
+  // derivation edge) and every search counter, including where a plan cap
+  // stops the search in the middle of an expansion.
+  struct Pinned {
+    const char* name;
+    EnumerationOptions options;
+    size_t plans;
+    uint64_t digest;
+    size_t matches, admitted, gated_out, memo_hits, cost_pruned, expanded;
+    bool truncated;
+  };
+  auto capped = [](size_t max_plans) {
+    EnumerationOptions opts = Options(SearchStrategy::kBestFirst);
+    opts.max_plans = max_plans;
+    return opts;
+  };
+  // plans, digest, matches, admitted, gated_out, memo_hits, cost_pruned,
+  // expanded, truncated.
+  const Pinned cases[] = {
+      {"best-first, prune 1.5", Options(SearchStrategy::kBestFirst, 1.5),
+       103, 9252983382517759873ull, 522, 247, 275, 145, 34, 69, false},
+      {"breadth-first, prune 1.3", Options(SearchStrategy::kBreadthFirst, 1.3),
+       95, 3239595360042043921ull, 396, 191, 205, 97, 42, 53, false},
+      {"best-first, 37 expansions",
+       Options(SearchStrategy::kBestFirst, 0.0, 37),
+       75, 1680380182252620176ull, 271, 132, 139, 58, 0, 37, true},
+      {"breadth-first, 37 expansions",
+       Options(SearchStrategy::kBreadthFirst, 0.0, 37),
+       62, 7441959583271077899ull, 274, 136, 138, 75, 0, 37, true},
+      {"best-first, 17 plans", capped(17),
+       17, 7174160781263945250ull, 44, 19, 25, 3, 0, 6, true},
+      {"best-first, 120 plans", capped(120),
+       120, 14079442095459124294ull, 686, 325, 361, 206, 0, 90, true},
+  };
+  for (const Pinned& want : cases) {
+    SCOPED_TRACE(want.name);
+    Result<EnumerationResult> res = RunSearch(want.options);
+    ASSERT_TRUE(res.ok()) << res.status().message();
+    EXPECT_EQ(res->plans.size(), want.plans);
+    EXPECT_EQ(DerivationDigest(res.value()), want.digest);
+    EXPECT_EQ(res->matches, want.matches);
+    EXPECT_EQ(res->admitted, want.admitted);
+    EXPECT_EQ(res->gated_out, want.gated_out);
+    EXPECT_EQ(res->memo_hits, want.memo_hits);
+    EXPECT_EQ(res->cost_pruned, want.cost_pruned);
+    EXPECT_EQ(res->expanded, want.expanded);
+    EXPECT_EQ(res->truncated, want.truncated);
+  }
 }
 
 TEST(EnumerateCostTest, LegacyPathRejectsBestFirst) {

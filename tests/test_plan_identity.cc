@@ -1,14 +1,19 @@
 // Plan identity under hash-consing: structural fingerprints, the interning
 // table, path-based rewrites, and the memo-based enumerator's equivalence
 // with the seed (string-dedup) implementation — plan sets, derivation edges,
-// and the truncated/gated_out counters must all be preserved.
+// and the truncated/gated_out counters must all be preserved. Also the
+// striped-lock concurrent mode of the interner and the derivation cache,
+// which the Engine's shared sessions use; CI runs this suite under TSan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "algebra/intern.h"
 #include "opt/enumerate.h"
+#include "tql/translator.h"
 #include "workload/paper_example.h"
 
 namespace tqp {
@@ -131,19 +136,47 @@ TEST(PlanIdentityTest, MemoAndLegacyProduceTheIdenticalPlanSequence) {
 }
 
 TEST(PlanIdentityTest, TruncatedAndGatedOutCountersSurviveTheMemoRefactor) {
-  // Truncated run: the cap must count distinct plans admitted to the memo,
+  // Truncated runs: the cap must count distinct plans admitted to the memo,
   // not raw rule matches, and both implementations must agree on the
-  // counters.
-  EnumerationResult legacy = Enumerate(Options(60, /*legacy=*/true));
-  EnumerationResult memo = Enumerate(Options(60, /*legacy=*/false));
-  EXPECT_EQ(memo.plans.size(), 60u);
-  EXPECT_TRUE(memo.truncated);
-  EXPECT_TRUE(legacy.truncated);
-  ASSERT_EQ(legacy.plans.size(), memo.plans.size());
-  EXPECT_EQ(legacy.gated_out, memo.gated_out);
-  EXPECT_EQ(legacy.matches, memo.matches);
-  for (size_t i = 0; i < legacy.plans.size(); ++i) {
-    EXPECT_EQ(legacy.plans[i].canonical, memo.plans[i].canonical) << i;
+  // counters, which stop where the cap falls inside the last expansion.
+  // Inputs: the running example capped at 60 plans, and a VALIDTIME
+  // EMPLOYEE/PROJECT join with four predicates — the ad hoc join shape that
+  // reaches the default cap of 4000.
+  Catalog catalog = PaperCatalog();
+  std::vector<Rule> rules = DefaultRuleSet();
+  Result<TranslatedQuery> join = CompileQuery(
+      "VALIDTIME SELECT 1.EmpName AS EmpName, Dept, Prj FROM EMPLOYEE, "
+      "PROJECT WHERE 1.EmpName = 2.EmpName AND Dept <> 'dept1' AND "
+      "Prj <> 'prj2' AND 1.T1 >= 30",
+      catalog);
+  ASSERT_TRUE(join.ok()) << join.status().message();
+  struct Input {
+    PlanPtr plan;
+    QueryContract contract;
+    size_t cap;
+  };
+  for (const Input& in : {Input{PaperInitialPlan(), PaperContract(), 60},
+                          Input{join->plan, join->contract, 4000}}) {
+    SCOPED_TRACE(in.cap);
+    Result<EnumerationResult> legacy = EnumeratePlans(
+        in.plan, catalog, in.contract, rules, Options(in.cap, /*legacy=*/true));
+    Result<EnumerationResult> memo = EnumeratePlans(
+        in.plan, catalog, in.contract, rules, Options(in.cap, /*legacy=*/false));
+    ASSERT_TRUE(legacy.ok()) << legacy.status().message();
+    ASSERT_TRUE(memo.ok()) << memo.status().message();
+    EXPECT_EQ(memo->plans.size(), in.cap);
+    EXPECT_TRUE(memo->truncated);
+    EXPECT_TRUE(legacy->truncated);
+    ASSERT_EQ(legacy->plans.size(), memo->plans.size());
+    EXPECT_EQ(legacy->gated_out, memo->gated_out);
+    EXPECT_EQ(legacy->matches, memo->matches);
+    EXPECT_EQ(legacy->admitted, memo->admitted);
+    EXPECT_EQ(legacy->expanded, memo->expanded);
+    for (size_t i = 0; i < legacy->plans.size(); ++i) {
+      EXPECT_EQ(legacy->plans[i].canonical, memo->plans[i].canonical) << i;
+      EXPECT_EQ(legacy->plans[i].parent, memo->plans[i].parent) << i;
+      EXPECT_EQ(legacy->plans[i].rule_id, memo->plans[i].rule_id) << i;
+    }
   }
 }
 
@@ -311,6 +344,77 @@ TEST(PlanIdentityTest, AnnotationAcceptsSharedSubtrees) {
   // Conservative merge: the shared occurrence carries the OR of its edges'
   // properties; for ⊎ both edges agree here.
   EXPECT_FALSE(ann->info(shared.get()).order_required);
+}
+
+// ---- Concurrent mode of the session structures ---------------------------
+
+TEST(PlanIdentityTest, ConcurrentInternerResolvesEqualPlansToOneNode) {
+  // The striped-lock interner under direct contention: many threads intern
+  // structurally equal plans concurrently; pointer identity must still
+  // coincide with structural equality.
+  PlanInterner interner;
+  interner.EnableConcurrentAccess();
+  const PlanPtr model = PaperInitialPlan();
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 50;
+  std::vector<const PlanNode*> roots(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const PlanNode* last = nullptr;
+      for (int i = 0; i < kRounds; ++i) {
+        // A fresh structural copy per round: every node allocation races
+        // with the other threads' interning of the equal structure.
+        last = interner.Intern(ClonePlan(model)).get();
+      }
+      roots[static_cast<size_t>(t)] = last;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(roots[static_cast<size_t>(t)], roots[0]);
+  }
+  // One canonical copy of the plan's nodes, however many threads raced.
+  EXPECT_EQ(interner.unique_nodes(), PlanSize(model));
+}
+
+TEST(PlanIdentityTest, ConcurrentDerivationCacheIsConsistent) {
+  // Concurrent Derive/Find of overlapping plans against one cache: all
+  // threads must see complete, valid info and the cache ends with exactly
+  // one entry per distinct node.
+  Catalog catalog = PaperCatalog();
+  DerivationCache cache;
+  cache.EnableConcurrentAccess();
+  PlanInterner interner;
+  interner.EnableConcurrentAccess();
+  PlanPtr plan = interner.Intern(PaperInitialPlan());
+
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        if (!cache.Derive(plan, catalog, CardinalityParams{}).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        std::vector<PlanPtr> nodes;
+        CollectNodes(plan, &nodes);
+        for (const PlanPtr& n : nodes) {
+          if (cache.Find(n.get()) == nullptr) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(cache.size(), PlanSize(plan));
 }
 
 }  // namespace
