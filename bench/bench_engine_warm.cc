@@ -1,14 +1,13 @@
 // Repeated-query throughput through the tqp::Engine facade: cold (a fresh
 // engine per query — full parse + Figure 5 enumeration + costing every time)
-// vs warm (one session engine — primed interner/derivation caches, plan-cache
-// hits). Reports queries/second and the session cache counters, and checks
-// the acceptance bar: warm repeated-query throughput >= 5x cold on the
-// paper's running example, with byte-identical results.
+// vs warm (one session engine — plan-cache hits). Reports queries/second and
+// the session counters, and checks the acceptance bar: warm repeated-query
+// throughput >= 5x cold on the paper's running example, with byte-identical
+// results.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <string>
-#include <vector>
 
 #include "api/engine.h"
 #include "bench_util.h"
@@ -80,10 +79,10 @@ void CompareWarmAgainstCold() {
               static_cast<unsigned long long>(stats.plan_cache_hits));
   std::printf("%-34s | %12s | %12llu\n", "optimize pipelines run", "-",
               static_cast<unsigned long long>(stats.prepares));
-  std::printf("%-34s | %12s | %12zu\n", "interner: distinct nodes", "-",
+  std::printf("%-34s | %12s | %12zu\n", "search interner nodes (total)", "-",
               stats.interner_nodes);
-  std::printf("%-34s | %12s | %12zu\n", "derivation cache entries", "-",
-              stats.derivation_nodes);
+  std::printf("%-34s | %12s | %12zu\n", "search derivation entries (total)",
+              "-", stats.derivation_nodes);
   double speedup = cold_s / warm_s;
   bench::SetMetric("cold_ms_per_query", cold_s * 1e3);
   bench::SetMetric("warm_ms_per_query", warm_s * 1e3);
@@ -91,50 +90,6 @@ void CompareWarmAgainstCold() {
   std::printf("\nresults byte-identical; warm speedup: %.1fx queries/second\n",
               speedup);
   TQP_BENCH_GATE("warm_speedup", speedup >= 5.0);
-}
-
-// Secondary: a mixed suite of distinct queries on one session — here the
-// plan cache cannot help on first contact, but the shared interner and
-// derivation cache amortize overlapping subtrees across queries.
-void CompareSessionAgainstIsolated() {
-  Banner("Engine session reuse — 5 distinct queries, shared vs fresh caches");
-  std::vector<std::string> queries = bench::MixedWorkloadQueries();
-  const int rounds = 10;
-
-  auto run = [&](bool shared) {
-    auto t0 = std::chrono::steady_clock::now();
-    EngineStats last;
-    for (int r = 0; r < rounds; ++r) {
-      Engine engine(bench::MixedWorkloadCatalog());
-      for (const std::string& q : queries) {
-        if (shared) {
-          TQP_CHECK(engine.Query(q).ok());
-        } else {
-          Engine isolated(bench::MixedWorkloadCatalog());
-          TQP_CHECK(isolated.Query(q).ok());
-        }
-      }
-      last = engine.stats();
-    }
-    double per_query =
-        Seconds(t0) / (rounds * static_cast<double>(queries.size()));
-    return std::make_pair(per_query, last);
-  };
-
-  auto [isolated_s, isolated_stats] = run(false);
-  auto [shared_s, shared_stats] = run(true);
-  (void)isolated_stats;
-
-  std::printf("%-34s | %12.3f ms/query\n", "fresh engine per query",
-              isolated_s * 1e3);
-  std::printf("%-34s | %12.3f ms/query\n", "one session engine",
-              shared_s * 1e3);
-  std::printf("%-34s | %12zu\n", "session derivation cache entries",
-              shared_stats.derivation_nodes);
-  std::printf("%-34s | %12zu\n", "session interner nodes",
-              shared_stats.interner_nodes);
-  std::printf("\nsession speedup on distinct queries: %.2fx\n",
-              isolated_s / shared_s);
 }
 
 namespace {
@@ -183,7 +138,6 @@ BENCHMARK(BM_PreparedExecute);
 
 int main(int argc, char** argv) {
   tqp::bench::TimedSection("warm_vs_cold", [] { tqp::CompareWarmAgainstCold(); });
-  tqp::bench::TimedSection("session_vs_isolated", [] { tqp::CompareSessionAgainstIsolated(); });
   tqp::bench::WriteBenchJson("engine_warm");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

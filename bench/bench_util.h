@@ -237,33 +237,6 @@ inline void Gate(const char* file, int line, const std::string& gate,
 #define TQP_BENCH_GATE(gate, cond) \
   ::tqp::bench::Gate(__FILE__, __LINE__, gate, #cond, (cond))
 
-/// EMPLOYEE/PROJECT at the paper's size plus two messy temporal relations R
-/// and S — the catalog the engine-facing benches serve queries against.
-inline Catalog MixedWorkloadCatalog() {
-  Catalog catalog = ScaledCatalog(4);
-  TQP_CHECK(catalog
-                .RegisterWithInferredFlags(
-                    "R", MessyTemporal(64, 0.2, 0.2, 0.2, 5), Site::kDbms)
-                .ok());
-  TQP_CHECK(catalog
-                .RegisterWithInferredFlags(
-                    "S", MessyTemporal(48, 0.1, 0.3, 0.1, 17), Site::kDbms)
-                .ok());
-  return catalog;
-}
-
-/// The TQL suite the engine benches sweep: the paper's example plus
-/// conventional/temporal queries over R and S.
-inline std::vector<std::string> MixedWorkloadQueries() {
-  return {
-      PaperQueryText(),
-      "VALIDTIME SELECT DISTINCT Name FROM R ORDER BY Name ASC",
-      "VALIDTIME COALESCED SELECT DISTINCT Name FROM R",
-      "SELECT Name FROM R UNION SELECT Name FROM S",
-      "SELECT Cat, COUNT(*) AS n FROM R GROUP BY Cat ORDER BY Cat",
-  };
-}
-
 /// Baseline Figure 5 search options at a plan cap — the configuration the
 /// search benches ablate from.
 inline EnumerationOptions SearchOptions(

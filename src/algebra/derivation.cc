@@ -766,8 +766,7 @@ Status DerivationCache::Derive(const PlanPtr& plan, const Catalog& catalog,
   child_schemas.reserve(plan->arity());
   for (const PlanPtr& c : plan->children()) {
     TQP_RETURN_IF_ERROR(Derive(c, catalog, params));
-    // Entry references are stable across rehashes (node-based map) and
-    // across concurrent inserts (entries are never erased).
+    // Entry references are stable across rehashes (node-based map).
     const NodeInfo* info = Find(c.get());
     cs.push_back(info);
     child_schemas.push_back(info->schema);
@@ -777,15 +776,7 @@ Status DerivationCache::Derive(const PlanPtr& plan, const Catalog& catalog,
   ni.schema = schema;
   TQP_RETURN_IF_ERROR(FillNodeInfo(plan, catalog, params, cs, &ni));
   ni.relations = DeriveRelationDeps(*plan, cs);
-  // Probe + insert atomically under the shard's stripe lock. A racing
-  // derivation of the same node computed identical info (it is a pure
-  // function of the subtree, catalog, and params); the first insert wins.
-  uint64_t h = HashOf(plan.get());
-  MaybeLockGuard lock(LockFor(h));
-  Shard& shard = shards_[StripedMutex::IndexOf(h)];
-  if (shard.entries.emplace(plan.get(), Entry{plan, std::move(ni)}).second) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
+  entries_.emplace(plan.get(), Entry{plan, std::move(ni)});
   return Status::OK();
 }
 

@@ -15,14 +15,12 @@
 #ifndef TQP_ALGEBRA_DERIVATION_H_
 #define TQP_ALGEBRA_DERIVATION_H_
 
-#include <atomic>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "algebra/plan.h"
 #include "core/catalog.h"
-#include "core/sync.h"
 
 namespace tqp {
 
@@ -109,12 +107,8 @@ struct NodeInfo {
 /// recycled by the allocator and misattributed. A cache must only be reused
 /// across calls with the same catalog and cardinality parameters.
 ///
-/// Concurrency: storage is sharded by node pointer behind striped locks. By
-/// default no locks are taken (the single-threaded path is lock-free);
-/// EnableConcurrentAccess() makes concurrent Find/Derive safe — entry values
-/// are pure functions of the node, so racing derivations of the same node
-/// compute identical info and the first insert wins. tqp::Engine's shared
-/// session cache relies on this.
+/// Not thread-safe: tqp::Engine gives every query's plan search its own
+/// cache and annotates each execution without one.
 class DerivationCache {
  public:
   /// Derives (memoized) the bottom-up information of every node in `plan`,
@@ -128,46 +122,21 @@ class DerivationCache {
   /// The cached bottom-up information of `node`, or nullptr. The top-down
   /// (Table 2) fields of the returned NodeInfo are meaningless. The pointer
   /// stays valid for the cache's lifetime (entries are never erased and the
-  /// maps are node-based), including across concurrent inserts.
+  /// map is node-based).
   const NodeInfo* Find(const PlanNode* node) const {
-    uint64_t h = HashOf(node);
-    MaybeLockGuard lock(LockFor(h));
-    const Shard& shard = shards_[StripedMutex::IndexOf(h)];
-    auto it = shard.entries.find(node);
-    return it == shard.entries.end() ? nullptr : &it->second.info;
+    auto it = entries_.find(node);
+    return it == entries_.end() ? nullptr : &it->second.info;
   }
 
-  size_t size() const { return count_.load(std::memory_order_relaxed); }
-
-  /// Switches the cache to concurrent mode: every probe/insert takes the
-  /// striped lock of the shard it touches. One-way (a monotonic relaxed
-  /// atomic, so concurrent re-enables are benign), and must be called
-  /// before the cache is first shared between threads.
-  void EnableConcurrentAccess() {
-    concurrent_.store(true, std::memory_order_relaxed);
-  }
+  size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
     PlanPtr node;  // pin
     NodeInfo info;  // top-down fields are meaningless here
   };
-  struct Shard {
-    std::unordered_map<const PlanNode*, Entry> entries;
-  };
 
-  static uint64_t HashOf(const PlanNode* node) {
-    return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(node));
-  }
-  std::mutex* LockFor(uint64_t h) const {
-    return concurrent_.load(std::memory_order_relaxed) ? &mu_.For(h)
-                                                       : nullptr;
-  }
-
-  Shard shards_[StripedMutex::kStripes];
-  mutable StripedMutex mu_;
-  std::atomic<bool> concurrent_{false};
-  std::atomic<size_t> count_{0};
+  std::unordered_map<const PlanNode*, Entry> entries_;
 };
 
 /// The Table 2 applicability properties of one node occurrence, as computed

@@ -4,24 +4,13 @@
 
 namespace tqp {
 
-bool PlanInterner::IsCanonical(const PlanNode* node) const {
-  uint64_t fp = node->fingerprint();
-  MaybeLockGuard lock(LockFor(fp));
-  return ShardFor(fp).canonical.count(node) > 0;
-}
-
 PlanPtr PlanInterner::Intern(const PlanPtr& plan) {
   // Fast path: the node is already canonical (common for rule replacements
   // that reuse operand subtrees of an interned plan).
-  uint64_t fp = plan->fingerprint();
-  {
-    MaybeLockGuard lock(LockFor(fp));
-    if (ShardFor(fp).canonical.count(plan.get()) > 0) return plan;
-  }
+  if (IsCanonical(plan.get())) return plan;
 
   // Intern children first so the bucket comparison below can compare
-  // children by pointer. Child probes lock their own shards; no lock is held
-  // across the recursion, so shard lock acquisition never nests.
+  // children by pointer.
   bool changed = false;
   std::vector<PlanPtr> children;
   children.reserve(plan->children().size());
@@ -33,21 +22,15 @@ PlanPtr PlanInterner::Intern(const PlanPtr& plan) {
   PlanPtr candidate =
       changed ? PlanNode::WithChildren(plan, std::move(children)) : plan;
 
-  // Probe + insert are atomic under the shard's stripe lock: two threads
-  // racing to intern equal nodes serialize here, exactly one inserts, and
-  // the other resolves to the winner's canonical node.
-  Shard& shard = ShardFor(fp);
-  MaybeLockGuard lock(LockFor(fp));
-  std::vector<PlanPtr>& bucket = shard.buckets[fp];
+  std::vector<PlanPtr>& bucket = buckets_[plan->fingerprint()];
   for (const PlanPtr& existing : bucket) {
     if (PlanNode::SameShallow(*existing, *candidate)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       return existing;
     }
   }
   bucket.push_back(candidate);
-  shard.canonical.insert(candidate.get());
-  node_count_.fetch_add(1, std::memory_order_relaxed);
+  canonical_.insert(candidate.get());
   return candidate;
 }
 
@@ -63,9 +46,7 @@ PlanPtr PlanInterner::InternWithChild(const PlanPtr& proto, size_t child_index,
     h = HashCombine(h, c->fingerprint());
   }
 
-  Shard& shard = ShardFor(h);
-  MaybeLockGuard lock(LockFor(h));
-  std::vector<PlanPtr>& bucket = shard.buckets[h];
+  std::vector<PlanPtr>& bucket = buckets_[h];
   for (const PlanPtr& existing : bucket) {
     if (existing->arity() != proto->arity()) continue;
     bool same = PlanNode::SamePayload(*existing, *proto);
@@ -74,7 +55,7 @@ PlanPtr PlanInterner::InternWithChild(const PlanPtr& proto, size_t child_index,
       same = existing->child(i).get() == c.get();
     }
     if (same) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       return existing;
     }
   }
@@ -84,8 +65,7 @@ PlanPtr PlanInterner::InternWithChild(const PlanPtr& proto, size_t child_index,
   PlanPtr built = PlanNode::WithChildren(proto, std::move(children));
   TQP_DCHECK(built->fingerprint() == h);
   bucket.push_back(built);
-  shard.canonical.insert(built.get());
-  node_count_.fetch_add(1, std::memory_order_relaxed);
+  canonical_.insert(built.get());
   return built;
 }
 

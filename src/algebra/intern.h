@@ -13,27 +13,22 @@
 // bucket hit with a payload/children comparison, so a 64-bit collision can
 // never merge two distinct plans.
 //
-// Concurrency: the table is sharded by fingerprint into striped-lock shards.
-// By default no locks are taken (the single-threaded fast path is lock-free
-// and byte-identical to the unsharded original); EnableConcurrentAccess()
-// switches every probe/insert to its shard's stripe lock, which is what lets
-// tqp::Engine share one interner between concurrent sessions.
+// A table is not thread-safe and lives as long as one search needs it:
+// tqp::Engine gives every query's plan search its own, so the nodes of the
+// plans a query did not keep are freed when its search ends.
 #ifndef TQP_ALGEBRA_INTERN_H_
 #define TQP_ALGEBRA_INTERN_H_
 
-#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "algebra/plan.h"
-#include "core/sync.h"
 
 namespace tqp {
 
 /// An interning table for plan nodes. Canonical nodes are kept alive by the
-/// table for its lifetime. Not thread-safe by default; see
-/// EnableConcurrentAccess().
+/// table for its lifetime. Not thread-safe.
 class PlanInterner {
  public:
   /// Returns the canonical node for `plan`, interning the whole subtree
@@ -52,45 +47,17 @@ class PlanInterner {
                           PlanPtr replacement);
 
   /// True iff `node` is a canonical node owned by this table.
-  bool IsCanonical(const PlanNode* node) const;
+  bool IsCanonical(const PlanNode* node) const {
+    return canonical_.count(node) > 0;
+  }
 
   /// Number of distinct nodes owned by the table.
-  size_t unique_nodes() const {
-    return node_count_.load(std::memory_order_relaxed);
-  }
+  size_t unique_nodes() const { return canonical_.size(); }
 
   /// Number of Intern() node visits resolved to an existing canonical node.
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-
-  /// Switches the table to concurrent mode: every probe/insert takes the
-  /// striped lock of the shard it touches. One-way (the flag is a monotonic
-  /// relaxed atomic, so concurrent re-enables are benign), and must be
-  /// called before the table is first shared between threads. Interning
-  /// stays deterministic in what it *stores* (the set of canonical nodes is
-  /// a pure function of the set of interned plans); only which racing
-  /// thread's structurally-equal node becomes the canonical object depends
-  /// on timing, and pointer values are never observable in results.
-  void EnableConcurrentAccess() {
-    concurrent_.store(true, std::memory_order_relaxed);
-  }
+  size_t hits() const { return hits_; }
 
  private:
-  /// One fingerprint-routed shard: the bucket table plus the canonical-node
-  /// membership set for nodes whose fingerprint falls in this shard.
-  struct Shard {
-    std::unordered_map<uint64_t, std::vector<PlanPtr>> buckets;
-    std::unordered_set<const PlanNode*> canonical;
-  };
-
-  Shard& ShardFor(uint64_t fp) { return shards_[StripedMutex::IndexOf(fp)]; }
-  const Shard& ShardFor(uint64_t fp) const {
-    return shards_[StripedMutex::IndexOf(fp)];
-  }
-  std::mutex* LockFor(uint64_t fp) const {
-    return concurrent_.load(std::memory_order_relaxed) ? &mu_.For(fp)
-                                                       : nullptr;
-  }
-
   /// Canonical node equal to "`proto` with its `child_index`-th child being
   /// `new_child`"; constructs it only on a table miss. `proto`'s other
   /// children and `new_child` must be canonical.
@@ -100,11 +67,10 @@ class PlanInterner {
   PlanPtr RewriteInternedImpl(const PlanPtr& root, const PlanPath& path,
                               size_t depth, PlanPtr replacement);
 
-  Shard shards_[StripedMutex::kStripes];
-  mutable StripedMutex mu_;
-  std::atomic<bool> concurrent_{false};
-  std::atomic<size_t> node_count_{0};
-  std::atomic<size_t> hits_{0};
+  /// Canonical nodes bucketed by structural fingerprint.
+  std::unordered_map<uint64_t, std::vector<PlanPtr>> buckets_;
+  std::unordered_set<const PlanNode*> canonical_;
+  size_t hits_ = 0;
 };
 
 }  // namespace tqp

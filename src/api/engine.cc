@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 
+#include "algebra/intern.h"
 #include "backend/simulated_backend.h"
 #include "core/hash.h"
 #include "core/json.h"
@@ -193,9 +194,7 @@ Engine::AdmissionTicket::~AdmissionTicket() {
 Engine::Engine(Catalog catalog, EngineOptions options)
     : catalog_(std::move(catalog)),
       options_(std::move(options)),
-      caches_version_(catalog_.version()),
-      interner_(std::make_unique<PlanInterner>()),
-      derivation_(std::make_unique<DerivationCache>()) {
+      caches_version_(catalog_.version()) {
   // The backend below the stratum. A construction failure (e.g. kSqlite in
   // a build without sqlite3) degrades to the simulated backend: every query
   // still runs, just without pushdown.
@@ -235,9 +234,6 @@ Engine::Engine(Catalog catalog, EngineOptions options)
                                                    : 0);
     options_.engine.result_cache_env = env;
   }
-  // Session caches are shared by every concurrent session of this Engine.
-  interner_->EnableConcurrentAccess();
-  derivation_->EnableConcurrentAccess();
   if (options_.max_concurrent_queries > 0) {
     query_sem_ = std::make_unique<Semaphore>(options_.max_concurrent_queries);
   }
@@ -260,10 +256,6 @@ Engine::Engine(Catalog catalog, EngineOptions options)
 Engine::~Engine() = default;
 
 void Engine::FlushCachesLocked() {
-  interner_ = std::make_unique<PlanInterner>();
-  derivation_ = std::make_unique<DerivationCache>();
-  interner_->EnableConcurrentAccess();
-  derivation_->EnableConcurrentAccess();
   lru_.clear();
   plan_cache_.clear();
   // A wholesale flush means the catalog may have been *replaced*: a fresh
@@ -285,8 +277,7 @@ uint64_t Engine::CurrentEpoch() const {
 
 void Engine::ClearCaches() {
   // Exclusive catalog lock: wait for in-flight queries (which hold it
-  // shared) to drain, so the swap can never pull caches out from under a
-  // running enumeration.
+  // shared) to drain, so none of them still runs under the old epoch.
   std::unique_lock<std::shared_mutex> cat(catalog_mu_);
   std::lock_guard<std::mutex> state(state_mu_);
   FlushCachesLocked();
@@ -307,21 +298,13 @@ void Engine::SyncWithCatalog() {
   // The catalog moved through ordinary, per-relation-tracked mutation.
   // Invalidate selectively rather than wholesale — exactly one thread
   // reconciles per version change (the check and the update are atomic
-  // under state_mu_), and no in-flight query can still hold the old cache
-  // pointers: the mutation that bumped the version held the catalog lock
-  // exclusively, so every query that captured them has already drained.
+  // under state_mu_):
   //
   //  * plan cache — evict only entries whose relation-dependency set moved;
   //    a plan reading only untouched relations stays warm;
-  //  * interner — kept: hash-consing is catalog-independent;
   //  * result cache — kept: entries carry exact per-relation version
-  //    vectors, so stale ones can never match a probe (they age out LRU);
-  //  * derivation cache — rebuilt: its cardinalities/guarantees came from
-  //    old relation contents, and its pointer-stability contract (entries
-  //    are never erased) rules out selective eviction.
+  //    vectors, so stale ones can never match a probe (they age out LRU).
   ++stats_.invalidations;
-  derivation_ = std::make_unique<DerivationCache>();
-  derivation_->EnableConcurrentAccess();
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (DepsCurrentLocked(*it->state)) {
       ++it;
@@ -391,20 +374,19 @@ void Engine::StorePlanCache(
 Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
     const std::string& key, const std::string& text, const PlanPtr& initial,
     const QueryContract& contract, Tracer* tracer) {
-  PlanInterner* interner;
-  DerivationCache* derivation;
   uint64_t epoch;
   {
     std::lock_guard<std::mutex> state(state_mu_);
     ++stats_.prepares;
     ++stats_.plan_cache_misses;
-    // Captured under state_mu_ after SyncWithCatalog: no flush can replace
-    // them while this query holds the catalog lock shared.
-    interner = interner_.get();
-    derivation = derivation_.get();
     epoch = catalog_epoch_;
   }
-  PlanPtr root = interner->Intern(initial);
+  // The search state belongs to this query alone: the costing loop reuses
+  // the search's derivations, and only the plans the cache entry keeps
+  // outlive the call.
+  PlanInterner interner;
+  DerivationCache derivation;
+  PlanPtr root = interner.Intern(initial);
 
   OptimizerOptions opt;
   opt.enumeration = options_.enumeration;
@@ -413,8 +395,8 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
   opt.cardinality = options_.cardinality;
   TQP_ASSIGN_OR_RETURN(
       optimized,
-      Optimize(root, catalog_, contract, options_.rules, opt, interner,
-               derivation));
+      Optimize(root, catalog_, contract, options_.rules, opt, &interner,
+               &derivation));
 
   auto state = std::make_shared<PreparedQuery::State>();
   state->key = key;
@@ -431,6 +413,12 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
   state->engine_epoch = epoch;
   state->dep_versions = StampDepVersions(root, state->best_plan, catalog_);
 
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    stats_.interner_nodes += interner.unique_nodes();
+    stats_.interner_hits += interner.hits();
+    stats_.derivation_nodes += derivation.size();
+  }
   std::shared_ptr<const PreparedQuery::State> shared = state;
   StorePlanCache(key, shared);
   return shared;
@@ -543,14 +531,8 @@ Result<TranslatedQuery> Engine::Compile(const std::string& text) const {
 Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
                                          bool from_cache, Tracer* tracer,
                                          bool want_profile) {
-  DerivationCache* derivation;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    derivation = derivation_.get();
-  }
-  Result<AnnotatedPlan> ann =
-      AnnotatedPlan::Make(state.best_plan, &catalog_, state.contract,
-                          options_.cardinality, derivation);
+  Result<AnnotatedPlan> ann = AnnotatedPlan::Make(
+      state.best_plan, &catalog_, state.contract, options_.cardinality);
   if (!ann.ok()) return ann.status();
 
   // An armed slow-query log needs the hottest-operator ranking, so it
@@ -640,20 +622,14 @@ Result<EnumerationResult> Engine::Enumerate(const std::string& text,
   SyncWithCatalog();
   TQP_ASSIGN_OR_RETURN(compiled,
                        CompileQuery(text, catalog_, options_.translator));
-  // A session DerivationCache is only sound for one cost/cardinality
-  // parameterization; force the Engine's unified models.
+  // Enumerate with the Engine's unified models, like Prepare does.
   options.cardinality = options_.cardinality;
   options.cost_engine = options_.engine;
-  PlanInterner* interner;
-  DerivationCache* derivation;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    interner = interner_.get();
-    derivation = derivation_.get();
-  }
-  return EnumeratePlans(interner->Intern(compiled.plan), catalog_,
-                        compiled.contract, options_.rules, options, interner,
-                        derivation);
+  PlanInterner interner;
+  DerivationCache derivation;
+  return EnumeratePlans(interner.Intern(compiled.plan), catalog_,
+                        compiled.contract, options_.rules, options, &interner,
+                        &derivation);
 }
 
 namespace {
@@ -769,13 +745,7 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
       (calibration_.calibrated ? calibration_.fingerprint : 0)) {
     return 0;
   }
-  PlanInterner* interner;
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> state(state_mu_);
-    interner = interner_.get();
-    epoch = catalog_epoch_;
-  }
+  const uint64_t epoch = CurrentEpoch();
   size_t installed = 0;
   for (const PlanCacheEntry& e : snapshot.entries) {
     if (e.key.empty() || e.initial_plan == nullptr || e.best_plan == nullptr) {
@@ -792,8 +762,8 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
     state->key = e.key;
     state->text = e.text;
     state->contract = e.contract;
-    state->initial_plan = interner->Intern(e.initial_plan);
-    state->best_plan = interner->Intern(e.best_plan);
+    state->initial_plan = e.initial_plan;
+    state->best_plan = e.best_plan;
     state->best_cost = e.best_cost;
     state->initial_cost = e.initial_cost;
     state->plans_considered = e.plans_considered;
@@ -835,9 +805,6 @@ EngineStats Engine::stats() const {
   out.peak_concurrent_queries =
       peak_in_flight_.load(std::memory_order_relaxed);
   out.plan_cache_entries = plan_cache_.size();
-  out.interner_nodes = interner_->unique_nodes();
-  out.interner_hits = interner_->hits();
-  out.derivation_nodes = derivation_->size();
   if (result_cache_ != nullptr) {
     ResultCacheStats rc = result_cache_->stats();
     out.result_cache_hits = rc.hits;

@@ -5,31 +5,30 @@
 // cost-based choice → layered execution) is implemented by four layers with
 // four separate option structs. An Engine binds them behind one stable entry
 // point and — the point of a *session* — keeps the state worth keeping
-// between queries:
+// between queries: a plan cache (LRU when bounded) keyed by the query's
+// lexed token stream (or initial-plan fingerprint), so a repeated query —
+// including whitespace/comment/keyword-case variants of it — skips parsing,
+// enumeration, and costing entirely. An entry keeps the query's initial and
+// chosen plans and is invalidated when a relation they read changes (see
+// Catalog::relation_version()) — a stale plan is never served.
 //
-//   * one PlanInterner + DerivationCache shared across all queries, so a
-//     subtree enumerated for any earlier query is never re-derived;
-//   * a bounded (LRU) plan cache keyed by the query's lexed token stream (or
-//     initial-plan fingerprint), so a repeated query — including whitespace/
-//     comment/keyword-case variants of it — skips parsing, enumeration, and
-//     costing entirely.
-//
-// Both are primed on first use and invalidated when the catalog's version
-// changes (see Catalog::version()) — a stale plan is never served. Cache
-// warmth is an optimization only: a warm Engine returns byte-identical
-// relations, the same chosen-plan fingerprints, and the same costs as a cold
-// one, and as the hand-wired CompileQuery + Optimize + Evaluate pipeline
-// (enforced by tests/test_api_engine.cc and bench/bench_engine_warm.cc).
+// Plan search state is not session state: each prepare runs the Figure 5
+// search in a PlanInterner and DerivationCache of its own, which die with
+// the call, so the plan space of one query never outlives it. Cache warmth
+// is an optimization only: a warm Engine returns byte-identical relations,
+// the same chosen-plan fingerprints, and the same costs as a cold one, and
+// as the hand-wired CompileQuery + Optimize + Evaluate pipeline (enforced by
+// tests/test_api_engine.cc and bench/bench_engine_warm.cc).
 //
 // Concurrency: one Engine serves any number of threads over its one shared
 // catalog. Queries hold the catalog lock shared for their whole duration;
 // MutateCatalog takes it exclusively, so every query sees one consistent
-// catalog version and stale state is never served mid-mutation. The session
-// interner/derivation caches run in concurrent (striped-lock) mode, the
-// plan cache and counters sit behind one mutex, and
-// EngineOptions::max_concurrent_queries bounds how many expensive pipeline
-// runs are in flight at once (a counting semaphore; excess callers queue),
-// so heavy traffic degrades gracefully instead of thrashing. Individual
+// catalog version and stale state is never served mid-mutation. The plan
+// cache and counters sit behind one mutex, each query's search state is
+// its own, and EngineOptions::max_concurrent_queries bounds how many
+// expensive pipeline runs are in flight at once (a counting semaphore;
+// excess callers queue), so heavy traffic degrades gracefully instead of
+// thrashing. Individual
 // PreparedQuery handles are not thread-safe objects — give each thread its
 // own handle (they share the immutable prepared state).
 //
@@ -52,7 +51,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "algebra/intern.h"
 #include "backend/backend.h"
 #include "core/json.h"
 #include "core/sync.h"
@@ -91,9 +89,9 @@ struct EngineOptions {
   TranslatorOptions translator;
   /// Figure 5 search knobs, including the frontier strategy (breadth-first
   /// vs cost-directed best-first) and the pruning/expansion budgets. Each
-  /// query's search runs serially on its calling thread; concurrent sessions
-  /// share the interner and derivation cache. `fill_canonical` defaults OFF
-  /// here — the facade never asserts on canonical strings — unlike the bare
+  /// query's search runs serially on its calling thread, in an interner and
+  /// derivation cache of its own. `fill_canonical` defaults OFF here — the
+  /// facade never asserts on canonical strings — unlike the bare
   /// EnumeratePlans default, which stays on for the string-asserting tests
   /// and benches.
   EnumerationOptions enumeration;
@@ -226,7 +224,7 @@ struct QueryResult {
   std::string trace_json;
 };
 
-/// Session cache counters, for observability and the warm-path benches.
+/// Session counters, for observability and the warm-path benches.
 struct EngineStats {
   /// Full compile+optimize pipelines actually run.
   uint64_t prepares = 0;
@@ -239,13 +237,19 @@ struct EngineStats {
   /// relation-dependency set: updating relation A never evicts (or
   /// re-prepares) a plan reading only B.
   uint64_t plan_cache_stale_evictions = 0;
-  /// Times the session caches were flushed because the catalog changed.
+  /// Catalog changes reconciled with the caches: plan-cache entries whose
+  /// relations moved were evicted, or, after a mutable_catalog() handout,
+  /// the plan and result caches were flushed.
   uint64_t invalidations = 0;
   /// Highest number of queries simultaneously inside the admission-gated
   /// sections since construction; with max_concurrent_queries = N this
   /// never exceeds N.
   uint64_t peak_concurrent_queries = 0;
   size_t plan_cache_entries = 0;
+  /// Plan-search totals summed over this engine's prepares: the distinct
+  /// nodes each query's interner held when its search ended, the Intern()
+  /// visits it resolved to an existing node, and its derivation-cache
+  /// entries. The tables themselves die with each prepare.
   size_t interner_nodes = 0;
   size_t interner_hits = 0;
   size_t derivation_nodes = 0;
@@ -428,8 +432,8 @@ class PreparedQuery {
   bool from_cache_;
 };
 
-/// The facade. Owns the catalog and all session-lived caches; safe for
-/// concurrent use by any number of threads.
+/// The facade. Owns the catalog, the plan cache and the result cache; safe
+/// for concurrent use by any number of threads.
 class Engine {
  public:
   explicit Engine(Catalog catalog, EngineOptions options = EngineOptions());
@@ -447,15 +451,15 @@ class Engine {
   /// Mutable access for registrations/updates. Single-threaded use only:
   /// callers must guarantee no query is in flight. Concurrent sessions
   /// mutate through MutateCatalog instead, which excludes running queries.
-  /// Mutations bump Catalog::version(); the Engine notices lazily and
-  /// flushes every session cache before serving the next query. Because the
-  /// handed-out reference can also *replace* the catalog wholesale (which a
-  /// version count alone cannot detect — a fresh catalog may coincidentally
-  /// carry the same count), every handout conservatively flushes the session
-  /// caches on the next query, and outstanding PreparedQuery handles
-  /// re-prepare on their next Execute() — a query whose relations were
-  /// dropped or replaced incompatibly returns a clean error instead of
-  /// running a stale plan (locked by test_api_engine.cc).
+  /// Mutations bump Catalog::version(); the Engine notices lazily, before
+  /// serving the next query. Because the handed-out reference can also
+  /// *replace* the catalog wholesale (which a version count alone cannot
+  /// detect — a fresh catalog may coincidentally carry the same count),
+  /// every handout conservatively flushes the plan and result caches on the
+  /// next query, and outstanding PreparedQuery handles re-prepare on their
+  /// next Execute() — a query whose relations were dropped or replaced
+  /// incompatibly returns a clean error instead of running a stale plan
+  /// (locked by test_api_engine.cc).
   Catalog& mutable_catalog() {
     catalog_handout_.store(true, std::memory_order_release);
     return catalog_;
@@ -492,14 +496,16 @@ class Engine {
   /// Parses and translates only (no optimization, no caching of the result).
   Result<TranslatedQuery> Compile(const std::string& text) const;
 
-  /// Enumerates the full equivalent-plan space of `text` through the session
-  /// caches — the facade behind examples/plan_explorer. `options.cardinality`
-  /// and `options.cost_engine` are overridden by the Engine's unified models
-  /// (a session DerivationCache is only sound for one parameter setting).
+  /// Enumerates the full equivalent-plan space of `text` — the facade behind
+  /// examples/plan_explorer — in an interner and derivation cache of this
+  /// call's own, so the result's plans are the only search state that
+  /// survives it. `options.cardinality` and `options.cost_engine` are
+  /// overridden by the Engine's unified models, as for Prepare.
   Result<EnumerationResult> Enumerate(const std::string& text,
                                       EnumerationOptions options);
 
-  /// Session cache counters (plan cache, interner, derivation cache).
+  /// Session counters: the plan cache, the plan-search totals, the backend
+  /// and the result cache.
   EngineStats stats() const;
 
   /// The slow-query log, oldest first (EngineOptions::
@@ -520,8 +526,8 @@ class Engine {
   /// (returns 0) — stale plans are never imported, mirroring the in-memory
   /// invalidation rule. Entries referencing relations the live catalog does
   /// not contain are skipped individually (defense against a snapshot from a
-  /// same-version but different catalog). Imported plans are interned into
-  /// the session interner; LRU capacity applies as usual.
+  /// same-version but different catalog). Imported plans are stored as
+  /// given; LRU capacity applies as usual.
   size_t ImportPlanCache(const PlanCacheSnapshot& snapshot);
 
   /// Stable content summary of the live catalog (relation names, schemas,
@@ -538,9 +544,9 @@ class Engine {
   /// EngineOptions::calibrate_backend was off).
   const BackendCostProfile& calibration() const { return calibration_; }
 
-  /// Drops every session cache (plan cache, interner, derivation cache)
-  /// after waiting for in-flight queries to drain. Equivalent to what a
-  /// catalog mutation triggers automatically.
+  /// Drops the plan cache and the result cache after waiting for in-flight
+  /// queries to drain, and makes outstanding PreparedQuery handles
+  /// re-prepare. Equivalent to what a mutable_catalog() handout triggers.
   void ClearCaches();
 
  private:
@@ -566,16 +572,14 @@ class Engine {
     SemaphoreGuard permit_;
   };
 
-  /// Reconciles the session caches with the live catalog if its version
-  /// moved since they were primed. A mutable_catalog() handout flushes
-  /// everything wholesale (a replacement is undetectable by version); an
+  /// Reconciles the caches with the live catalog if its version moved since
+  /// they were primed. A mutable_catalog() handout flushes the plan and
+  /// result caches wholesale (a replacement is undetectable by version); an
   /// ordinary version bump invalidates *selectively* — only plan-cache
-  /// entries whose relation-dependency set moved are evicted, the
-  /// catalog-independent interner and the self-versioned result cache
-  /// survive, and the derivation cache (whose cardinalities may be stale)
-  /// is rebuilt. Requires the catalog lock (shared suffices: a mismatch can
-  /// only be observed once the mutating writer has drained every older
-  /// reader, so no in-flight query can still be using the flushed objects).
+  /// entries whose relation-dependency set moved are evicted, and the
+  /// self-versioned result cache survives. Requires the catalog lock
+  /// (shared suffices: a mismatch can only be observed once the mutating
+  /// writer has drained every older reader).
   void SyncWithCatalog();
   /// Drops all caches; state_mu_ must be held. Starts a new cache epoch.
   void FlushCachesLocked();
@@ -605,9 +609,10 @@ class Engine {
   /// Null tracer = the public Prepare, span-free.
   Result<PreparedQuery> PrepareTraced(const std::string& text, Tracer* tracer);
 
-  /// The full compile-free pipeline (intern, optimize, cache). Requires the
-  /// caller to hold the catalog lock shared and to have synced. `tracer`
-  /// (may be null) reaches the enumeration/costing spans.
+  /// The full compile-free pipeline (intern, optimize, cache), with search
+  /// state local to the call. Requires the caller to hold the catalog lock
+  /// shared and to have synced. `tracer` (may be null) reaches the
+  /// enumeration/costing spans.
   Result<std::shared_ptr<const PreparedQuery::State>> PrepareImpl(
       const std::string& key, const std::string& text, const PlanPtr& initial,
       const QueryContract& contract, Tracer* tracer);
@@ -638,7 +643,7 @@ class Engine {
   /// explicit cache flushes hold it exclusive. Lock order: admission
   /// semaphore → catalog_mu_ → state_mu_.
   mutable std::shared_mutex catalog_mu_;
-  /// Guards the plan cache, counters, cache pointers, and caches_version_.
+  /// Guards the plan cache, counters, slow log, epoch, and caches_version_.
   mutable std::mutex state_mu_;
 
   /// Catalog version the caches below are valid for.
@@ -650,8 +655,6 @@ class Engine {
   /// Set when mutable_catalog() hands out a mutable reference; the next
   /// SyncWithCatalog flushes conservatively and clears it.
   mutable std::atomic<bool> catalog_handout_{false};
-  std::unique_ptr<PlanInterner> interner_;
-  std::unique_ptr<DerivationCache> derivation_;
   /// LRU plan cache: list front = most recently used; map points into it.
   LruList lru_;
   std::unordered_map<std::string, LruList::iterator> plan_cache_;

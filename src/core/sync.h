@@ -1,61 +1,18 @@
-// Concurrency primitives: striped mutexes for sharded hash tables, optional
-// lock guards for structures with a lock-free single-threaded mode, and a
-// counting semaphore for admission control.
+// Admission control: a counting semaphore and its RAII permit.
 //
-// The library's concurrency model (see ARCHITECTURE.md): session-shared
-// state — PlanInterner, DerivationCache, the Engine's plan cache — is
-// guarded by striped locks that are only taken once a structure has been
-// explicitly switched into concurrent mode, so the single-threaded paths
-// take no locks at all and stay byte-identical to the pre-concurrency code.
+// The library's concurrency model (see ARCHITECTURE.md): the Engine's
+// shared state — the catalog, the plan cache and its counters — sits behind
+// one shared_mutex and one mutex, and the semaphore below bounds how many
+// queries run the expensive pipeline sections at once. Plan search state
+// (PlanInterner, DerivationCache) is local to one query and never shared.
 #ifndef TQP_CORE_SYNC_H_
 #define TQP_CORE_SYNC_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 
 namespace tqp {
-
-/// A fixed pool of mutexes indexed by hash: a sharded table locks `For(h)`
-/// to guard the shard that hash `h` routes to. Entries whose hashes land in
-/// different stripes can be locked concurrently, and the pool itself never
-/// resizes, so addressing a stripe is contention-free.
-class StripedMutex {
- public:
-  /// Power of two; 64 stripes keep 4–8 worker threads essentially
-  /// contention-free while costing ~2.5 KB of mutexes per table.
-  static constexpr size_t kStripes = 64;
-
-  /// The stripe index `hash` routes to. Multiplicative mixing first, so
-  /// pointer-derived hashes (aligned, low bits zero) still spread.
-  static constexpr size_t IndexOf(uint64_t hash) {
-    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >> 58);
-  }
-
-  std::mutex& For(uint64_t hash) { return stripes_[IndexOf(hash)]; }
-
- private:
-  std::mutex stripes_[kStripes];
-};
-
-/// Lock guard that no-ops on nullptr — the single-threaded fast path of a
-/// concurrency-capable structure passes nullptr and takes no lock at all.
-class MaybeLockGuard {
- public:
-  explicit MaybeLockGuard(std::mutex* mu) : mu_(mu) {
-    if (mu_ != nullptr) mu_->lock();
-  }
-  ~MaybeLockGuard() {
-    if (mu_ != nullptr) mu_->unlock();
-  }
-
-  MaybeLockGuard(const MaybeLockGuard&) = delete;
-  MaybeLockGuard& operator=(const MaybeLockGuard&) = delete;
-
- private:
-  std::mutex* mu_;
-};
 
 /// A counting semaphore (C++17 predates std::counting_semaphore). Backs the
 /// Engine's admission control: at most `permits` holders at once; excess

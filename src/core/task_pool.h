@@ -14,10 +14,9 @@
 // (src/vexec) keep its list-identity contract under parallelism — see the
 // determinism notes in ARCHITECTURE.md.
 //
-// Built on the same primitives as the rest of the concurrency model
-// (src/core/sync.h): plain mutexes per queue, one condition variable pair
-// for job publication/completion. Morsel bodies must not call back into
-// the pool (no nested ParallelFor).
+// Built on plain standard primitives: one mutex per queue, one condition
+// variable pair for job publication/completion. Morsel bodies must not call
+// back into the pool (no nested ParallelFor).
 #ifndef TQP_CORE_TASK_POOL_H_
 #define TQP_CORE_TASK_POOL_H_
 

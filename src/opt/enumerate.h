@@ -144,13 +144,13 @@ struct EnumerationResult {
   /// Candidates dropped because their canonical root was already in the memo
   /// (the memo path's analogue of a string-dedup rejection).
   size_t memo_hits = 0;
-  /// Distinct plan nodes owned by the interning table at the end.
-  /// Session totals, not search outcomes: with session caches they
-  /// accumulate across queries.
+  /// Distinct plan nodes owned by the interning table at the end. These
+  /// three counters describe the tables, not the search: a caller that
+  /// passes the same tables to several searches sees them accumulate.
   size_t interner_nodes = 0;
-  /// Intern() visits resolved to an already-canonical node (same caveat).
+  /// Intern() visits resolved to an already-canonical node.
   size_t interner_hits = 0;
-  /// Bottom-up derivation-cache entries at the end (same caveat).
+  /// Bottom-up derivation-cache entries at the end.
   size_t cache_nodes = 0;
   /// Plans admitted to the result but not expanded due to cost pruning.
   size_t cost_pruned = 0;
@@ -173,17 +173,18 @@ struct EnumerationResult {
 
 /// Runs the Figure 5 algorithm. Fails only if the initial plan is malformed.
 ///
-/// `interner` and `derivation` thread session-scoped search state:
 /// `interner` hash-conses every admitted plan and `derivation` memoizes
-/// bottom-up node information, so a caller serving repeated queries
-/// (tqp::Engine) pays for subtree derivation only the first time a subtree
-/// appears anywhere in the session. Either may be nullptr (the default; a
-/// call-local one is used). A shared cache is only sound
-/// against one catalog version and one CardinalityParams setting — the
-/// Engine invalidates both on catalog mutation. The legacy string-dedup path
-/// does not intern and ignores both. The enumerated plan sequence is
-/// independent of cache warmth (warm/cold runs are byte-identical); only the
-/// interner/cache counters in EnumerationResult reflect session totals.
+/// bottom-up node information; either may be nullptr (the default; a
+/// call-local one is used). Passing its own pair lets a caller keep the
+/// search state past the call: Optimize costs the admitted plans against
+/// the same `derivation`, and a test or benchmark can reuse one pair across
+/// searches. A cache is only sound against one catalog version and one
+/// CardinalityParams setting. tqp::Engine gives each query's search a fresh
+/// pair, so no search state outlives the query. The legacy string-dedup
+/// path does not intern and ignores both. The enumerated plan sequence is
+/// independent of what the tables already hold (warm and cold runs are
+/// byte-identical); only the interner/cache counters in EnumerationResult
+/// reflect it.
 Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
                                          const Catalog& catalog,
                                          const QueryContract& contract,

@@ -41,9 +41,9 @@ Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
   } else {
     // Cost every plan against one shared bottom-up derivation cache — the
     // enumerated plans are structurally overlapping, so most nodes are
-    // derived once across the whole set. With a session cache this is the
-    // same cache the enumeration validated against, so it is already fully
-    // primed.
+    // derived once across the whole set. With the caller's cache this is
+    // the same cache the enumeration validated against, so it is already
+    // fully primed.
     DerivationCache local_cache;
     DerivationCache& cache = derivation ? *derivation : local_cache;
     PlanContext ctx(&cache, nullptr, &contract);

@@ -38,13 +38,13 @@ struct OptimizeResult {
 
 /// Enumerates equivalent plans and returns the cheapest under the cost model.
 ///
-/// `interner`/`derivation` thread session-scoped search state (see
-/// EnumeratePlans): the enumeration interns through `interner` and both the
-/// enumeration's validation and the costing loop share `derivation`, so a
-/// repeated or structurally overlapping query re-derives almost nothing.
-/// Either may be nullptr (the default). The chosen plan, costs, and
-/// derivation chain are identical to a cold call — cache warmth only changes
-/// how much work is re-done, never the outcome.
+/// `interner`/`derivation` are the search state (see EnumeratePlans): the
+/// enumeration interns through `interner`, and both its validation and the
+/// costing loop share `derivation`, so the costing loop derives nothing the
+/// search already derived. Either may be nullptr (the default; then the
+/// costing loop derives every plan again in a cache of its own). The chosen
+/// plan, costs, and derivation chain do not depend on what the tables
+/// already hold — only how much work is re-done.
 Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
                                 const QueryContract& contract,
                                 const std::vector<Rule>& rules,

@@ -1370,10 +1370,13 @@ ColumnTable VecCoalesce(const ColumnTable& in, VexecRuntime& rt) {
       rt.spill.runs += static_cast<int64_t>(parts);
       std::vector<uint32_t> orig;
       std::vector<std::vector<Value>> vals;
+      // The spill already hash-partitioned the rows, so each partition's
+      // class index is built serially, without pool round trips.
+      const VexecRuntime serial;
       for (size_t p = 0; p < parts; ++p) {
         sp.ReadPartition(p, &orig, &vals);
         ClassIndex idx =
-            ValueClasses(TableFromRows(in.schema(), vals), rt);
+            ValueClasses(TableFromRows(in.schema(), vals), serial);
         for (uint32_t& m : idx.members) m = orig[m];
         merge_classes(idx);
       }
@@ -1589,12 +1592,15 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
       rt.spill.runs += static_cast<int64_t>(parts);
       std::vector<uint32_t> orig;
       std::vector<std::vector<Value>> vals;
+      // As in VecCoalesce: each partition's class index is built serially.
+      const VexecRuntime serial;
       for (size_t p = 0; p < parts; ++p) {
         sp.ReadPartition(p, &orig, &vals);
         ColumnTable part = TableFromRows(in.schema(), vals);
         std::vector<uint64_t> ph(orig.size());
         for (size_t k = 0; k < orig.size(); ++k) ph[k] = gh[orig[k]];
-        fold_groups(part, GroupClasses(GroupTable{part, group_idx}, ph, rt),
+        fold_groups(part,
+                    GroupClasses(GroupTable{part, group_idx}, ph, serial),
                     &orig);
       }
       std::vector<uint32_t> by_first(first_row.size());

@@ -1,10 +1,10 @@
 // Tests for the tqp::Engine facade: equivalence with the hand-wired
-// pipeline, warm-vs-cold determinism of the session caches, plan-cache
-// behavior (including the LRU bound), catalog-version invalidation, and the
-// concurrent-session guarantees (M threads × K queries byte-identical to a
-// fresh single-threaded engine, admission control, mid-flight catalog
-// mutation never serving stale or torn state). CI runs this suite under
-// TSan.
+// pipeline, warm-vs-cold determinism, plan-cache behavior (including the
+// LRU bound and what an evicted entry releases), catalog-version
+// invalidation, and the concurrent-session guarantees (M threads × K
+// queries byte-identical to a fresh single-threaded engine, admission
+// control, mid-flight catalog mutation never serving stale or torn state).
+// CI runs this suite under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,7 +60,7 @@ TEST(ApiEngineTest, FacadeMatchesHandWiredPipeline) {
   // CompileQuery + Optimize + AnnotatedPlan::Make + Evaluate pipeline with
   // the same (default) models — same relation, fingerprint, costs, and
   // derivation chain, even though the facade skips canonical strings and
-  // runs through session caches.
+  // passes its own search caches to Optimize.
   Catalog catalog = PaperCatalog();
 
   Result<TranslatedQuery> q = CompileQuery(PaperQueryText(), catalog);
@@ -90,9 +90,9 @@ TEST(ApiEngineTest, FacadeMatchesHandWiredPipeline) {
 }
 
 TEST(ApiEngineTest, WarmRunsMatchColdAcrossWorkload) {
-  // For every workload query: the warm engine's second run (plan-cache hit,
-  // primed interner/derivation cache) returns the identical relation, chosen
-  // fingerprint, and costs as its first run AND as a fresh engine.
+  // For every workload query: the warm engine's second run (plan-cache hit)
+  // returns the identical relation, chosen fingerprint, and costs as its
+  // first run AND as a fresh engine.
   EngineOptions options;
   options.enumeration.max_plans = 1500;
   Engine warm(WorkloadCatalog(), options);
@@ -381,7 +381,10 @@ TEST(ApiEngineTest, ExecuteAfterSameVersionCatalogSwapFailsCleanly) {
   EXPECT_EQ(q->relation.size(), 1u);
 }
 
-TEST(ApiEngineTest, EnumerateThreadsSessionCaches) {
+TEST(ApiEngineTest, EnumerateReleasesItsSearchState) {
+  // Each Enumerate call searches in an interner and derivation cache of its
+  // own: a second call gives the identical plan sequence, and once the
+  // first result is dropped, every plan it listed is freed.
   Engine engine(PaperCatalog());
   EnumerationOptions options = engine.options().enumeration;
   options.max_plans = 200;
@@ -389,12 +392,9 @@ TEST(ApiEngineTest, EnumerateThreadsSessionCaches) {
       engine.Enumerate(PaperQueryText(), options);
   ASSERT_TRUE(first.ok());
   EXPECT_GT(first->plans.size(), 1u);
-  // The facade path skips canonical serialization by default...
+  // The facade path skips canonical serialization by default.
   EXPECT_TRUE(first->plans[0].canonical.empty());
-  size_t cold_cache = first->cache_nodes;
 
-  // ...and a re-enumeration against the primed session caches produces the
-  // identical plan sequence while deriving almost nothing new.
   Result<EnumerationResult> second =
       engine.Enumerate(PaperQueryText(), options);
   ASSERT_TRUE(second.ok());
@@ -404,7 +404,13 @@ TEST(ApiEngineTest, EnumerateThreadsSessionCaches) {
     EXPECT_EQ(second->plans[i].parent, first->plans[i].parent);
     EXPECT_EQ(second->plans[i].rule_id, first->plans[i].rule_id);
   }
-  EXPECT_EQ(second->cache_nodes, cold_cache);  // nothing new to derive
+
+  std::vector<std::weak_ptr<const PlanNode>> plans;
+  for (const EnumeratedPlan& p : first->plans) plans.push_back(p.plan);
+  first = Status::Error("dropped");
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_TRUE(plans[i].expired()) << "plan " << i;
+  }
 }
 
 TEST(ApiEngineTest, FillCanonicalOffPreservesTheSequence) {
@@ -475,10 +481,34 @@ TEST(ApiEngineTest, PlanCacheLruEviction) {
   EXPECT_EQ(unbounded.stats().plan_cache_evictions, 0u);
 }
 
+TEST(ApiEngineTest, EvictedPlanCacheEntriesReleaseTheirPlans) {
+  // A plan-cache entry is the only thing that outlives a prepare: once it
+  // is evicted and no handle holds it, its initial and chosen plans are
+  // freed — no search state pins them.
+  EngineOptions options;
+  options.plan_cache_capacity = 1;
+  Engine engine(PaperCatalog(), options);
+  std::weak_ptr<const PlanNode> initial, best;
+  {
+    Result<PreparedQuery> prepared = engine.Prepare(PaperQueryText());
+    ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+    initial = prepared->initial_plan();
+    best = prepared->best_plan();
+    ASSERT_NE(initial.lock(), best.lock());
+  }
+  EXPECT_FALSE(initial.expired());  // the cache entry still holds them
+  EXPECT_FALSE(best.expired());
+
+  ASSERT_TRUE(engine.Prepare("SELECT EmpName FROM EMPLOYEE").ok());
+  EXPECT_EQ(engine.stats().plan_cache_evictions, 1u);
+  EXPECT_TRUE(initial.expired());
+  EXPECT_TRUE(best.expired());
+}
+
 TEST(ApiEngineTest, ConcurrentSessionsAreByteIdentical) {
   // M threads × K queries × R rounds against ONE shared Engine (shared plan
-  // cache, interner, derivation cache): every result must be byte-identical
-  // to a fresh single-threaded engine's.
+  // cache, catalog and counters): every result must be byte-identical to a
+  // fresh single-threaded engine's.
   const std::vector<std::string> queries = WorkloadQueries();
 
   // Expected outcomes from isolated single-threaded engines.

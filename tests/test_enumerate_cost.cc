@@ -112,9 +112,10 @@ TEST(EnumerateCostTest, DeterministicAcrossRepeatedRuns) {
 }
 
 TEST(EnumerateCostTest, WarmSessionCachesNeverChangeTheAdmittedSet) {
-  // The determinism claim the Engine relies on: re-running a cost-directed
-  // search against primed session caches yields the identical outcome,
-  // including the pruning counters.
+  // The determinism claim a caller that passes one interner/derivation pair
+  // to several searches relies on: re-running a cost-directed search against
+  // primed caches yields the identical outcome, including the pruning
+  // counters.
   Catalog catalog = PaperCatalog();
   PlanInterner interner;
   DerivationCache derivation;

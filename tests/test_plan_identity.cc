@@ -1,15 +1,11 @@
 // Plan identity under hash-consing: structural fingerprints, the interning
 // table, path-based rewrites, and the memo-based enumerator's equivalence
 // with the seed (string-dedup) implementation — plan sets, derivation edges,
-// and the truncated/gated_out counters must all be preserved. Also the
-// striped-lock concurrent mode of the interner and the derivation cache,
-// which the Engine's shared sessions use; CI runs this suite under TSan.
+// and the truncated/gated_out counters must all be preserved.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "algebra/intern.h"
 #include "opt/enumerate.h"
@@ -344,77 +340,6 @@ TEST(PlanIdentityTest, AnnotationAcceptsSharedSubtrees) {
   // Conservative merge: the shared occurrence carries the OR of its edges'
   // properties; for ⊎ both edges agree here.
   EXPECT_FALSE(ann->info(shared.get()).order_required);
-}
-
-// ---- Concurrent mode of the session structures ---------------------------
-
-TEST(PlanIdentityTest, ConcurrentInternerResolvesEqualPlansToOneNode) {
-  // The striped-lock interner under direct contention: many threads intern
-  // structurally equal plans concurrently; pointer identity must still
-  // coincide with structural equality.
-  PlanInterner interner;
-  interner.EnableConcurrentAccess();
-  const PlanPtr model = PaperInitialPlan();
-
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 50;
-  std::vector<const PlanNode*> roots(kThreads, nullptr);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const PlanNode* last = nullptr;
-      for (int i = 0; i < kRounds; ++i) {
-        // A fresh structural copy per round: every node allocation races
-        // with the other threads' interning of the equal structure.
-        last = interner.Intern(ClonePlan(model)).get();
-      }
-      roots[static_cast<size_t>(t)] = last;
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(roots[static_cast<size_t>(t)], roots[0]);
-  }
-  // One canonical copy of the plan's nodes, however many threads raced.
-  EXPECT_EQ(interner.unique_nodes(), PlanSize(model));
-}
-
-TEST(PlanIdentityTest, ConcurrentDerivationCacheIsConsistent) {
-  // Concurrent Derive/Find of overlapping plans against one cache: all
-  // threads must see complete, valid info and the cache ends with exactly
-  // one entry per distinct node.
-  Catalog catalog = PaperCatalog();
-  DerivationCache cache;
-  cache.EnableConcurrentAccess();
-  PlanInterner interner;
-  interner.EnableConcurrentAccess();
-  PlanPtr plan = interner.Intern(PaperInitialPlan());
-
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        if (!cache.Derive(plan, catalog, CardinalityParams{}).ok()) {
-          failures.fetch_add(1);
-          return;
-        }
-        std::vector<PlanPtr> nodes;
-        CollectNodes(plan, &nodes);
-        for (const PlanPtr& n : nodes) {
-          if (cache.Find(n.get()) == nullptr) {
-            failures.fetch_add(1);
-            return;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(cache.size(), PlanSize(plan));
 }
 
 }  // namespace
