@@ -52,8 +52,8 @@ void CollectScanRelations(const PlanPtr& plan, std::set<std::string>* out) {
 }
 
 /// The relation-dependency set of a prepared state — every relation either
-/// of its plans reads — stamped with the live per-relation catalog versions.
-/// Sorted by name (std::set iteration), so comparisons are deterministic.
+/// of its plans reads — with the live catalog's stamps. Sorted by name
+/// (std::set iteration), so comparisons are deterministic.
 std::vector<std::pair<std::string, uint64_t>> StampDepVersions(
     const PlanPtr& initial, const PlanPtr& best, const Catalog& catalog) {
   std::set<std::string> names;
@@ -75,53 +75,45 @@ EngineOptions::EngineOptions() : rules(DefaultRuleSet()) {
   enumeration.fill_canonical = false;
 }
 
-/// The immutable outcome of one compile+optimize run, shared between the
-/// plan cache and every PreparedQuery handed out for it.
+/// The immutable outcome of one compile+optimize run (or one imported
+/// snapshot entry), shared between the plan cache and every PreparedQuery
+/// handed out for it.
 struct PreparedQuery::State {
-  /// Plan-cache key this state is stored under.
-  std::string key;
-  /// Original query text; empty for plan-keyed preparations.
-  std::string text;
-  QueryContract contract;
-  PlanPtr initial_plan;
-  PlanPtr best_plan;
-  double best_cost = 0.0;
-  double initial_cost = 0.0;
-  size_t plans_considered = 0;
-  bool truncated = false;
-  std::vector<std::string> derivation;
-  /// Catalog version the optimization ran under.
-  uint64_t catalog_version = 0;
-  /// Every relation the initial or best plan reads, with the per-relation
-  /// catalog version it carried at preparation. Staleness is judged against
-  /// this set, not the global version: a mutation of a relation outside it
-  /// neither evicts the cache entry nor forces Execute() to re-prepare.
+  /// Key, text, contract, plans and optimizer telemetry: what a snapshot
+  /// exports.
+  PlanCacheEntry entry;
+  /// The chosen plan annotated against the catalog the state was made
+  /// under. A state executes only while its stamps hold, so the annotation
+  /// stays valid for the state's whole life.
+  AnnotatedPlan annotated;
+  /// Every relation the initial or best plan reads, with the stamp it
+  /// carried when the state was made. Staleness is judged against this
+  /// set: a mutation of a relation outside it neither evicts the cache
+  /// entry nor forces Execute() to re-prepare.
   std::vector<std::pair<std::string, uint64_t>> dep_versions;
-  /// Engine cache epoch the optimization ran under (bumped on every cache
-  /// flush). Catches what the version alone cannot: a catalog *replaced*
-  /// through mutable_catalog() can coincidentally carry the same version
-  /// count as the old one, and a stale state must still never execute
-  /// against it.
-  uint64_t engine_epoch = 0;
 };
 
 const PlanPtr& PreparedQuery::initial_plan() const {
-  return state_->initial_plan;
+  return state_->entry.initial_plan;
 }
-const PlanPtr& PreparedQuery::best_plan() const { return state_->best_plan; }
+const PlanPtr& PreparedQuery::best_plan() const {
+  return state_->entry.best_plan;
+}
 uint64_t PreparedQuery::fingerprint() const {
-  return state_->best_plan->fingerprint();
+  return state_->entry.best_plan->fingerprint();
 }
-double PreparedQuery::best_cost() const { return state_->best_cost; }
-double PreparedQuery::initial_cost() const { return state_->initial_cost; }
+double PreparedQuery::best_cost() const { return state_->entry.best_cost; }
+double PreparedQuery::initial_cost() const {
+  return state_->entry.initial_cost;
+}
 size_t PreparedQuery::plans_considered() const {
-  return state_->plans_considered;
+  return state_->entry.plans_considered;
 }
 const std::vector<std::string>& PreparedQuery::derivation() const {
-  return state_->derivation;
+  return state_->entry.derivation;
 }
 const QueryContract& PreparedQuery::contract() const {
-  return state_->contract;
+  return state_->entry.contract;
 }
 
 Result<QueryResult> PreparedQuery::Execute() {
@@ -140,12 +132,7 @@ Result<QueryResult> PreparedQuery::ExecuteRun(const QueryRunOptions& run,
   // from the clock).
   std::optional<Tracer> local;
   Tracer* tracer = external;
-  if (tracer == nullptr &&
-      (run.trace || engine_->options_.trace_queries)) {
-    tracer = &local.emplace();
-  }
-  const bool want_profile =
-      run.profile || engine_->options_.profile_queries;
+  if (tracer == nullptr && run.trace) tracer = &local.emplace();
   for (int attempt = 0; attempt < kMaxExecuteReprepares; ++attempt) {
     {
       // Evaluation runs under the shared catalog lock, gated by admission
@@ -157,19 +144,21 @@ Result<QueryResult> PreparedQuery::ExecuteRun(const QueryRunOptions& run,
       engine_->SyncWithCatalog();
       if (engine_->StateIsCurrent(*state_)) {
         Result<QueryResult> res =
-            engine_->ExecuteState(*state_, from_cache_, tracer, want_profile);
+            engine_->ExecuteState(*state_, from_cache_, tracer, run.profile);
         if (!res.ok()) return res.status();
         QueryResult out = std::move(res).value();
         if (tracer != nullptr) out.trace_json = tracer->ToChromeJson();
         return out;
       }
     }
-    // The catalog moved on since this query was prepared: re-prepare against
-    // the live catalog rather than run a stale plan, then re-verify.
-    Result<PreparedQuery> fresh =
-        state_->text.empty()
-            ? engine_->Prepare(state_->initial_plan, state_->contract)
-            : engine_->Prepare(state_->text);
+    // A relation this query reads was restamped since it was prepared:
+    // re-prepare against the live catalog rather than run a stale plan, then
+    // re-verify.
+    const PlanCacheEntry& e = state_->entry;
+    Result<PreparedQuery> fresh = e.text.empty()
+                                      ? engine_->Prepare(e.initial_plan,
+                                                         e.contract)
+                                      : engine_->Prepare(e.text);
     if (!fresh.ok()) return fresh.status();
     state_ = fresh.value().state_;
     from_cache_ = fresh.value().from_cache_;
@@ -239,74 +228,29 @@ Engine::Engine(Catalog catalog, EngineOptions options)
   }
   // Per-query metric pointers, resolved once: the hot path only does
   // relaxed atomic adds against them.
-  if (options_.publish_metrics) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    metric_queries_ =
-        reg.GetCounter("tqp_queries_total", "Queries executed by the engine");
-    metric_rows_ =
-        reg.GetCounter("tqp_query_rows_total", "Result rows produced");
-    metric_slow_ = reg.GetCounter(
-        "tqp_slow_queries_total",
-        "Queries at or above the slow-query threshold");
-    metric_latency_ = reg.GetHistogram(
-        "tqp_query_latency_us", "Executor wall time per query (microseconds)");
-  }
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  metric_queries_ =
+      reg.GetCounter("tqp_queries_total", "Queries executed by the engine");
+  metric_rows_ = reg.GetCounter("tqp_query_rows_total", "Result rows produced");
+  metric_slow_ =
+      reg.GetCounter("tqp_slow_queries_total",
+                     "Queries at or above the slow-query threshold");
+  metric_latency_ = reg.GetHistogram(
+      "tqp_query_latency_us", "Executor wall time per query (microseconds)");
 }
 
 Engine::~Engine() = default;
 
-void Engine::FlushCachesLocked() {
-  lru_.clear();
-  plan_cache_.clear();
-  // A wholesale flush means the catalog may have been *replaced*: a fresh
-  // catalog can coincidentally reproduce old per-relation version stamps
-  // over different data, so self-versioned result-cache keys are no longer
-  // trustworthy either.
-  if (result_cache_ != nullptr) result_cache_->Clear();
-  caches_version_ = catalog_.version();
-  // Every flush starts a new epoch: prepared states from before the flush
-  // must re-prepare even if the catalog version count happens to match
-  // (mutable_catalog() replacement).
-  ++catalog_epoch_;
-}
-
-uint64_t Engine::CurrentEpoch() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return catalog_epoch_;
-}
-
-void Engine::ClearCaches() {
-  // Exclusive catalog lock: wait for in-flight queries (which hold it
-  // shared) to drain, so none of them still runs under the old epoch.
-  std::unique_lock<std::shared_mutex> cat(catalog_mu_);
-  std::lock_guard<std::mutex> state(state_mu_);
-  FlushCachesLocked();
-}
-
 void Engine::SyncWithCatalog() {
   std::lock_guard<std::mutex> state(state_mu_);
-  // A handed-out mutable_catalog() reference may have replaced the catalog
-  // without bumping the version (a fresh catalog can coincidentally carry
-  // the same count). Conservatively treat the handout as a mutation: flush
-  // once, on the next query after it.
-  if (catalog_handout_.exchange(false, std::memory_order_acq_rel)) {
-    ++stats_.invalidations;
-    FlushCachesLocked();
-    return;
-  }
+  // Stamps are process-unique, so an unchanged version means unchanged
+  // contents. Otherwise exactly one thread reconciles per version change
+  // (the check and the update are atomic under state_mu_), evicting only
+  // the entries a restamped relation made stale.
   if (caches_version_ == catalog_.version()) return;
-  // The catalog moved through ordinary, per-relation-tracked mutation.
-  // Invalidate selectively rather than wholesale — exactly one thread
-  // reconciles per version change (the check and the update are atomic
-  // under state_mu_):
-  //
-  //  * plan cache — evict only entries whose relation-dependency set moved;
-  //    a plan reading only untouched relations stays warm;
-  //  * result cache — kept: entries carry exact per-relation version
-  //    vectors, so stale ones can never match a probe (they age out LRU).
   ++stats_.invalidations;
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (DepsCurrentLocked(*it->state)) {
+    if (StateIsCurrent(*it->state)) {
       ++it;
       continue;
     }
@@ -317,16 +261,22 @@ void Engine::SyncWithCatalog() {
   caches_version_ = catalog_.version();
 }
 
-bool Engine::DepsCurrentLocked(const PreparedQuery::State& state) const {
+bool Engine::StateIsCurrent(const PreparedQuery::State& state) const {
   for (const auto& [name, version] : state.dep_versions) {
     if (catalog_.relation_version(name) != version) return false;
   }
   return true;
 }
 
-bool Engine::StateIsCurrent(const PreparedQuery::State& state) const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return state.engine_epoch == catalog_epoch_ && DepsCurrentLocked(state);
+Result<std::shared_ptr<const PreparedQuery::State>> Engine::MakeState(
+    PlanCacheEntry entry) const {
+  TQP_ASSIGN_OR_RETURN(annotated,
+                       AnnotatedPlan::Make(entry.best_plan, &catalog_,
+                                           entry.contract,
+                                           options_.cardinality));
+  auto deps = StampDepVersions(entry.initial_plan, entry.best_plan, catalog_);
+  return std::make_shared<const PreparedQuery::State>(PreparedQuery::State{
+      std::move(entry), std::move(annotated), std::move(deps)});
 }
 
 Status Engine::MutateCatalog(const std::function<Status(Catalog&)>& mutation) {
@@ -340,7 +290,7 @@ std::shared_ptr<const PreparedQuery::State> Engine::LookupPlanCache(
   auto it = plan_cache_.find(key);
   if (it == plan_cache_.end()) return nullptr;
   if (confirm != nullptr &&
-      !PlanNode::Equal(it->second->state->initial_plan, *confirm)) {
+      !PlanNode::Equal(it->second->state->entry.initial_plan, *confirm)) {
     return nullptr;
   }
   ++stats_.plan_cache_hits;
@@ -374,12 +324,10 @@ void Engine::StorePlanCache(
 Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
     const std::string& key, const std::string& text, const PlanPtr& initial,
     const QueryContract& contract, Tracer* tracer) {
-  uint64_t epoch;
   {
     std::lock_guard<std::mutex> state(state_mu_);
     ++stats_.prepares;
     ++stats_.plan_cache_misses;
-    epoch = catalog_epoch_;
   }
   // The search state belongs to this query alone: the costing loop reuses
   // the search's derivations, and only the plans the cache entry keeps
@@ -398,30 +346,21 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
       Optimize(root, catalog_, contract, options_.rules, opt, &interner,
                &derivation));
 
-  auto state = std::make_shared<PreparedQuery::State>();
-  state->key = key;
-  state->text = text;
-  state->contract = contract;
-  state->initial_plan = root;
-  state->best_plan = optimized.best_plan;
-  state->best_cost = optimized.best_cost;
-  state->initial_cost = optimized.initial_cost;
-  state->plans_considered = optimized.plans_considered;
-  state->truncated = optimized.truncated;
-  state->derivation = std::move(optimized.derivation);
-  state->catalog_version = catalog_.version();
-  state->engine_epoch = epoch;
-  state->dep_versions = StampDepVersions(root, state->best_plan, catalog_);
-
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     stats_.interner_nodes += interner.unique_nodes();
     stats_.interner_hits += interner.hits();
     stats_.derivation_nodes += derivation.size();
   }
-  std::shared_ptr<const PreparedQuery::State> shared = state;
-  StorePlanCache(key, shared);
-  return shared;
+  TQP_ASSIGN_OR_RETURN(
+      state, MakeState(PlanCacheEntry{key, text, contract, root,
+                                      optimized.best_plan, optimized.best_cost,
+                                      optimized.initial_cost,
+                                      optimized.plans_considered,
+                                      optimized.truncated,
+                                      std::move(optimized.derivation)}));
+  StorePlanCache(key, state);
+  return state;
 }
 
 Result<PreparedQuery> Engine::Prepare(const std::string& text) {
@@ -511,8 +450,7 @@ Result<QueryResult> Engine::Query(const std::string& text) {
 
 Result<QueryResult> Engine::Query(const std::string& text,
                                   const QueryRunOptions& run) {
-  const bool want_trace = run.trace || options_.trace_queries;
-  if (!want_trace) {
+  if (!run.trace) {
     TQP_ASSIGN_OR_RETURN(prepared, Prepare(text));
     return prepared.ExecuteRun(run, /*external=*/nullptr);
   }
@@ -531,10 +469,6 @@ Result<TranslatedQuery> Engine::Compile(const std::string& text) const {
 Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
                                          bool from_cache, Tracer* tracer,
                                          bool want_profile) {
-  Result<AnnotatedPlan> ann = AnnotatedPlan::Make(
-      state.best_plan, &catalog_, state.contract, options_.cardinality);
-  if (!ann.ok()) return ann.status();
-
   // An armed slow-query log needs the hottest-operator ranking, so it
   // forces profile collection even when the caller did not ask for the
   // tree back.
@@ -561,10 +495,10 @@ Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
       vopts.batch_size = options_.vexec_batch_size;
       vopts.threads = options_.vexec_threads;
       vopts.memory_budget = options_.vexec_memory_budget;
-      return ExecuteVectorized(ann.value(), *cfg, &out.exec, vopts,
+      return ExecuteVectorized(state.annotated, *cfg, &out.exec, vopts,
                                profile_root.get());
     }
-    return Evaluate(ann.value(), *cfg, &out.exec, profile_root.get());
+    return Evaluate(state.annotated, *cfg, &out.exec, profile_root.get());
   }();
   const uint64_t wall_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -588,30 +522,29 @@ Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
     if (slow) {
       ++stats_.slow_queries;
       SlowQueryRecord rec;
-      rec.text = state.text;
-      rec.plan_fingerprint = state.best_plan->fingerprint();
+      rec.text = state.entry.text;
+      rec.plan_fingerprint = state.entry.best_plan->fingerprint();
       rec.wall_ns = wall_ns;
       rec.hottest = HottestOperators(*profile_root, 3);
       slow_log_.push_back(std::move(rec));
       while (slow_log_.size() > kSlowLogCapacity) slow_log_.pop_front();
     }
   }
+  const PlanCacheEntry& e = state.entry;
   out.relation = std::move(relation).value();
-  out.best_cost = state.best_cost;
-  out.initial_cost = state.initial_cost;
-  out.plans_considered = state.plans_considered;
-  out.truncated = state.truncated;
-  out.derivation = state.derivation;
-  out.plan_fingerprint = state.best_plan->fingerprint();
+  out.best_cost = e.best_cost;
+  out.initial_cost = e.initial_cost;
+  out.plans_considered = e.plans_considered;
+  out.truncated = e.truncated;
+  out.derivation = e.derivation;
+  out.plan_fingerprint = e.best_plan->fingerprint();
   out.plan_cache_hit = from_cache;
   out.exec_wall_ns = wall_ns;
   if (want_profile) out.profile = profile_root;
-  if (metric_queries_ != nullptr) {
-    metric_queries_->Add(1);
-    metric_rows_->Add(static_cast<uint64_t>(out.relation.size()));
-    metric_latency_->Record(wall_ns / 1000);
-    if (slow) metric_slow_->Add(1);
-  }
+  metric_queries_->Add(1);
+  metric_rows_->Add(static_cast<uint64_t>(out.relation.size()));
+  metric_latency_->Record(wall_ns / 1000);
+  if (slow) metric_slow_->Add(1);
   return out;
 }
 
@@ -634,20 +567,16 @@ Result<EnumerationResult> Engine::Enumerate(const std::string& text,
 
 namespace {
 
-/// Content summary of a catalog: relation names, schemas, cardinalities,
-/// property flags, declared orders, and sites. Deliberately skips tuple
-/// contents — the summary must stay cheap enough to compute on every
-/// snapshot save/load, and the version counter already covers in-place
-/// mutation; this catches *rebuilt* catalogs whose shape differs.
+/// Content summary of a catalog, comparable across processes: every
+/// relation's name, ContentDigest (schema and tuples, computed once when
+/// the catalog accepted the relation), cardinality, property flags,
+/// declared order and site.
 uint64_t FingerprintCatalog(const Catalog& catalog) {
   uint64_t h = 0x7177705f63617461ull;  // arbitrary nonzero seed
   for (const std::string& name : catalog.Names()) {
     const CatalogEntry* e = catalog.Find(name);
     h = HashCombine(h, HashString(name));
-    for (const Attribute& a : e->data.schema().attrs()) {
-      h = HashCombine(h, HashString(a.name));
-      h = HashCombine(h, static_cast<uint64_t>(a.type));
-    }
+    h = HashCombine(h, catalog.relation_digest(name));
     h = HashCombine(h, e->data.size());
     h = HashCombine(h, (static_cast<uint64_t>(e->duplicate_free) << 3) |
                            (static_cast<uint64_t>(e->snapshot_duplicate_free)
@@ -659,8 +588,7 @@ uint64_t FingerprintCatalog(const Catalog& catalog) {
       h = HashCombine(h, static_cast<uint64_t>(k.ascending));
     }
   }
-  // Never return the "unknown" sentinel for a real catalog.
-  return h == 0 ? 1 : h;
+  return h;
 }
 
 /// True iff every kScan in `plan` names a relation the catalog contains.
@@ -678,46 +606,22 @@ bool AllScansExist(const PlanPtr& plan, const Catalog& catalog) {
 }  // namespace
 
 PlanCacheSnapshot Engine::ExportPlanCache() const {
-  // Shared catalog lock: the version stamped into the snapshot is the one
-  // every exported entry was prepared under (any concurrent mutation either
-  // drains us first or flushes the cache before the next query).
   std::shared_lock<std::shared_mutex> cat(catalog_mu_);
   std::lock_guard<std::mutex> state(state_mu_);
   PlanCacheSnapshot out;
-  out.catalog_version = catalog_.version();
   out.catalog_fingerprint = FingerprintCatalog(catalog_);
   out.backend_kind = backend_->name();
   out.calibration_fingerprint =
       calibration_.calibrated ? calibration_.fingerprint : 0;
-  // An unprocessed mutable_catalog() handout means every cached entry is
-  // suspect (the catalog may have been replaced wholesale) while the
-  // version/fingerprint above describe the *new* catalog. Exporting the
-  // entries would label them valid for a catalog they were never prepared
-  // under — a stale-positive. Export none.
-  if (catalog_handout_.load(std::memory_order_acquire)) return out;
   out.entries.reserve(lru_.size());
   // lru_ front = most recent; emit back-to-front so importing in sequence
   // reproduces the recency order.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const PreparedQuery::State& s = *it->state;
-    // Same stale-positive guard for individual entries: SyncWithCatalog
-    // evicts dependency-stale entries lazily (on the next query), so an
-    // export taken between a mutation and that next query can still see
-    // them. The snapshot stamps the live catalog version; only entries
-    // actually valid under it may ship.
-    if (s.engine_epoch != catalog_epoch_ || !DepsCurrentLocked(s)) continue;
-    PlanCacheEntry e;
-    e.key = it->key;
-    e.text = s.text;
-    e.contract = s.contract;
-    e.initial_plan = s.initial_plan;
-    e.best_plan = s.best_plan;
-    e.best_cost = s.best_cost;
-    e.initial_cost = s.initial_cost;
-    e.plans_considered = s.plans_considered;
-    e.truncated = s.truncated;
-    e.derivation = s.derivation;
-    out.entries.push_back(std::move(e));
+    // SyncWithCatalog evicts stale entries lazily (on the next query), so
+    // an export taken between a mutation and that query can still see
+    // them. The snapshot is labelled with the live catalog's fingerprint;
+    // only entries current under it may ship.
+    if (StateIsCurrent(*it->state)) out.entries.push_back(it->state->entry);
   }
   return out;
 }
@@ -725,55 +629,28 @@ PlanCacheSnapshot Engine::ExportPlanCache() const {
 size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
   std::shared_lock<std::shared_mutex> cat(catalog_mu_);
   SyncWithCatalog();
-  // Wholesale staleness rule: a snapshot from any other catalog version —
-  // or any other catalog *content* — is rejected entirely, exactly as the
-  // in-memory caches are flushed entirely.
-  if (snapshot.catalog_version != catalog_.version()) return 0;
-  if (snapshot.catalog_fingerprint != 0 &&
-      snapshot.catalog_fingerprint != FingerprintCatalog(catalog_)) {
+  // Cached best plans embed the exporter's catalog contents and cost
+  // environment: a snapshot of other contents, from a different backend,
+  // or from a differently calibrated one would warm this engine with plans
+  // its own optimizer might not choose (or that are wrong here). Reject
+  // wholesale.
+  if (snapshot.catalog_fingerprint != FingerprintCatalog(catalog_) ||
+      snapshot.backend_kind != backend_->name() ||
+      snapshot.calibration_fingerprint !=
+          (calibration_.calibrated ? calibration_.fingerprint : 0)) {
     return 0;
   }
-  // Cached best plans embed the exporter's cost environment: a snapshot
-  // from a different backend, or from a differently calibrated one, would
-  // warm this engine with plans its own optimizer might not choose. Reject
-  // wholesale, like any other staleness.
-  if (!snapshot.backend_kind.empty() &&
-      snapshot.backend_kind != backend_->name()) {
-    return 0;
-  }
-  if (snapshot.calibration_fingerprint !=
-      (calibration_.calibrated ? calibration_.fingerprint : 0)) {
-    return 0;
-  }
-  const uint64_t epoch = CurrentEpoch();
   size_t installed = 0;
   for (const PlanCacheEntry& e : snapshot.entries) {
-    if (e.key.empty() || e.initial_plan == nullptr || e.best_plan == nullptr) {
+    // A snapshot file is outside input: skip an entry that could never have
+    // been prepared against this catalog.
+    if (e.key.empty() || e.initial_plan == nullptr || e.best_plan == nullptr ||
+        !AllScansExist(e.initial_plan, catalog_)) {
       continue;
     }
-    // Defense against a same-version but different catalog: an entry whose
-    // plans reference relations this catalog lacks is skipped (it could
-    // never have been prepared here).
-    if (!AllScansExist(e.initial_plan, catalog_) ||
-        !AllScansExist(e.best_plan, catalog_)) {
-      continue;
-    }
-    auto state = std::make_shared<PreparedQuery::State>();
-    state->key = e.key;
-    state->text = e.text;
-    state->contract = e.contract;
-    state->initial_plan = e.initial_plan;
-    state->best_plan = e.best_plan;
-    state->best_cost = e.best_cost;
-    state->initial_cost = e.initial_cost;
-    state->plans_considered = e.plans_considered;
-    state->truncated = e.truncated;
-    state->derivation = e.derivation;
-    state->catalog_version = catalog_.version();
-    state->engine_epoch = epoch;
-    state->dep_versions =
-        StampDepVersions(state->initial_plan, state->best_plan, catalog_);
-    StorePlanCache(e.key, std::move(state));
+    Result<std::shared_ptr<const PreparedQuery::State>> state = MakeState(e);
+    if (!state.ok()) continue;
+    StorePlanCache(e.key, std::move(state).value());
     ++installed;
   }
   if (installed > 0) {
@@ -781,11 +658,6 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
     stats_.plan_cache_imports += installed;
   }
   return installed;
-}
-
-uint64_t Engine::CatalogFingerprint() const {
-  std::shared_lock<std::shared_mutex> cat(catalog_mu_);
-  return FingerprintCatalog(catalog_);
 }
 
 std::string EngineStats::ToJson() const { return StatsToJson(*this); }

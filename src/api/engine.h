@@ -9,8 +9,12 @@
 // lexed token stream (or initial-plan fingerprint), so a repeated query —
 // including whitespace/comment/keyword-case variants of it — skips parsing,
 // enumeration, and costing entirely. An entry keeps the query's initial and
-// chosen plans and is invalidated when a relation they read changes (see
-// Catalog::relation_version()) — a stale plan is never served.
+// chosen plans, the chosen plan's annotation, and the stamp of every
+// relation they read (Catalog::relation_version()). One rule decides
+// staleness: an entry or prepared state is current iff every relation it
+// reads still carries its stamp. Stamps are process-unique, so neither an
+// update nor a wholesale catalog replacement can pass for the contents a
+// plan was made for — a stale plan is never served.
 //
 // Plan search state is not session state: each prepare runs the Figure 5
 // search in a PlanInterner and DerivationCache of its own, which die with
@@ -147,26 +151,18 @@ struct EngineOptions {
   /// that exploit a fast backend. The SimulatedBackend's profile reproduces
   /// the constant model exactly, so calibration never changes plans there.
   bool calibrate_backend = false;
-  /// Incremental prepared-query re-execution: keep a versioned subplan
-  /// result cache (exec/result_cache.h) shared across this Engine's
-  /// sessions. Both executors probe it at transfer/root cut points; when
-  /// the catalog bumps one relation, only subplans transitively reading it
-  /// recompute — everything else splices its cached, byte-identical result.
-  /// Off (default) = no cache exists and execution is unchanged.
+  /// Incremental prepared-query re-execution: keep a subplan result cache
+  /// (exec/result_cache.h) keyed on relation stamps and shared across this
+  /// Engine's sessions. Both executors probe it at transfer/root cut
+  /// points; when the catalog restamps one relation, only subplans
+  /// transitively reading it recompute — everything else splices its
+  /// cached, byte-identical result. Off (default) = no cache exists and
+  /// execution is unchanged.
   bool incremental_execution = false;
   /// Byte bound of the subplan result cache (least-recently-used results
   /// evicted beyond it). 0 = a 64 MiB default. Ignored unless
   /// incremental_execution is on.
   uint64_t result_cache_bytes = 0;
-  /// Trace every query end to end — plan-cache probe, parse/translate,
-  /// enumeration, costing, per-operator execution — and attach the rendered
-  /// Chrome trace JSON to QueryResult::trace_json. Per-call opt-in goes
-  /// through QueryRunOptions instead; this knob is for debugging sessions.
-  /// Off (default) = the untraced path, one pointer test per would-be span.
-  bool trace_queries = false;
-  /// Collect the per-operator profile tree (QueryResult::profile) for every
-  /// query. Per-call opt-in goes through QueryRunOptions.
-  bool profile_queries = false;
   /// Slow-query log: a query whose executor wall time reaches this threshold
   /// is recorded — text, plan fingerprint, wall time, top-3 hottest
   /// operators by self time — in a bounded in-memory log
@@ -174,16 +170,10 @@ struct EngineOptions {
   /// Arming the log forces profiling for every query (that is where
   /// "hottest" comes from). 0 (default) = off.
   double slow_query_threshold_ms = 0.0;
-  /// Publish per-query counters (tqp_queries_total, tqp_query_rows_total,
-  /// tqp_query_latency_us, tqp_slow_queries_total) into
-  /// MetricsRegistry::Global() as queries run. On by default — the update
-  /// path is a handful of relaxed atomics per query, never per row.
-  bool publish_metrics = true;
 };
 
 /// Per-call observability opt-ins for Engine::Query and
-/// PreparedQuery::Execute. Both compose with the EngineOptions defaults
-/// (either side can turn a collector on).
+/// PreparedQuery::Execute.
 struct QueryRunOptions {
   /// Record a span tree for this call; the rendered Chrome trace JSON is
   /// returned in QueryResult::trace_json.
@@ -216,11 +206,10 @@ struct QueryResult {
   /// Per-operator profile tree of the executed plan — the EXPLAIN ANALYZE
   /// data: inclusive/self wall time, rows in/out, vexec batch counts,
   /// result-cache and backend-pushdown flags (render with PrintProfile or
-  /// ProfileNode::ToJson). Null unless profiling was requested
-  /// (QueryRunOptions::profile or EngineOptions::profile_queries).
+  /// ProfileNode::ToJson). Null unless QueryRunOptions::profile was set.
   std::shared_ptr<const ProfileNode> profile;
-  /// Chrome trace_event JSON of this query's spans; empty unless tracing was
-  /// requested (QueryRunOptions::trace or EngineOptions::trace_queries).
+  /// Chrome trace_event JSON of this query's spans; empty unless
+  /// QueryRunOptions::trace was set.
   std::string trace_json;
 };
 
@@ -232,14 +221,14 @@ struct EngineStats {
   uint64_t plan_cache_misses = 0;
   /// LRU evictions forced by EngineOptions::plan_cache_capacity.
   uint64_t plan_cache_evictions = 0;
-  /// Plan-cache entries evicted because a catalog mutation moved one of the
-  /// relations their plans read. Invalidation is keyed on each entry's
+  /// Plan-cache entries evicted because a catalog mutation restamped one of
+  /// the relations their plans read. Invalidation is keyed on each entry's
   /// relation-dependency set: updating relation A never evicts (or
   /// re-prepares) a plan reading only B.
   uint64_t plan_cache_stale_evictions = 0;
-  /// Catalog changes reconciled with the caches: plan-cache entries whose
-  /// relations moved were evicted, or, after a mutable_catalog() handout,
-  /// the plan and result caches were flushed.
+  /// Catalog changes reconciled with the plan cache: each time the
+  /// catalog's version moved, the entries whose relations were restamped
+  /// were evicted.
   uint64_t invalidations = 0;
   /// Highest number of queries simultaneously inside the admission-gated
   /// sections since construction; with max_concurrent_queries = N this
@@ -359,22 +348,19 @@ struct PlanCacheEntry {
 };
 
 /// A point-in-time export of an Engine's plan cache, valid only for the
-/// catalog version it was taken under.
+/// catalog contents it was taken under. Relation stamps mean nothing in
+/// another process, so the snapshot keys on content alone.
 struct PlanCacheSnapshot {
-  /// Catalog::version() at export time. Import refuses a snapshot whose
-  /// version differs from the live catalog's — a bumped catalog invalidates
-  /// the snapshot wholesale, exactly like the in-memory caches.
-  uint64_t catalog_version = 0;
-  /// Content summary of the catalog at export time
-  /// (Engine::CatalogFingerprint). A version count alone cannot distinguish
-  /// two catalogs that saw the same *number* of mutations; import also
-  /// rejects wholesale on a fingerprint mismatch (0 = unknown, not checked).
+  /// Content summary of the catalog at export time: every relation's name,
+  /// ContentDigest, cardinality, property flags, declared order and site.
+  /// Import rejects the snapshot wholesale when it differs from the live
+  /// catalog's.
   uint64_t catalog_fingerprint = 0;
   /// Backend the exporter ran: cached best plans and costs were chosen for
   /// this backend (and, when calibrated, for this measured cost profile).
   /// Import rejects wholesale on a mismatch with the importing Engine —
   /// plans optimized for a different backend are stale in the same way
-  /// plans for a different catalog are. Empty = unknown, not checked.
+  /// plans for a different catalog are.
   std::string backend_kind;
   /// Fingerprint of the exporter's calibrated cost profile (0 =
   /// uncalibrated constant model; checked like backend_kind).
@@ -389,9 +375,10 @@ class SubplanResultCache;
 
 /// A compiled-and-optimized query bound to its Engine. Cheap to copy (shared
 /// immutable state); must not outlive the Engine. Execute() re-prepares
-/// transparently if the catalog changed since preparation, so a
-/// PreparedQuery can be held across catalog mutations without ever running
-/// a stale plan. One handle serves one thread; copies are independent.
+/// transparently if a relation the query reads was restamped since
+/// preparation, so a PreparedQuery can be held across catalog mutations
+/// without ever running a stale plan. One handle serves one thread; copies
+/// are independent.
 class PreparedQuery {
  public:
   /// Evaluates the chosen plan against the Engine's catalog.
@@ -433,7 +420,11 @@ class PreparedQuery {
 };
 
 /// The facade. Owns the catalog, the plan cache and the result cache; safe
-/// for concurrent use by any number of threads.
+/// for concurrent use by any number of threads. Every query also publishes
+/// per-query counters (tqp_queries_total, tqp_query_rows_total,
+/// tqp_query_latency_us, tqp_slow_queries_total) into
+/// MetricsRegistry::Global(): a handful of relaxed atomics per query, never
+/// per row.
 class Engine {
  public:
   explicit Engine(Catalog catalog, EngineOptions options = EngineOptions());
@@ -443,31 +434,19 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Direct read access to the catalog. Unsynchronized: only safe while no
-  /// concurrent MutateCatalog (or mutable_catalog() mutation) can run —
-  /// e.g. single-threaded use, or quiescent points between traffic. Queries
-  /// themselves never need this; they read the catalog under the engine's
-  /// internal lock.
+  /// concurrent MutateCatalog can run — e.g. single-threaded use, or
+  /// quiescent points between traffic. Queries themselves never need this;
+  /// they read the catalog under the engine's internal lock.
   const Catalog& catalog() const { return catalog_; }
-  /// Mutable access for registrations/updates. Single-threaded use only:
-  /// callers must guarantee no query is in flight. Concurrent sessions
-  /// mutate through MutateCatalog instead, which excludes running queries.
-  /// Mutations bump Catalog::version(); the Engine notices lazily, before
-  /// serving the next query. Because the handed-out reference can also
-  /// *replace* the catalog wholesale (which a version count alone cannot
-  /// detect — a fresh catalog may coincidentally carry the same count),
-  /// every handout conservatively flushes the plan and result caches on the
-  /// next query, and outstanding PreparedQuery handles re-prepare on their
-  /// next Execute() — a query whose relations were dropped or replaced
-  /// incompatibly returns a clean error instead of running a stale plan
-  /// (locked by test_api_engine.cc).
-  Catalog& mutable_catalog() {
-    catalog_handout_.store(true, std::memory_order_release);
-    return catalog_;
-  }
   /// Applies `mutation` to the catalog under the engine's exclusive lock:
   /// it waits for in-flight queries to drain, runs the mutation, and lets
-  /// traffic resume — the next query sees the bumped version and re-prepares
-  /// against the new contents. Safe to call from any thread at any time.
+  /// traffic resume. The mutation may update, drop or register relations,
+  /// or assign a whole new catalog: every relation it changes carries a
+  /// fresh stamp, so the next query evicts exactly the plans that read one
+  /// and re-prepares against the new contents, and outstanding
+  /// PreparedQuery handles re-prepare on their next Execute() (a query
+  /// whose relation is gone returns a clean error). The only way to change
+  /// an Engine's catalog; safe to call from any thread at any time.
   Status MutateCatalog(const std::function<Status(Catalog&)>& mutation);
   const EngineOptions& options() const { return options_; }
 
@@ -513,28 +492,22 @@ class Engine {
   /// Empty while the threshold is 0.
   std::vector<SlowQueryRecord> slow_queries() const;
 
-  /// Exports every plan-cache entry (LRU → MRU order) together with the
-  /// catalog version they are valid for. The service layer persists the
-  /// result across restarts (service/plan_store.h). Waits for no one:
-  /// concurrent queries keep running; the export is a consistent snapshot
-  /// under the engine's locks.
+  /// Exports every current plan-cache entry (LRU → MRU order) together
+  /// with the content fingerprint of the catalog they are valid for. The
+  /// service layer persists the result across restarts
+  /// (service/plan_store.h). Waits for no one: concurrent queries keep
+  /// running; the export is a consistent snapshot under the engine's locks.
   PlanCacheSnapshot ExportPlanCache() const;
 
   /// Installs a previously exported snapshot into this engine's plan cache,
-  /// returning the number of entries installed. A snapshot taken under a
-  /// different catalog version than the live one is rejected wholesale
-  /// (returns 0) — stale plans are never imported, mirroring the in-memory
-  /// invalidation rule. Entries referencing relations the live catalog does
-  /// not contain are skipped individually (defense against a snapshot from a
-  /// same-version but different catalog). Imported plans are stored as
-  /// given; LRU capacity applies as usual.
+  /// returning the number of entries installed. A snapshot whose catalog
+  /// fingerprint, backend or calibration differs from this engine's is
+  /// rejected wholesale (returns 0) — stale plans are never imported. An
+  /// entry whose initial plan reads a relation the live catalog lacks, or
+  /// whose chosen plan does not annotate against it, is skipped. Imported
+  /// entries are stamped with the live catalog's stamps; LRU capacity
+  /// applies as usual.
   size_t ImportPlanCache(const PlanCacheSnapshot& snapshot);
-
-  /// Stable content summary of the live catalog (relation names, schemas,
-  /// cardinalities, property flags, declared orders, sites) under the shared
-  /// catalog lock. Persisted snapshots couple to it in addition to the
-  /// version counter, which a rebuilt catalog can coincidentally reproduce.
-  uint64_t CatalogFingerprint() const;
 
   /// The live backend (never null; kSimulated when the requested backend
   /// could not be constructed). Exposed for tests and examples that inspect
@@ -543,11 +516,6 @@ class Engine {
   /// The calibrated cost profile in effect (calibrated == false when
   /// EngineOptions::calibrate_backend was off).
   const BackendCostProfile& calibration() const { return calibration_; }
-
-  /// Drops the plan cache and the result cache after waiting for in-flight
-  /// queries to drain, and makes outstanding PreparedQuery handles
-  /// re-prepare. Equivalent to what a mutable_catalog() handout triggers.
-  void ClearCaches();
 
  private:
   friend class PreparedQuery;
@@ -572,26 +540,22 @@ class Engine {
     SemaphoreGuard permit_;
   };
 
-  /// Reconciles the caches with the live catalog if its version moved since
-  /// they were primed. A mutable_catalog() handout flushes the plan and
-  /// result caches wholesale (a replacement is undetectable by version); an
-  /// ordinary version bump invalidates *selectively* — only plan-cache
-  /// entries whose relation-dependency set moved are evicted, and the
-  /// self-versioned result cache survives. Requires the catalog lock
-  /// (shared suffices: a mismatch can only be observed once the mutating
-  /// writer has drained every older reader).
+  /// Evicts the plan-cache entries that are no longer current if the
+  /// catalog's version moved since the last sync; an entry reading only
+  /// untouched relations stays warm. The result cache needs no sync: its
+  /// keys carry relation stamps, so a stale entry can never match a probe.
+  /// Requires the catalog lock (shared suffices: a mismatch can only be
+  /// observed once the mutating writer has drained every older reader).
   void SyncWithCatalog();
-  /// Drops all caches; state_mu_ must be held. Starts a new cache epoch.
-  void FlushCachesLocked();
-  /// The current cache epoch (bumped by every flush).
-  uint64_t CurrentEpoch() const;
-  /// True iff every relation `state`'s plans read still carries the version
-  /// it was prepared under. state_mu_ must be held (the catalog lock shared
-  /// guards the catalog reads).
-  bool DepsCurrentLocked(const PreparedQuery::State& state) const;
-  /// Staleness check for Execute(): current epoch and current dependency
-  /// versions. Catalog lock held shared.
+  /// The one staleness rule: true iff every relation `state`'s plans read
+  /// still carries the stamp it had when the state was made. Requires the
+  /// catalog lock (shared suffices).
   bool StateIsCurrent(const PreparedQuery::State& state) const;
+  /// Builds a prepared state from `entry`: annotates its chosen plan and
+  /// stamps the relations its plans read against the live catalog.
+  /// Requires the catalog lock (shared suffices).
+  Result<std::shared_ptr<const PreparedQuery::State>> MakeState(
+      PlanCacheEntry entry) const;
 
   /// Plan-cache probe under state_mu_: on a hit bumps the entry to the LRU
   /// front and counts a hit. `confirm` (optional) structurally verifies the
@@ -617,8 +581,8 @@ class Engine {
       const std::string& key, const std::string& text, const PlanPtr& initial,
       const QueryContract& contract, Tracer* tracer);
 
-  /// Annotate + evaluate `state`'s chosen plan. Requires the catalog lock
-  /// shared and `state` to be current for the live catalog version.
+  /// Evaluates `state`'s annotated chosen plan. Requires the catalog lock
+  /// shared and `state` to be current.
   /// `tracer` (may be null) records execution spans; `want_profile` returns
   /// the per-operator tree in QueryResult::profile (profiling also runs,
   /// without being returned, while the slow-query log is armed).
@@ -634,36 +598,27 @@ class Engine {
   BackendCostProfile calibration_;
   /// The shared subplan result cache (EngineOptions::incremental_execution);
   /// nullptr when off. options_.engine.result_cache points at it for both
-  /// executors. Its entries self-version through per-relation catalog
-  /// stamps, so ordinary mutations never clear it — only wholesale flushes
-  /// (handout, ClearCaches) do.
+  /// executors. Its keys carry relation stamps, so it is never cleared:
+  /// stale entries age out through its LRU bound.
   std::unique_ptr<SubplanResultCache> result_cache_;
 
-  /// Queries hold this shared for their full duration; catalog mutation and
-  /// explicit cache flushes hold it exclusive. Lock order: admission
-  /// semaphore → catalog_mu_ → state_mu_.
+  /// Queries hold this shared for their full duration; catalog mutation
+  /// holds it exclusive. Lock order: admission semaphore → catalog_mu_ →
+  /// state_mu_.
   mutable std::shared_mutex catalog_mu_;
-  /// Guards the plan cache, counters, slow log, epoch, and caches_version_.
+  /// Guards the plan cache, counters, slow log, and caches_version_.
   mutable std::mutex state_mu_;
 
-  /// Catalog version the caches below are valid for.
+  /// Catalog::version() at the last SyncWithCatalog.
   uint64_t caches_version_ = 0;
-  /// Cache epoch: incremented on every flush. Prepared states remember the
-  /// epoch they were built under and re-prepare when it moved — the version
-  /// count alone cannot see a wholesale catalog replacement.
-  uint64_t catalog_epoch_ = 0;
-  /// Set when mutable_catalog() hands out a mutable reference; the next
-  /// SyncWithCatalog flushes conservatively and clears it.
-  mutable std::atomic<bool> catalog_handout_{false};
   /// LRU plan cache: list front = most recently used; map points into it.
   LruList lru_;
   std::unordered_map<std::string, LruList::iterator> plan_cache_;
   EngineStats stats_;
   /// Bounded slow-query log, oldest at the front. Guarded by state_mu_.
   std::deque<SlowQueryRecord> slow_log_;
-  /// Cached MetricsRegistry::Global() pointers (EngineOptions::
-  /// publish_metrics); all null when publishing is off. Registry entries are
-  /// never removed, so the pointers stay valid for the process lifetime.
+  /// Cached MetricsRegistry::Global() pointers. Registry entries are never
+  /// removed, so the pointers stay valid for the process lifetime.
   MetricCounter* metric_queries_ = nullptr;
   MetricCounter* metric_rows_ = nullptr;
   MetricCounter* metric_slow_ = nullptr;

@@ -1,6 +1,19 @@
 #include "core/catalog.h"
 
+#include <atomic>
+
 namespace tqp {
+
+namespace {
+
+/// The source of every Catalog's stamps. Each value is handed out once, so
+/// two catalogs share a stamp only when one copied it from the other.
+/// Relaxed order suffices: every fetch_add reads the latest value, so the
+/// stamps are unique, and a catalog (mutated under its owner's
+/// synchronization) sees them strictly increase.
+std::atomic<uint64_t> next_stamp{0};
+
+}  // namespace
 
 const char* SiteName(Site s) {
   return s == Site::kDbms ? "DBMS" : "STRATUM";
@@ -15,7 +28,7 @@ Status Catalog::Register(const std::string& name, CatalogEntry entry) {
   relation_digests_[name] = ContentDigest(entry.data);
   twins_[name] = std::make_shared<ColumnarTwin>();
   entries_.emplace(name, std::move(entry));
-  relation_versions_[name] = ++version_;
+  Stamp(name);
   return Status::OK();
 }
 
@@ -25,7 +38,7 @@ Status Catalog::Update(const std::string& name, CatalogEntry entry) {
   relation_digests_[name] = ContentDigest(entry.data);
   twins_[name] = std::make_shared<ColumnarTwin>();
   entries_[name] = std::move(entry);
-  relation_versions_[name] = ++version_;
+  Stamp(name);
   return Status::OK();
 }
 
@@ -35,8 +48,13 @@ bool Catalog::Drop(const std::string& name) {
   twins_.erase(name);
   // Tombstone: the drop is a mutation of `name`, visible to per-relation
   // consumers exactly like an update.
-  relation_versions_[name] = ++version_;
+  Stamp(name);
   return true;
+}
+
+void Catalog::Stamp(const std::string& name) {
+  version_ = next_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
+  relation_versions_[name] = version_;
 }
 
 uint64_t Catalog::relation_version(const std::string& name) const {

@@ -46,28 +46,24 @@ struct CatalogEntry {
 
 /// Name → relation registry shared by the planner and the executor.
 ///
-/// Every successful mutation (register/update/drop) bumps a monotonically
-/// increasing version. Session-scoped consumers (tqp::Engine's plan and
-/// derivation caches) key their cached state on it: anything derived under
-/// version v is stale — and must be invalidated, never served — once
-/// version() != v.
-///
-/// Mutations are additionally tracked *per relation*: every successful
-/// Register/Update/Drop of `name` stamps that relation with the new global
-/// counter, so relation_version(name) moves exactly when `name`'s contents
-/// (or existence) change. The global version is always the maximum of the
-/// per-relation versions. Dependency-keyed consumers (the Engine's
-/// relation-dependency plan-cache invalidation and the subplan result
-/// cache) compare per-relation versions instead of the global counter, so
-/// an update of relation A never invalidates state derived only from B.
+/// Every successful mutation (Register/Update/Drop) of `name` stamps that
+/// relation with a fresh value of one process-wide counter, so a (name,
+/// stamp) pair names exactly one relation content in the process:
+/// relation_version(name) moves exactly when `name`'s contents (or
+/// existence) change, a Catalog copy shares its original's stamps, and a
+/// catalog rebuilt by the same registrations never repeats them. version()
+/// is the latest stamp, so an equal version means the same contents.
+/// Consumers that cache derived state (tqp::Engine's plan cache and
+/// prepared queries, the subplan result cache) compare per-relation stamps:
+/// an update of relation A never invalidates state derived only from B,
+/// and no replacement catalog can pass for the one the state was made for.
 /// Dropped relations keep their stamp (a tombstone): re-registering under
-/// the same name yields a strictly larger version, never a repeat.
+/// the same name yields a strictly larger stamp, never a repeat.
 ///
-/// Versions are counters of one Catalog object: two catalogs (or one
-/// replaced wholesale) can carry equal (name, version) pairs over different
-/// data. Consumers that must recognize contents across catalogs or processes
-/// (the SQLite backend's mirror) key on relation_digest(name) instead, the
-/// ContentDigest computed once when Register/Update accepts the relation.
+/// Stamps mean nothing in another process. Consumers that must recognize
+/// contents across processes (the SQLite backend's mirror, persisted plan
+/// caches) key on relation_digest(name) instead, the ContentDigest computed
+/// once when Register/Update accepts the relation.
 ///
 /// Each relation version also has a columnar twin (Columns()), the
 /// ColumnTable the vectorized executor scans. It is built on the first
@@ -87,8 +83,8 @@ class Catalog {
   Status RegisterWithInferredFlags(const std::string& name, Relation data,
                                    Site site = Site::kDbms);
 
-  /// Removes a relation. Returns false (and does not bump the version) if
-  /// `name` is not registered.
+  /// Removes a relation. Returns false (and stamps nothing) if `name` is
+  /// not registered.
   bool Drop(const std::string& name);
 
   bool Contains(const std::string& name) const;
@@ -96,13 +92,13 @@ class Catalog {
 
   std::vector<std::string> Names() const;
 
-  /// Number of successful mutations so far; 0 for a fresh catalog. Equals
-  /// the maximum over all relation_version() values.
+  /// The stamp of this catalog's latest successful mutation; 0 for a fresh
+  /// catalog. Equals the maximum over all relation_version() values.
   uint64_t version() const { return version_; }
 
-  /// The global version at the last successful mutation of `name`
-  /// (including its drop — tombstones persist); 0 if `name` was never
-  /// registered. Monotonically increasing per relation.
+  /// The stamp of the last successful mutation of `name` (including its
+  /// drop — tombstones persist); 0 if `name` was never registered.
+  /// Strictly increasing per relation.
   uint64_t relation_version(const std::string& name) const;
 
   /// ContentDigest of `name`'s registered relation; 0 if `name` is not
@@ -126,6 +122,8 @@ class Catalog {
   };
 
   Status Verify(const std::string& name, const CatalogEntry& entry) const;
+  /// Stamps `name` with the next process-wide stamp.
+  void Stamp(const std::string& name);
 
   std::map<std::string, CatalogEntry> entries_;
   /// Per-relation mutation stamps, including tombstones for dropped names.

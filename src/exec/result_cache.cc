@@ -140,14 +140,6 @@ void SubplanResultCache::Insert(const SubplanCacheKey& key, Relation result) {
   while (bytes_ > capacity_) EvictLocked(std::prev(lru_.end()));
 }
 
-void SubplanResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  evictions_ += lru_.size();
-  index_.clear();
-  lru_.clear();
-  bytes_ = 0;
-}
-
 ResultCacheStats SubplanResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ResultCacheStats s;

@@ -1,11 +1,12 @@
-// Versioned subplan result cache for incremental prepared-query re-execution.
+// Stamp-keyed subplan result cache for incremental prepared-query
+// re-execution.
 //
-// When the catalog bumps one relation, a prepared plan only needs to recompute
-// the subplans that transitively read it; everything else can be spliced in
-// from a cache of earlier, byte-identical results. An entry is keyed on
+// When the catalog restamps one relation, a prepared plan only needs to
+// recompute the subplans that transitively read it; everything else can be
+// spliced in from a cache of earlier, byte-identical results. An entry is keyed on
 //
 //   (subplan identity, engine environment, query contract,
-//    exact per-relation catalog versions of every base relation it reads)
+//    catalog stamps of every base relation it reads)
 //
 // so a cached result is served only when re-running the subplan from scratch
 // would reproduce it byte for byte:
@@ -18,10 +19,14 @@
 //   * contract — the query contract (result type + order) under which the
 //     plan was annotated; annotation decides coalescing/sort enforcement, so
 //     the same tree under a different contract may evaluate differently;
-//   * dependency versions — the sorted relation-dependency set from
+//   * dependency stamps — the sorted relation-dependency set from
 //     NodeInfo::relation_deps() paired with Catalog::relation_version()
-//     stamps. An update of relation A never matches (or evicts) entries
-//     that read only relation B; stale entries age out via the LRU bound.
+//     stamps. Stamps are process-unique, so a (name, stamp) pair names one
+//     relation content: neither an update nor a wholesale catalog
+//     replacement can match an entry made for other contents, and an
+//     update of relation A never matches (or evicts) entries that read only
+//     relation B. The cache is never cleared; stale entries age out via the
+//     LRU bound.
 //
 // The cache is byte-bounded LRU under a single mutex and is shared by all
 // sessions of an Engine across both executors. Entries hold immutable
@@ -101,16 +106,13 @@ class SubplanResultCache {
 
   /// Returns the cached result for `key`, or nullptr. A hit refreshes LRU
   /// recency. The returned snapshot is immutable and safe to hold after
-  /// eviction or Clear().
+  /// eviction.
   std::shared_ptr<const Relation> Lookup(const SubplanCacheKey& key);
 
   /// Stores `result` under `key`, replacing any entry with the identical key
   /// and evicting from the LRU tail until the byte budget holds. Results
   /// larger than the whole budget are not cached.
   void Insert(const SubplanCacheKey& key, Relation result);
-
-  /// Drops every entry (counted as evictions). Counters survive.
-  void Clear();
 
   ResultCacheStats stats() const;
 

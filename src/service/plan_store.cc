@@ -595,10 +595,23 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
   return Status::Error("plan store: unreachable operator kind");
 }
 
-// v2 added the backend kind + calibration fingerprint to the header; a v1
-// file fails the magic check and is treated as a stale snapshot (cold
-// start), exactly like any other format mismatch.
-constexpr const char* kMagic = "tqp-plan-cache-v2";
+// v2 added the backend kind + calibration fingerprint to the header; v3
+// dropped the catalog mutation count, which means nothing in another
+// process (the content fingerprint alone keys the snapshot).
+constexpr const char* kMagicPrefix = "tqp-plan-cache-v";
+constexpr const char* kMagic = "tqp-plan-cache-v3";
+
+/// True iff `data` starts with the magic of another format version:
+/// kMagicPrefix followed by digits, other than kMagic.
+bool IsOtherFormatVersion(const std::string& data) {
+  Reader r(data);
+  Result<std::string> magic = r.Atom();
+  const std::string prefix = kMagicPrefix;
+  return magic.ok() && *magic != kMagic && magic->size() > prefix.size() &&
+         magic->compare(0, prefix.size(), prefix) == 0 &&
+         magic->find_first_not_of("0123456789", prefix.size()) ==
+             std::string::npos;
+}
 
 }  // namespace
 
@@ -622,7 +635,6 @@ Result<PlanPtr> DeserializePlan(const std::string& data) {
 std::string SerializeSnapshot(const PlanCacheSnapshot& snapshot) {
   std::string out;
   A(&out, kMagic);
-  WUint(&out, snapshot.catalog_version);
   WUint(&out, snapshot.catalog_fingerprint);
   WStr(&out, snapshot.backend_kind);
   WUint(&out, snapshot.calibration_fingerprint);
@@ -658,12 +670,10 @@ Result<PlanCacheSnapshot> DeserializeSnapshot(const std::string& data) {
                          "' (expected " + kMagic + ")");
   }
   PlanCacheSnapshot out;
-  TQP_ASSIGN_OR_RETURN(version, r.Uint());
   TQP_ASSIGN_OR_RETURN(fingerprint, r.Uint());
   TQP_ASSIGN_OR_RETURN(backend_kind, r.Str());
   TQP_ASSIGN_OR_RETURN(calibration_fp, r.Uint());
   TQP_ASSIGN_OR_RETURN(count, r.Uint());
-  out.catalog_version = version;
   out.catalog_fingerprint = fingerprint;
   out.backend_kind = backend_kind;
   out.calibration_fingerprint = calibration_fp;
@@ -752,11 +762,18 @@ Result<PlanStoreLoadOutcome> LoadPlanCache(Engine* engine,
   if (read_error) {
     return Status::Error("plan store: read error on '" + path + "'");
   }
+  // Another build's format is unreadable here but not corrupt: a stale
+  // snapshot, so the engine starts cold.
+  if (IsOtherFormatVersion(data)) {
+    out.stale = true;
+    return out;
+  }
   TQP_ASSIGN_OR_RETURN(snapshot, DeserializeSnapshot(data));
   out.in_snapshot = snapshot.entries.size();
   out.imported = engine->ImportPlanCache(snapshot);
-  // ImportPlanCache rejects wholesale on version/fingerprint mismatch; an
-  // accepted snapshot installs every entry whose relations still exist.
+  // ImportPlanCache rejects wholesale on a fingerprint, backend or
+  // calibration mismatch; an accepted snapshot installs every entry that
+  // annotates against the live catalog.
   out.stale = out.imported == 0 && out.in_snapshot > 0;
   return out;
 }

@@ -9,19 +9,22 @@
 // shutdown or on an interval, and reloads it on startup, so a restarted
 // server answers its first wave of traffic at warm speed.
 //
-// Staleness contract: the snapshot carries the catalog version *and* a
-// catalog content fingerprint from export time. Engine::ImportPlanCache
-// rejects the snapshot wholesale when either differs from the live catalog —
-// a restarted server with a bumped or reshaped catalog starts cold, exactly
-// as the in-memory caches are flushed wholesale on a version change. Warmth
-// is an optimization only: a warm-started server returns byte-identical
-// results to a cold one (locked by tests/test_service.cc and
-// bench_service_load).
+// Staleness contract: relation stamps mean nothing in another process, so
+// the snapshot keys on content alone. It carries a fingerprint of the
+// catalog's contents at export time (every relation's name, ContentDigest,
+// cardinality, flags, declared order and site) plus the backend and its
+// calibration; Engine::ImportPlanCache rejects the snapshot wholesale when
+// any of them differs from the live engine's, so a restarted server whose
+// catalog changed in any value starts cold. Warmth is an optimization
+// only: a warm-started server returns byte-identical results to a cold one
+// (locked by tests/test_service.cc and bench_service_load).
 //
 // The file format is a private whitespace-separated token stream
 // (s-expressions with length-prefixed strings) — self-contained, versioned
-// by a leading magic atom, no third-party dependencies. A corrupt or
-// truncated file is a clean load error, never a crash or a partial import.
+// by a leading magic atom, no third-party dependencies. A file in another
+// format version (another tqp-plan-cache-v* magic) loads as a stale
+// snapshot, a cold start; a corrupt or truncated file of this version is a
+// clean load error, never a crash or a partial import.
 #ifndef TQP_SERVICE_PLAN_STORE_H_
 #define TQP_SERVICE_PLAN_STORE_H_
 
@@ -39,8 +42,9 @@ struct PlanStoreLoadOutcome {
   size_t in_snapshot = 0;
   /// No snapshot file at the path (a normal cold start).
   bool file_missing = false;
-  /// Snapshot was readable but written under a different catalog
-  /// version/fingerprint — rejected wholesale, engine starts cold.
+  /// Snapshot was written in another format version, or for other catalog
+  /// contents, backend or calibration — rejected wholesale, engine starts
+  /// cold.
   bool stale = false;
 };
 
@@ -50,9 +54,9 @@ struct PlanStoreLoadOutcome {
 Status SavePlanCache(const Engine& engine, const std::string& path);
 
 /// Loads a snapshot from `path` into `engine` through
-/// Engine::ImportPlanCache. A missing file or a stale snapshot is a normal
-/// outcome (see PlanStoreLoadOutcome), not an error; a corrupt file is an
-/// error.
+/// Engine::ImportPlanCache. A missing file, another format version or a
+/// stale snapshot is a normal outcome (see PlanStoreLoadOutcome), not an
+/// error; a corrupt file is an error.
 Result<PlanStoreLoadOutcome> LoadPlanCache(Engine* engine,
                                            const std::string& path);
 

@@ -1349,8 +1349,8 @@ ColumnTable VecCoalesce(const ColumnTable& in, VexecRuntime& rt) {
   rt.ForRows(n, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) period[i] = in.RowPeriod(i);
   });
-  auto merge_classes = [&](const ClassIndex& idx) {
-    rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
+  auto merge_classes = [&](const ClassIndex& idx, const VexecRuntime& run) {
+    run.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
       for (size_t c = cb; c < ce; ++c) {
         CoalesceClass(idx.begin(c), idx.end(c), period, consumed);
       }
@@ -1371,19 +1371,19 @@ ColumnTable VecCoalesce(const ColumnTable& in, VexecRuntime& rt) {
       std::vector<uint32_t> orig;
       std::vector<std::vector<Value>> vals;
       // The spill already hash-partitioned the rows, so each partition's
-      // class index is built serially, without pool round trips.
+      // class index is built and merged serially, without pool round trips.
       const VexecRuntime serial;
       for (size_t p = 0; p < parts; ++p) {
         sp.ReadPartition(p, &orig, &vals);
         ClassIndex idx =
             ValueClasses(TableFromRows(in.schema(), vals), serial);
         for (uint32_t& m : idx.members) m = orig[m];
-        merge_classes(idx);
+        merge_classes(idx, serial);
       }
       done = true;
     }
   }
-  if (!done) merge_classes(ValueClasses(in, rt));
+  if (!done) merge_classes(ValueClasses(in, rt), rt);
   std::vector<uint32_t> rows;
   std::vector<Period> periods;
   for (uint32_t i = 0; i < n; ++i) {
@@ -1553,14 +1553,15 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
   std::vector<Value> finished;
   // Folds every class of `idx` (rows of `t`) in row order — floating-point
   // sums are not associative, so the order is part of the contract — with
-  // the classes in parallel, and appends the groups; `orig` maps t's rows
-  // to input rows (null: t is the input).
+  // the classes in parallel on `run`, and appends the groups; `orig` maps
+  // t's rows to input rows (null: t is the input).
   auto fold_groups = [&](const ColumnTable& t, const ClassIndex& idx,
-                         const std::vector<uint32_t>* orig) {
+                         const std::vector<uint32_t>* orig,
+                         const VexecRuntime& run) {
     const size_t base = first_row.size();
     first_row.resize(base + idx.classes());
     finished.resize(first_row.size() * na);
-    rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
+    run.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
       AggFold fold{t, aggs, agg_idx, agg_type, {}};
       for (size_t g = cb; g < ce; ++g) {
         fold.Reset();
@@ -1592,7 +1593,7 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
       rt.spill.runs += static_cast<int64_t>(parts);
       std::vector<uint32_t> orig;
       std::vector<std::vector<Value>> vals;
-      // As in VecCoalesce: each partition's class index is built serially.
+      // As in VecCoalesce: each partition is indexed and folded serially.
       const VexecRuntime serial;
       for (size_t p = 0; p < parts; ++p) {
         sp.ReadPartition(p, &orig, &vals);
@@ -1601,7 +1602,7 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
         for (size_t k = 0; k < orig.size(); ++k) ph[k] = gh[orig[k]];
         fold_groups(part,
                     GroupClasses(GroupTable{part, group_idx}, ph, serial),
-                    &orig);
+                    &orig, serial);
       }
       std::vector<uint32_t> by_first(first_row.size());
       for (uint32_t g = 0; g < by_first.size(); ++g) by_first[g] = g;
@@ -1624,7 +1625,7 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
   }
   if (!done) {
     GroupTable gt{in, group_idx};
-    fold_groups(in, GroupClasses(gt, gt.Hashes(rt), rt), nullptr);
+    fold_groups(in, GroupClasses(gt, gt.Hashes(rt), rt), nullptr, rt);
   }
 
   ColumnTable out(out_schema);

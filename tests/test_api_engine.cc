@@ -1,9 +1,10 @@
 // Tests for the tqp::Engine facade: equivalence with the hand-wired
 // pipeline, warm-vs-cold determinism, plan-cache behavior (including the
-// LRU bound and what an evicted entry releases), catalog-version
-// invalidation, and the concurrent-session guarantees (M threads × K
-// queries byte-identical to a fresh single-threaded engine, admission
-// control, mid-flight catalog mutation never serving stale or torn state).
+// LRU bound and what an evicted entry releases), relation-stamp
+// invalidation (wholesale catalog replacement included), and the
+// concurrent-session guarantees (M threads × K queries byte-identical to a
+// fresh single-threaded engine, admission control, mid-flight catalog
+// mutation never serving stale or torn state).
 // CI runs this suite under TSan.
 #include <gtest/gtest.h>
 
@@ -269,16 +270,20 @@ TEST(ApiEngineTest, CatalogMutationInvalidatesCaches) {
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(engine.Query(query)->plan_cache_hit);  // warm now
 
-  // Replace R's contents through the engine's own catalog handle.
+  // Replace R's contents through the engine.
   CatalogEntry updated;
   updated.data = testing_util::TemporalRel(
       {{"c", 7, 1, 4}, {"d", 8, 3, 6}, {"e", 9, 0, 2}});
   updated.site = Site::kDbms;
-  ASSERT_TRUE(engine.mutable_catalog().Update("R", std::move(updated)).ok());
+  ASSERT_TRUE(engine
+                  .MutateCatalog([&](Catalog& c) {
+                    return c.Update("R", std::move(updated));
+                  })
+                  .ok());
 
   Result<QueryResult> after = engine.Query(query);
   ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->plan_cache_hit);  // cache was flushed, not served
+  EXPECT_FALSE(after->plan_cache_hit);  // stale entry evicted, not served
   EXPECT_FALSE(EquivalentAsMultisets(after->relation, before->relation));
 
   // The post-mutation answer matches a fresh engine over the same catalog.
@@ -309,7 +314,11 @@ TEST(ApiEngineTest, StalePreparedQueryRepreparesTransparently) {
   CatalogEntry updated;
   updated.data = testing_util::ConventionalRel({{"z", 3}});
   updated.site = Site::kDbms;
-  ASSERT_TRUE(engine.mutable_catalog().Update("R", std::move(updated)).ok());
+  ASSERT_TRUE(engine
+                  .MutateCatalog([&](Catalog& c) {
+                    return c.Update("R", std::move(updated));
+                  })
+                  .ok());
 
   // Executing the pre-mutation handle picks up the new catalog.
   Result<QueryResult> out = prepared.value().Execute();
@@ -334,7 +343,12 @@ TEST(ApiEngineTest, ExecuteAfterRelationDropFailsCleanly) {
   Result<PreparedQuery> prepared = engine.Prepare(query);
   ASSERT_TRUE(prepared.ok());
 
-  ASSERT_TRUE(engine.mutable_catalog().Drop("R"));
+  ASSERT_TRUE(engine
+                  .MutateCatalog([](Catalog& c) {
+                    return c.Drop("R") ? Status::OK()
+                                       : Status::Error("R not registered");
+                  })
+                  .ok());
 
   Result<QueryResult> out = prepared.value().Execute();
   ASSERT_FALSE(out.ok());
@@ -344,12 +358,10 @@ TEST(ApiEngineTest, ExecuteAfterRelationDropFailsCleanly) {
   EXPECT_FALSE(engine.Query(query).ok());
 }
 
-TEST(ApiEngineTest, ExecuteAfterSameVersionCatalogSwapFailsCleanly) {
-  // A handed-out mutable_catalog() reference can *replace* the catalog
-  // wholesale with one that coincidentally carries the same version count —
-  // the version check alone cannot see that. The conservative
-  // flush-on-handout must force a re-prepare, which fails cleanly when the
-  // replacement lacks the query's relation.
+TEST(ApiEngineTest, ExecuteAfterCatalogReplacementFailsCleanly) {
+  // A mutation may replace the catalog wholesale. The replacement stamps
+  // its relations afresh, so a prepared query over R re-prepares, which
+  // fails cleanly when the replacement lacks R.
   const std::string query = "SELECT DISTINCT Name FROM R ORDER BY Name ASC";
   Catalog catalog;
   TQP_CHECK(catalog
@@ -361,15 +373,18 @@ TEST(ApiEngineTest, ExecuteAfterSameVersionCatalogSwapFailsCleanly) {
   Result<PreparedQuery> prepared = engine.Prepare(query);
   ASSERT_TRUE(prepared.ok());
 
-  // Same number of mutations (version 1), entirely different contents.
   Catalog replacement;
   TQP_CHECK(replacement
                 .RegisterWithInferredFlags(
                     "Q", testing_util::ConventionalRel({{"z", 3}}),
                     Site::kDbms)
                 .ok());
-  ASSERT_EQ(replacement.version(), engine.catalog().version());
-  engine.mutable_catalog() = replacement;
+  ASSERT_TRUE(engine
+                  .MutateCatalog([&](Catalog& c) {
+                    c = replacement;
+                    return Status::OK();
+                  })
+                  .ok());
 
   Result<QueryResult> out = prepared.value().Execute();
   ASSERT_FALSE(out.ok());
@@ -379,6 +394,78 @@ TEST(ApiEngineTest, ExecuteAfterSameVersionCatalogSwapFailsCleanly) {
   Result<QueryResult> q = engine.Query("SELECT Name FROM Q");
   ASSERT_TRUE(q.ok()) << q.status().message();
   EXPECT_EQ(q->relation.size(), 1u);
+}
+
+/// A catalog holding one conventional relation R, built from scratch the
+/// same way on every call: the same registrations, different rows.
+Catalog CatalogWithR(std::vector<std::pair<std::string, int64_t>> rows) {
+  Catalog catalog;
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags(
+                    "R", testing_util::ConventionalRel(rows), Site::kDbms)
+                .ok());
+  return catalog;
+}
+
+TEST(ApiEngineTest, MutateCatalogReplacementNeverServesAStalePlan) {
+  // R is duplicate-free, so the plan drops rdup by D1. A replacement built
+  // by the same registrations holds a duplicate: the cached plan is stale
+  // for it and must not be served.
+  const std::string query = "SELECT DISTINCT Name, Val FROM R ORDER BY Name ASC";
+  Engine engine(CatalogWithR({{"x", 1}, {"y", 2}}));
+  Result<QueryResult> before = engine.Query(query);
+  ASSERT_TRUE(before.ok()) << before.status().message();
+  ASSERT_EQ(before->relation.size(), 2u);
+
+  ASSERT_TRUE(engine
+                  .MutateCatalog([](Catalog& c) {
+                    c = CatalogWithR({{"x", 1}, {"x", 1}, {"y", 2}});
+                    return Status::OK();
+                  })
+                  .ok());
+  Result<QueryResult> after = engine.Query(query);
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_FALSE(after->plan_cache_hit);
+
+  Engine fresh(CatalogWithR({{"x", 1}, {"x", 1}, {"y", 2}}));
+  Result<QueryResult> expected = fresh.Query(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().message();
+  ASSERT_EQ(expected->relation.size(), 2u);
+  ExpectIdentical(after->relation, expected->relation);
+  EXPECT_EQ(after->plan_fingerprint, expected->plan_fingerprint);
+}
+
+TEST(ApiEngineTest, MutateCatalogReplacementNeverSplicesStaleResults) {
+  // With incremental execution on, a replacement built by the same
+  // registrations must not match the result-cache entries made for the old
+  // R, on either executor.
+  const std::string query = "SELECT DISTINCT Name FROM R ORDER BY Name ASC";
+  for (ExecutorKind executor :
+       {ExecutorKind::kReference, ExecutorKind::kVectorized}) {
+    EngineOptions options;
+    options.executor = executor;
+    options.incremental_execution = true;
+    Engine engine(CatalogWithR({{"x", 1}, {"y", 2}}), options);
+    Result<QueryResult> before = engine.Query(query);
+    ASSERT_TRUE(before.ok()) << before.status().message();
+    ASSERT_EQ(before->relation.size(), 2u);
+
+    ASSERT_TRUE(engine
+                    .MutateCatalog([](Catalog& c) {
+                      c = CatalogWithR({{"p", 1}, {"q", 2}, {"r", 3}});
+                      return Status::OK();
+                    })
+                    .ok());
+    Result<QueryResult> after = engine.Query(query);
+    ASSERT_TRUE(after.ok()) << after.status().message();
+    EXPECT_EQ(engine.stats().result_cache_hits, 0u);
+
+    Engine fresh(CatalogWithR({{"p", 1}, {"q", 2}, {"r", 3}}), options);
+    Result<QueryResult> expected = fresh.Query(query);
+    ASSERT_TRUE(expected.ok()) << expected.status().message();
+    ASSERT_EQ(expected->relation.size(), 3u);
+    ExpectIdentical(after->relation, expected->relation);
+  }
 }
 
 TEST(ApiEngineTest, EnumerateReleasesItsSearchState) {
@@ -678,22 +765,24 @@ TEST(ApiEngineTest, CatalogVersioning) {
                   .RegisterWithInferredFlags(
                       "A", testing_util::ConventionalRel({{"x", 1}}))
                   .ok());
-  EXPECT_EQ(catalog.version(), 1u);
+  const uint64_t v1 = catalog.version();
+  EXPECT_GT(v1, 0u);
 
-  // Failed mutations do not bump the version.
+  // Failed mutations change nothing.
   EXPECT_FALSE(catalog
                    .RegisterWithInferredFlags(
                        "A", testing_util::ConventionalRel({{"y", 2}}))
                    .ok());
   EXPECT_FALSE(catalog.Drop("NOPE"));
-  EXPECT_EQ(catalog.version(), 1u);
+  EXPECT_EQ(catalog.version(), v1);
 
   CatalogEntry entry;
   entry.data = testing_util::ConventionalRel({{"y", 2}});
   ASSERT_TRUE(catalog.Update("A", std::move(entry)).ok());
-  EXPECT_EQ(catalog.version(), 2u);
+  const uint64_t v2 = catalog.version();
+  EXPECT_GT(v2, v1);
   EXPECT_TRUE(catalog.Drop("A"));
-  EXPECT_EQ(catalog.version(), 3u);
+  EXPECT_GT(catalog.version(), v2);
   EXPECT_FALSE(catalog.Contains("A"));
 }
 

@@ -228,41 +228,98 @@ TEST(CatalogTest, PerRelationVersionTracking) {
   ASSERT_TRUE(
       catalog.RegisterWithInferredFlags("R", TemporalRel({{"a", 1, 0, 5}}))
           .ok());
+  const uint64_t r1 = catalog.relation_version("R");
   ASSERT_TRUE(
       catalog.RegisterWithInferredFlags("S", TemporalRel({{"b", 2, 1, 4}}))
           .ok());
-  EXPECT_EQ(catalog.relation_version("R"), 1u);
-  EXPECT_EQ(catalog.relation_version("S"), 2u);
-  EXPECT_EQ(catalog.version(), 2u);
+  const uint64_t s1 = catalog.relation_version("S");
+  EXPECT_GT(r1, 0u);
+  EXPECT_GT(s1, r1);
+  EXPECT_EQ(catalog.version(), s1);  // the latest stamp
 
-  // Updating S moves S's stamp (and the global max), never R's.
+  // Updating S restamps S (and moves the version), never R.
   CatalogEntry entry;
   entry.data = TemporalRel({{"c", 3, 2, 6}});
   ASSERT_TRUE(catalog.Update("S", entry).ok());
-  EXPECT_EQ(catalog.relation_version("R"), 1u);
-  EXPECT_EQ(catalog.relation_version("S"), 3u);
-  EXPECT_EQ(catalog.version(), 3u);
+  const uint64_t s2 = catalog.relation_version("S");
+  EXPECT_EQ(catalog.relation_version("R"), r1);
+  EXPECT_GT(s2, s1);
+  EXPECT_EQ(catalog.version(), s2);
 
-  // A failed mutation bumps nothing.
+  // A failed mutation changes nothing.
   CatalogEntry bad;
   bad.data = TemporalRel({{"d", 4, 0, 5}, {"d", 4, 0, 5}});
   bad.duplicate_free = true;
   EXPECT_FALSE(catalog.Update("S", bad).ok());
-  EXPECT_EQ(catalog.relation_version("S"), 3u);
-  EXPECT_EQ(catalog.version(), 3u);
+  EXPECT_EQ(catalog.relation_version("S"), s2);
+  EXPECT_EQ(catalog.version(), s2);
   EXPECT_FALSE(catalog.Drop("missing"));
-  EXPECT_EQ(catalog.version(), 3u);
+  EXPECT_EQ(catalog.relation_version("missing"), 0u);
+  EXPECT_EQ(catalog.version(), s2);
 
   // Drop is a mutation of the dropped name; the tombstone persists, so a
   // re-register under the same name gets a strictly larger stamp.
   EXPECT_TRUE(catalog.Drop("S"));
-  EXPECT_EQ(catalog.relation_version("S"), 4u);
+  const uint64_t s3 = catalog.relation_version("S");
+  EXPECT_GT(s3, s2);
   ASSERT_TRUE(
       catalog.RegisterWithInferredFlags("S", TemporalRel({{"e", 5, 1, 2}}))
           .ok());
-  EXPECT_EQ(catalog.relation_version("S"), 5u);
-  EXPECT_EQ(catalog.relation_version("R"), 1u);
-  EXPECT_EQ(catalog.version(), 5u);
+  const uint64_t s4 = catalog.relation_version("S");
+  EXPECT_GT(s4, s3);
+  EXPECT_EQ(catalog.relation_version("R"), r1);
+  EXPECT_EQ(catalog.version(), s4);
+}
+
+TEST(CatalogTest, StampsNeverRepeatAcrossCatalogs) {
+  // Four threads each build two catalogs by the same registrations at
+  // once: no two of the eight catalogs share a stamp.
+  auto build = [] {
+    Catalog c;
+    TQP_CHECK(c.RegisterWithInferredFlags("R", ConventionalRel({{"x", 1}}))
+                  .ok());
+    TQP_CHECK(c.RegisterWithInferredFlags("S", ConventionalRel({{"y", 2}}))
+                  .ok());
+    CatalogEntry entry;
+    entry.data = ConventionalRel({{"z", 3}});
+    TQP_CHECK(c.Update("R", entry).ok());
+    return c;
+  };
+  std::vector<Catalog> catalogs(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      catalogs[2 * t] = build();
+      catalogs[2 * t + 1] = build();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  std::vector<uint64_t> stamps;
+  for (const Catalog& c : catalogs) {
+    EXPECT_EQ(c.version(),
+              std::max(c.relation_version("R"), c.relation_version("S")));
+    stamps.push_back(c.relation_version("R"));
+    stamps.push_back(c.relation_version("S"));
+  }
+  std::sort(stamps.begin(), stamps.end());
+  EXPECT_EQ(std::adjacent_find(stamps.begin(), stamps.end()), stamps.end());
+
+  // A copy shares its original's stamps until either one is mutated; a
+  // mutation restamps only the mutated relation, with a stamp neither
+  // catalog has carried.
+  Catalog original = catalogs[0];
+  Catalog copy = original;
+  EXPECT_EQ(copy.version(), original.version());
+  EXPECT_EQ(copy.relation_version("R"), original.relation_version("R"));
+  EXPECT_EQ(copy.relation_version("S"), original.relation_version("S"));
+  CatalogEntry entry;
+  entry.data = ConventionalRel({{"w", 4}});
+  ASSERT_TRUE(copy.Update("R", entry).ok());
+  EXPECT_GT(copy.relation_version("R"), original.version());
+  EXPECT_EQ(copy.relation_version("S"), original.relation_version("S"));
+  ASSERT_TRUE(original.Update("R", entry).ok());
+  EXPECT_GT(original.relation_version("R"), copy.relation_version("R"));
+  EXPECT_EQ(copy.relation_version("S"), original.relation_version("S"));
 }
 
 // ---- Copy-on-write storage -------------------------------------------------

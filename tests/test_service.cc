@@ -1,7 +1,8 @@
 // Tests for the service layer: the lock-free latency histogram, the plan
 // store's serialization (full operator/expression/value coverage), the
 // cross-restart snapshot contract (warm import, wholesale staleness
-// rejection, corrupt-file errors, byte-identical warm-vs-cold results), and
+// rejection on any content change, older formats as cold starts,
+// corrupt-file errors, byte-identical warm-vs-cold results), and
 // the TCP server end to end (query streaming, error recovery on a live
 // connection, concurrent clients, clean shutdown). CI runs this suite under
 // TSan as well.
@@ -205,7 +206,6 @@ TEST(PlanStoreTest, DeserializeRejectsGarbage) {
 
 TEST(PlanStoreTest, SnapshotRoundTripPreservesEverything) {
   PlanCacheSnapshot snap;
-  snap.catalog_version = 7;
   snap.catalog_fingerprint = 0xdeadbeefcafeull;
   PlanCacheEntry e;
   e.key = "#tql:select|name|from|r";
@@ -223,7 +223,6 @@ TEST(PlanStoreTest, SnapshotRoundTripPreservesEverything) {
 
   Result<PlanCacheSnapshot> back = DeserializeSnapshot(SerializeSnapshot(snap));
   ASSERT_TRUE(back.ok()) << back.status().message();
-  EXPECT_EQ(back->catalog_version, snap.catalog_version);
   EXPECT_EQ(back->catalog_fingerprint, snap.catalog_fingerprint);
   ASSERT_EQ(back->entries.size(), 1u);
   const PlanCacheEntry& b = back->entries[0];
@@ -323,7 +322,7 @@ TEST(PlanStoreTest, CorruptFileIsAnErrorNotACrash) {
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("tqp-plan-cache-v1 1 2 999\n(entry truncated", f);
+    std::fputs("tqp-plan-cache-v3 1 2 999\n(entry truncated", f);
     std::fclose(f);
   }
   Engine engine(ServiceCatalog());
@@ -357,6 +356,51 @@ TEST(PlanStoreTest, StaleCatalogVersionRejectsWholesale) {
   Result<QueryResult> r = engine.Query(ServiceQueries()[0]);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->plan_cache_hit);
+  std::remove(path.c_str());
+}
+
+TEST(PlanStoreTest, ContentChangeRejectsWholesale) {
+  // The restart has the same relations, sizes, flags and mutation count as
+  // the exporter, but one value of R differs: the snapshot's plans were
+  // made for other contents, so it loads stale.
+  const std::string path = TempPath("tqp_plan_store_content.snapshot");
+  auto catalog_with = [](int64_t last_val) {
+    Catalog catalog = PaperCatalog();
+    TQP_CHECK(catalog
+                  .RegisterWithInferredFlags(
+                      "R",
+                      testing_util::TemporalRel({{"a", 1, 0, 5},
+                                                 {"b", 2, 2, 9},
+                                                 {"c", last_val, 4, 8}}),
+                      Site::kDbms)
+                  .ok());
+    return catalog;
+  };
+  const std::string query = "SELECT Name, Val FROM R WHERE Val > 1";
+  {
+    Engine engine(catalog_with(3));
+    ASSERT_TRUE(engine.Query(query).ok());
+    ASSERT_TRUE(SavePlanCache(engine, path).ok());
+  }
+  const Catalog original = catalog_with(3);
+  Catalog changed = catalog_with(4);
+  const CatalogEntry* before = original.Find("R");
+  const CatalogEntry* after = changed.Find("R");
+  ASSERT_EQ(after->data.size(), before->data.size());
+  ASSERT_EQ(after->duplicate_free, before->duplicate_free);
+  ASSERT_EQ(after->snapshot_duplicate_free, before->snapshot_duplicate_free);
+  ASSERT_EQ(after->coalesced, before->coalesced);
+
+  Engine engine(std::move(changed));
+  Result<PlanStoreLoadOutcome> loaded = LoadPlanCache(&engine, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(loaded->stale);
+  EXPECT_EQ(loaded->imported, 0u);
+  EXPECT_EQ(loaded->in_snapshot, 1u);
+  Result<QueryResult> r = engine.Query(query);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->plan_cache_hit);
+  EXPECT_EQ(r->relation.size(), 2u);
   std::remove(path.c_str());
 }
 
@@ -502,6 +546,60 @@ TEST(ServiceServerTest, WarmRestartIsByteIdenticalToCold) {
     EXPECT_EQ(warm_raws[i], cold_raws[i]) << "client " << i;
     EXPECT_EQ(warm_raws[i], first_raws[i]) << "client " << i;
   }
+  std::remove(path.c_str());
+}
+
+TEST(ServiceServerTest, OlderFormatIsAColdStart) {
+  // A snapshot of this catalog and query mix in the v2 layout: catalog
+  // mutation count, content fingerprint (0 = not checked), backend kind,
+  // calibration fingerprint and entry count, then the entries, laid out as
+  // in v3. Another format version is a stale snapshot: the server starts
+  // cold and serves every query.
+  const std::string path = TempPath("tqp_service_v2.snapshot");
+  {
+    Engine engine(ServiceCatalog());
+    for (const std::string& q : ServiceQueries()) {
+      ASSERT_TRUE(engine.Query(q).ok());
+    }
+    PlanCacheSnapshot snap = engine.ExportPlanCache();
+    const std::string v3 = SerializeSnapshot(snap);
+    const std::string v2 = "tqp-plan-cache-v2 3 0 \"9:simulated 0 " +
+                           std::to_string(snap.entries.size()) +
+                           v3.substr(v3.find('\n'));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(v2.c_str(), f);
+    std::fclose(f);
+  }
+  Result<PlanStoreLoadOutcome> loaded = [&] {
+    Engine engine(ServiceCatalog());
+    return LoadPlanCache(&engine, path);
+  }();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(loaded->stale);
+  EXPECT_EQ(loaded->imported, 0u);
+
+  Engine engine(ServiceCatalog());
+  ServerOptions opts;
+  opts.snapshot_path = path;
+  Server server(&engine, opts);
+  Status started = server.Start();
+  ASSERT_TRUE(started.ok()) << started.message();
+  EXPECT_EQ(server.stats().plans_imported, 0u);
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
+  Engine cold(ServiceCatalog());
+  for (const std::string& q : ServiceQueries()) {
+    Result<QueryOutcome> out = client.RunQuery(q);
+    ASSERT_TRUE(out.ok()) << out.status().message();
+    EXPECT_TRUE(out->ok) << out->error;
+    EXPECT_FALSE(out->plan_cache_hit) << q;
+    Result<QueryResult> expected = cold.Query(q);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(out->rows, expected->relation.size()) << q;
+  }
+  client.Close();
+  server.Stop();
   std::remove(path.c_str());
 }
 
