@@ -494,7 +494,6 @@ Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
       VexecOptions vopts;
       vopts.batch_size = options_.vexec_batch_size;
       vopts.threads = options_.vexec_threads;
-      vopts.memory_budget = options_.vexec_memory_budget;
       return ExecuteVectorized(state.annotated, *cfg, &out.exec, vopts,
                                profile_root.get());
     }

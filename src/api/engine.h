@@ -127,9 +127,9 @@ struct EngineOptions {
   /// (VexecOptions::threads). 1 (default) = the serial code path; any
   /// thread count produces byte-identical results.
   size_t vexec_threads = 1;
-  /// Per-operator materialization budget in bytes for the vectorized
-  /// executor (VexecOptions::memory_budget); larger sorts and class tables
-  /// spill to temp files. 0 (default) = never spill.
+  /// Unread: the vectorized executor runs every operator in memory (see
+  /// VexecOptions). Kept only because the repository benchmark's harness
+  /// still sets it; it goes once the harness stops.
   uint64_t vexec_memory_budget = 0;
   /// Which DBMS implements the layer below the stratum. kSimulated (the
   /// default) keeps the historical in-engine evaluation with the

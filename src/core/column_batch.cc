@@ -355,16 +355,6 @@ void ColumnVec::AppendGather(const ColumnVec& src, const uint32_t* rows,
   for (size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
 }
 
-uint64_t ColumnVec::ApproxBytes() const {
-  uint64_t bytes = nulls_.size();
-  bytes += ints_.size() * sizeof(int64_t);
-  bytes += doubles_.size() * sizeof(double);
-  for (const std::string& s : strings_) bytes += sizeof(std::string) + s.size();
-  // Boxed cells: the Value object plus a string-payload estimate.
-  bytes += boxed_.size() * 48;
-  return bytes;
-}
-
 ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
   cols_.reserve(schema_.size());
   for (size_t i = 0; i < schema_.size(); ++i) {
@@ -462,12 +452,6 @@ Period ColumnTable::RowPeriod(size_t row) const {
   TQP_CHECK(t1_ >= 0 && t2_ >= 0);
   return Period(col(static_cast<size_t>(t1_)).At(row).i,
                 col(static_cast<size_t>(t2_)).At(row).i);
-}
-
-uint64_t ColumnTable::ApproxBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& c : cols_) bytes += c->ApproxBytes();
-  return bytes;
 }
 
 }  // namespace tqp

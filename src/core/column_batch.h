@@ -131,10 +131,6 @@ class ColumnVec {
   /// False guarantees no cell of the column is null.
   bool MayHaveNulls() const { return !nulls_.empty(); }
 
-  /// Rough in-memory footprint of the column's payload, for the executor's
-  /// spill decisions (vexec_memory_budget). An estimate, not an accounting.
-  uint64_t ApproxBytes() const;
-
  private:
   void EnsureNulls();
   void DecideStorage(ValueType t);
@@ -207,9 +203,6 @@ class ColumnTable {
   Period RowPeriod(size_t row) const;
   int t1_index() const { return t1_; }
   int t2_index() const { return t2_; }
-
-  /// Rough in-memory footprint (sum of the columns'), for spill decisions.
-  uint64_t ApproxBytes() const;
 
  private:
   Schema schema_;

@@ -58,11 +58,6 @@ struct ExecStats {
   /// every determinism contract. 0 on the reference and serial paths.
   int64_t morsels = 0;
   int64_t steals = 0;
-  /// Bytes written to spill files and spill units created (external-sort
-  /// runs + class-table partitions) under VexecOptions::memory_budget.
-  /// Deterministic for a fixed plan/catalog/options. 0 when nothing spills.
-  int64_t spill_bytes = 0;
-  int64_t spill_runs = 0;
 
   /// Conventional cut subplans executed natively by the backend (the subtree
   /// under a transferS fetched as one SQL statement), rows fetched across
@@ -103,8 +98,6 @@ struct ExecStats {
     f("vec_rows", vec_rows);
     f("morsels", morsels);
     f("steals", steals);
-    f("spill_bytes", spill_bytes);
-    f("spill_runs", spill_runs);
     f("backend_pushdowns", backend_pushdowns);
     f("backend_rows", backend_rows);
     f("backend_fallbacks", backend_fallbacks);

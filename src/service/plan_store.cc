@@ -1,5 +1,6 @@
 #include "service/plan_store.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -143,6 +144,12 @@ class Reader {
     return static_cast<uint64_t>(v);
   }
 
+  /// The error for input nested deeper than kMaxPlanStoreDepth.
+  Status TooDeep() const {
+    return Corrupt("nested deeper than " +
+                   std::to_string(kMaxPlanStoreDepth) + " levels");
+  }
+
   Result<double> Dbl() {
     TQP_ASSIGN_OR_RETURN(a, Atom());
     errno = 0;
@@ -221,7 +228,8 @@ Result<Value> ReadValue(Reader* r) {
 
 // ---- Expressions -----------------------------------------------------------
 
-void WriteExpr(std::string* out, const ExprPtr& e) {
+// Writes `e`; returns its depth in levels (see kMaxPlanStoreDepth).
+int WriteExpr(std::string* out, const ExprPtr& e) {
   Open(out);
   switch (e->kind()) {
     case ExprKind::kAttr:
@@ -253,11 +261,17 @@ void WriteExpr(std::string* out, const ExprPtr& e) {
       A(out, "overlaps");
       break;
   }
-  for (const ExprPtr& c : e->children()) WriteExpr(out, c);
+  int below = 0;
+  for (const ExprPtr& c : e->children()) {
+    below = std::max(below, WriteExpr(out, c));
+  }
   Close(out);
+  return below + 1;
 }
 
-Result<ExprPtr> ReadExpr(Reader* r) {
+// Reads an expression at nesting level `level` (see kMaxPlanStoreDepth).
+Result<ExprPtr> ReadExpr(Reader* r, int level) {
+  if (level > kMaxPlanStoreDepth) return r->TooDeep();
   TQP_RETURN_IF_ERROR(r->Expect('('));
   TQP_ASSIGN_OR_RETURN(tag, r->Atom());
 
@@ -280,7 +294,7 @@ Result<ExprPtr> ReadExpr(Reader* r) {
 
   std::vector<ExprPtr> children;
   while (!r->PeekClose()) {
-    TQP_ASSIGN_OR_RETURN(c, ReadExpr(r));
+    TQP_ASSIGN_OR_RETURN(c, ReadExpr(r, level + 1));
     children.push_back(c);
   }
   TQP_RETURN_IF_ERROR(r->Expect(')'));
@@ -401,7 +415,10 @@ const std::unordered_map<std::string, OpKind>& KindByName() {
   return *map;
 }
 
-void WritePlanNode(std::string* out, const PlanPtr& p) {
+// Writes `p`; returns its depth in levels, its expressions included (see
+// kMaxPlanStoreDepth).
+int WritePlanNode(std::string* out, const PlanPtr& p) {
+  int below = 0;
   Open(out);
   A(out, OpKindName(p->kind()));
   switch (p->kind()) {
@@ -409,14 +426,14 @@ void WritePlanNode(std::string* out, const PlanPtr& p) {
       WStr(out, p->rel_name());
       break;
     case OpKind::kSelect:
-      WriteExpr(out, p->predicate());
+      below = WriteExpr(out, p->predicate());
       break;
     case OpKind::kProject:
       Open(out);
       A(out, "items");
       for (const ProjItem& item : p->projections()) {
         WStr(out, item.name);
-        WriteExpr(out, item.expr);
+        below = std::max(below, WriteExpr(out, item.expr));
       }
       Close(out);
       break;
@@ -441,11 +458,16 @@ void WritePlanNode(std::string* out, const PlanPtr& p) {
     default:
       break;  // pure structural operators carry no payload
   }
-  for (const PlanPtr& c : p->children()) WritePlanNode(out, c);
+  for (const PlanPtr& c : p->children()) {
+    below = std::max(below, WritePlanNode(out, c));
+  }
   Close(out);
+  return below + 1;
 }
 
-Result<PlanPtr> ReadPlanNode(Reader* r) {
+// Reads a plan node at nesting level `level` (see kMaxPlanStoreDepth).
+Result<PlanPtr> ReadPlanNode(Reader* r, int level) {
+  if (level > kMaxPlanStoreDepth) return r->TooDeep();
   TQP_RETURN_IF_ERROR(r->Expect('('));
   TQP_ASSIGN_OR_RETURN(name, r->Atom());
   auto it = KindByName().find(name);
@@ -468,7 +490,7 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       break;
     }
     case OpKind::kSelect: {
-      TQP_ASSIGN_OR_RETURN(e, ReadExpr(r));
+      TQP_ASSIGN_OR_RETURN(e, ReadExpr(r, level + 1));
       predicate = e;
       break;
     }
@@ -478,7 +500,7 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
       if (tag != "items") return Status::Error("plan store: expected items");
       while (!r->PeekClose()) {
         TQP_ASSIGN_OR_RETURN(n, r->Str());
-        TQP_ASSIGN_OR_RETURN(e, ReadExpr(r));
+        TQP_ASSIGN_OR_RETURN(e, ReadExpr(r, level + 1));
         items.push_back(ProjItem{e, n});
       }
       TQP_RETURN_IF_ERROR(r->Expect(')'));
@@ -520,7 +542,7 @@ Result<PlanPtr> ReadPlanNode(Reader* r) {
 
   std::vector<PlanPtr> children;
   while (!r->PeekClose()) {
-    TQP_ASSIGN_OR_RETURN(c, ReadPlanNode(r));
+    TQP_ASSIGN_OR_RETURN(c, ReadPlanNode(r, level + 1));
     children.push_back(c);
   }
   TQP_RETURN_IF_ERROR(r->Expect(')'));
@@ -625,7 +647,7 @@ std::string SerializePlan(const PlanPtr& plan) {
 
 Result<PlanPtr> DeserializePlan(const std::string& data) {
   Reader r(data);
-  TQP_ASSIGN_OR_RETURN(plan, ReadPlanNode(&r));
+  TQP_ASSIGN_OR_RETURN(plan, ReadPlanNode(&r, 1));
   if (!r.AtEnd()) {
     return Status::Error("plan store: trailing bytes after plan");
   }
@@ -633,33 +655,41 @@ Result<PlanPtr> DeserializePlan(const std::string& data) {
 }
 
 std::string SerializeSnapshot(const PlanCacheSnapshot& snapshot) {
+  std::string entries;
+  size_t kept = 0;
+  for (const PlanCacheEntry& e : snapshot.entries) {
+    std::string entry;
+    Open(&entry);
+    A(&entry, "entry");
+    WStr(&entry, e.key);
+    WStr(&entry, e.text);
+    WriteContract(&entry, e.contract);
+    WDbl(&entry, e.best_cost);
+    WDbl(&entry, e.initial_cost);
+    WUint(&entry, e.plans_considered);
+    WInt(&entry, e.truncated ? 1 : 0);
+    Open(&entry);
+    A(&entry, "derivation");
+    for (const std::string& d : e.derivation) WStr(&entry, d);
+    Close(&entry);
+    const int initial_depth = WritePlanNode(&entry, e.initial_plan);
+    const int best_depth = WritePlanNode(&entry, e.best_plan);
+    Close(&entry);
+    // A plan built by hand (Engine::Prepare of a plan) can nest deeper
+    // than the readers accept; its entry stays out and costs only warmth.
+    if (std::max(initial_depth, best_depth) > kMaxPlanStoreDepth) continue;
+    entries += entry;
+    entries.push_back('\n');
+    ++kept;
+  }
   std::string out;
   A(&out, kMagic);
   WUint(&out, snapshot.catalog_fingerprint);
   WStr(&out, snapshot.backend_kind);
   WUint(&out, snapshot.calibration_fingerprint);
-  WUint(&out, snapshot.entries.size());
+  WUint(&out, kept);
   out.push_back('\n');
-  for (const PlanCacheEntry& e : snapshot.entries) {
-    Open(&out);
-    A(&out, "entry");
-    WStr(&out, e.key);
-    WStr(&out, e.text);
-    WriteContract(&out, e.contract);
-    WDbl(&out, e.best_cost);
-    WDbl(&out, e.initial_cost);
-    WUint(&out, e.plans_considered);
-    WInt(&out, e.truncated ? 1 : 0);
-    Open(&out);
-    A(&out, "derivation");
-    for (const std::string& d : e.derivation) WStr(&out, d);
-    Close(&out);
-    WritePlanNode(&out, e.initial_plan);
-    WritePlanNode(&out, e.best_plan);
-    Close(&out);
-    out.push_back('\n');
-  }
-  return out;
+  return out + entries;
 }
 
 Result<PlanCacheSnapshot> DeserializeSnapshot(const std::string& data) {
@@ -677,7 +707,8 @@ Result<PlanCacheSnapshot> DeserializeSnapshot(const std::string& data) {
   out.catalog_fingerprint = fingerprint;
   out.backend_kind = backend_kind;
   out.calibration_fingerprint = calibration_fp;
-  out.entries.reserve(count);
+  // No reserve(count): a corrupt count must fail on the missing entries,
+  // not on an allocation of its size.
   for (uint64_t i = 0; i < count; ++i) {
     TQP_RETURN_IF_ERROR(r.Expect('('));
     TQP_ASSIGN_OR_RETURN(tag, r.Atom());
@@ -707,9 +738,9 @@ Result<PlanCacheSnapshot> DeserializeSnapshot(const std::string& data) {
       e.derivation.push_back(d);
     }
     TQP_RETURN_IF_ERROR(r.Expect(')'));
-    TQP_ASSIGN_OR_RETURN(initial, ReadPlanNode(&r));
+    TQP_ASSIGN_OR_RETURN(initial, ReadPlanNode(&r, 1));
     e.initial_plan = initial;
-    TQP_ASSIGN_OR_RETURN(best, ReadPlanNode(&r));
+    TQP_ASSIGN_OR_RETURN(best, ReadPlanNode(&r, 1));
     e.best_plan = best;
     TQP_RETURN_IF_ERROR(r.Expect(')'));
     out.entries.push_back(std::move(e));

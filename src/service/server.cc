@@ -20,6 +20,24 @@ namespace tqp {
 
 namespace {
 
+/// The longest request line a connection may send. The connection buffers
+/// a line until its newline arrives; past this many bytes without one it
+/// gets an error frame and is closed, so no client can grow the server's
+/// memory without bound.
+constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
+/// One {"type":"error"} frame, '\n'-terminated.
+std::string ErrorFrame(const std::string& message) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("type").String("error");
+  w.Key("message").String(message);
+  w.EndObject();
+  std::string frame = w.Take();
+  frame.push_back('\n');
+  return frame;
+}
+
 /// Renders one attribute value into a result row. Ints and time points are
 /// JSON numbers (the schema frame carries the column types, so a client can
 /// tell them apart); non-finite doubles become null, matching JsonWriter.
@@ -265,6 +283,16 @@ void Server::ServeConnection(Connection* conn) {
   bool open = true;
   while (open) {
     size_t nl = buffer.find('\n');
+    if ((nl == std::string::npos ? buffer.size() : nl) > kMaxLineBytes) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      SendAll(conn->fd,
+              ErrorFrame("request line longer than " +
+                         std::to_string(kMaxLineBytes) + " bytes"));
+      // FIN after the frame: the client reads the frame, then EOF, even if
+      // closing with its unread bytes still queued resets the connection.
+      ::shutdown(conn->fd, SHUT_WR);
+      break;
+    }
     if (nl == std::string::npos) {
       ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
       if (n <= 0) {
@@ -338,13 +366,7 @@ void Server::HandleLine(const std::string& line, Connection* conn,
   auto result = engine_->Query(line, run);
   if (!result.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("type").String("error");
-    w.Key("message").String(result.status().message());
-    w.EndObject();
-    *out += w.Take();
-    out->push_back('\n');
+    *out += ErrorFrame(result.status().message());
     return;
   }
   queries_.fetch_add(1, std::memory_order_relaxed);

@@ -21,6 +21,8 @@
 //                        "plan_cache_hit":b,"best_cost":..,"exec":{..}}
 //                     for a failed query (connection stays usable):
 //                       {"type":"error","message":"..."}
+//                     for a request line longer than 1 MiB: one error
+//                     frame, then the server closes the connection
 //                     for \stats:
 //                       {"type":"stats","server":{..},"engine":{..}}
 //                     for \metrics (after publishing engine + server stats
@@ -82,6 +84,7 @@ struct ServerStats {
   uint64_t connections_total = 0;
   uint64_t connections_active = 0;
   uint64_t queries = 0;
+  /// Error frames sent: failed queries and oversized request lines.
   uint64_t errors = 0;
   uint64_t batches_sent = 0;
   uint64_t rows_sent = 0;

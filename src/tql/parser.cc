@@ -1,5 +1,10 @@
 #include "tql/parser.h"
 
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
+#include <system_error>
+
 #include "tql/lexer.h"
 
 namespace tqp {
@@ -130,7 +135,7 @@ class Parser {
     }
     if (Accept("WHERE")) {
       TQP_ASSIGN_OR_RETURN(pred, OrExpr());
-      stmt.where = pred;
+      stmt.where = pred.expr;
     }
     if (Accept("GROUP")) {
       TQP_RETURN_IF_ERROR(Expect("BY"));
@@ -173,48 +178,79 @@ class Parser {
     SelectItem item;
     item.kind = SelectItem::Kind::kExpr;
     TQP_ASSIGN_OR_RETURN(e, AddExpr());
-    item.expr = e;
+    item.expr = e.expr;
     if (Accept("AS")) {
       TQP_ASSIGN_OR_RETURN(alias, Identifier("alias"));
       item.alias = alias;
-    } else if (e->kind() == ExprKind::kAttr) {
-      item.alias = e->attr_name();
+    } else if (item.expr->kind() == ExprKind::kAttr) {
+      item.alias = item.expr->attr_name();
     } else {
-      item.alias = e->ToString();
+      item.alias = item.expr->ToString();
     }
     return item;
   }
 
+  // A parsed expression and its depth in levels (see kMaxExprDepth).
+  struct Sub {
+    ExprPtr expr;
+    int depth = 1;
+  };
+
+  // `e` as one level above its deepest operand.
+  Result<Sub> Level(ExprPtr e, std::initializer_list<Sub> operands) const {
+    int below = 0;
+    for (const Sub& o : operands) below = std::max(below, o.depth);
+    if (below >= kMaxExprDepth) return TooDeep();
+    return Sub{std::move(e), below + 1};
+  }
+
+  // Runs `parse` one nesting level deeper: inside parentheses, NOT or
+  // OVERLAPS. The parser recurses once per such level, so it refuses to
+  // open more than kMaxExprDepth of them; whatever they enclose would be
+  // deeper than the bound anyway.
+  template <typename Parse>
+  Result<Sub> Nested(const Parse& parse) {
+    if (open_ >= kMaxExprDepth) return TooDeep();
+    ++open_;
+    Result<Sub> sub = parse();
+    --open_;
+    return sub;
+  }
+
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "expression nested deeper than " + std::to_string(kMaxExprDepth) +
+        " levels at offset " + std::to_string(cur().position));
+  }
+
   // Expression precedence: OR < AND < NOT < comparison < additive < mult.
-  Result<ExprPtr> OrExpr() {
-    TQP_ASSIGN_OR_RETURN(lhs, AndExpr());
-    ExprPtr out = lhs;
-    while (Accept("OR")) {
+  Result<Sub> OrExpr() {
+    Result<Sub> out = AndExpr();
+    while (out.ok() && Accept("OR")) {
       TQP_ASSIGN_OR_RETURN(rhs, AndExpr());
-      out = Expr::Or(out, rhs);
+      out = Level(Expr::Or(out->expr, rhs.expr), {*out, rhs});
     }
     return out;
   }
 
-  Result<ExprPtr> AndExpr() {
-    TQP_ASSIGN_OR_RETURN(lhs, NotExpr());
-    ExprPtr out = lhs;
-    while (Accept("AND")) {
+  Result<Sub> AndExpr() {
+    Result<Sub> out = NotExpr();
+    while (out.ok() && Accept("AND")) {
       TQP_ASSIGN_OR_RETURN(rhs, NotExpr());
-      out = Expr::And(out, rhs);
+      out = Level(Expr::And(out->expr, rhs.expr), {*out, rhs});
     }
     return out;
   }
 
-  Result<ExprPtr> NotExpr() {
+  Result<Sub> NotExpr() {
     if (Accept("NOT")) {
-      TQP_ASSIGN_OR_RETURN(e, NotExpr());
-      return Expr::Not(e);
+      TQP_ASSIGN_OR_RETURN(e, Nested([&] { return NotExpr(); }));
+      return Level(Expr::Not(e.expr), {e});
     }
     return CmpExpr();
   }
 
-  Result<ExprPtr> CmpExpr() {
+  Result<Sub> CmpExpr() {
     TQP_ASSIGN_OR_RETURN(lhs, AddExpr());
     struct OpMap {
       const char* sym;
@@ -227,80 +263,99 @@ class Parser {
     for (const OpMap& m : kOps) {
       if (AcceptSymbol(m.sym)) {
         TQP_ASSIGN_OR_RETURN(rhs, AddExpr());
-        return Expr::Compare(m.op, lhs, rhs);
+        return Level(Expr::Compare(m.op, lhs.expr, rhs.expr), {lhs, rhs});
       }
     }
     return lhs;
   }
 
-  Result<ExprPtr> AddExpr() {
-    TQP_ASSIGN_OR_RETURN(lhs, MulExpr());
-    ExprPtr out = lhs;
-    while (true) {
+  Result<Sub> AddExpr() {
+    Result<Sub> out = MulExpr();
+    while (out.ok()) {
+      ArithOp op;
       if (AcceptSymbol("+")) {
-        TQP_ASSIGN_OR_RETURN(rhs, MulExpr());
-        out = Expr::Arith(ArithOp::kAdd, out, rhs);
+        op = ArithOp::kAdd;
       } else if (AcceptSymbol("-")) {
-        TQP_ASSIGN_OR_RETURN(rhs, MulExpr());
-        out = Expr::Arith(ArithOp::kSub, out, rhs);
+        op = ArithOp::kSub;
       } else {
-        return out;
+        break;
       }
+      TQP_ASSIGN_OR_RETURN(rhs, MulExpr());
+      out = Level(Expr::Arith(op, out->expr, rhs.expr), {*out, rhs});
     }
+    return out;
   }
 
-  Result<ExprPtr> MulExpr() {
-    TQP_ASSIGN_OR_RETURN(lhs, Primary());
-    ExprPtr out = lhs;
-    while (true) {
+  Result<Sub> MulExpr() {
+    Result<Sub> out = Primary();
+    while (out.ok()) {
+      ArithOp op;
       if (AcceptSymbol("*")) {
-        TQP_ASSIGN_OR_RETURN(rhs, Primary());
-        out = Expr::Arith(ArithOp::kMul, out, rhs);
+        op = ArithOp::kMul;
       } else if (AcceptSymbol("/")) {
-        TQP_ASSIGN_OR_RETURN(rhs, Primary());
-        out = Expr::Arith(ArithOp::kDiv, out, rhs);
+        op = ArithOp::kDiv;
       } else {
-        return out;
+        break;
       }
+      TQP_ASSIGN_OR_RETURN(rhs, Primary());
+      out = Level(Expr::Arith(op, out->expr, rhs.expr), {*out, rhs});
     }
+    return out;
   }
 
-  Result<ExprPtr> Primary() {
+  Result<Sub> Primary() {
     const Token& t = cur();
     switch (t.kind) {
       case TokenKind::kIdentifier:
         ++pos_;
-        return Expr::Attr(t.text);
+        return Sub{Expr::Attr(t.text)};
       case TokenKind::kInteger:
+      case TokenKind::kFloat: {
+        // The lexer passes digits with at most one '.', so from_chars
+        // fails only on a value out of the int64 or double range.
+        const bool integer = t.kind == TokenKind::kInteger;
+        int64_t i = 0;
+        double d = 0.0;
+        const char* end = t.text.data() + t.text.size();
+        if ((integer ? std::from_chars(t.text.data(), end, i).ec
+                     : std::from_chars(t.text.data(), end, d).ec) !=
+            std::errc()) {
+          return Status::InvalidArgument("numeric literal " + t.text +
+                                         " out of range at offset " +
+                                         std::to_string(t.position));
+        }
         ++pos_;
-        return Expr::Const(Value::Int(std::stoll(t.text)));
-      case TokenKind::kFloat:
-        ++pos_;
-        return Expr::Const(Value::Double(std::stod(t.text)));
+        return Sub{Expr::Const(integer ? Value::Int(i) : Value::Double(d))};
+      }
       case TokenKind::kString:
         ++pos_;
-        return Expr::Const(Value::String(t.text));
+        return Sub{Expr::Const(Value::String(t.text))};
       case TokenKind::kKeyword:
         if (t.text == "OVERLAPS") {
           ++pos_;
-          TQP_RETURN_IF_ERROR(ExpectSymbol("("));
-          TQP_ASSIGN_OR_RETURN(a, AddExpr());
-          TQP_RETURN_IF_ERROR(ExpectSymbol(","));
-          TQP_ASSIGN_OR_RETURN(b, AddExpr());
-          TQP_RETURN_IF_ERROR(ExpectSymbol(","));
-          TQP_ASSIGN_OR_RETURN(c, AddExpr());
-          TQP_RETURN_IF_ERROR(ExpectSymbol(","));
-          TQP_ASSIGN_OR_RETURN(d, AddExpr());
-          TQP_RETURN_IF_ERROR(ExpectSymbol(")"));
-          return Expr::Overlaps(a, b, c, d);
+          return Nested([&]() -> Result<Sub> {
+            TQP_RETURN_IF_ERROR(ExpectSymbol("("));
+            TQP_ASSIGN_OR_RETURN(a, AddExpr());
+            TQP_RETURN_IF_ERROR(ExpectSymbol(","));
+            TQP_ASSIGN_OR_RETURN(b, AddExpr());
+            TQP_RETURN_IF_ERROR(ExpectSymbol(","));
+            TQP_ASSIGN_OR_RETURN(c, AddExpr());
+            TQP_RETURN_IF_ERROR(ExpectSymbol(","));
+            TQP_ASSIGN_OR_RETURN(d, AddExpr());
+            TQP_RETURN_IF_ERROR(ExpectSymbol(")"));
+            return Level(Expr::Overlaps(a.expr, b.expr, c.expr, d.expr),
+                         {a, b, c, d});
+          });
         }
         break;
       case TokenKind::kSymbol:
         if (t.IsSymbol("(")) {
           ++pos_;
-          TQP_ASSIGN_OR_RETURN(e, OrExpr());
-          TQP_RETURN_IF_ERROR(ExpectSymbol(")"));
-          return e;
+          return Nested([&]() -> Result<Sub> {
+            TQP_ASSIGN_OR_RETURN(e, OrExpr());
+            TQP_RETURN_IF_ERROR(ExpectSymbol(")"));
+            return Level(e.expr, {e});
+          });
         }
         break;
       default:
@@ -312,6 +367,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int open_ = 0;  // parentheses, NOTs and OVERLAPS enclosing the position
 };
 
 }  // namespace

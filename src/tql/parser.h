@@ -14,6 +14,10 @@
 //                 OVERLAPS '(' expr ',' expr ',' expr ',' expr ')'
 //   order_list := ident [ASC|DESC] (',' ident [ASC|DESC])*
 //
+// Integer literals must fit int64 and float literals a double; an
+// expression may be at most kMaxExprDepth levels deep. Input past either
+// bound is an InvalidArgument, like any other syntax error.
+//
 // VALIDTIME marks a statement as temporally reducible: its operations are
 // translated to their temporal counterparts (Section 2.2's first statement
 // class). Without VALIDTIME, time attributes are ordinary data (the second
@@ -60,6 +64,13 @@ struct QueryAst {
   std::vector<SetOp> ops;  // ops[i] combines stmts[i] and stmts[i+1]
   SortSpec order_by;
 };
+
+/// The deepest expression ParseQuery accepts, in levels: an attribute or a
+/// literal is one level, and each operator (AND, OR, comparison,
+/// arithmetic), NOT, OVERLAPS and pair of parentheses adds one above its
+/// deepest operand, so a left-deep chain of n ANDs adds n. The translator,
+/// the optimizer and both executors recurse once per level of the tree.
+inline constexpr int kMaxExprDepth = 256;
 
 /// Parses a TQL query string.
 Result<QueryAst> ParseQuery(const std::string& input);

@@ -23,7 +23,6 @@
 #include "vexec/vexec.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,7 +34,6 @@
 #include "backend/simulated_backend.h"
 #include "core/hash.h"
 #include "core/profile.h"
-#include "core/spill.h"
 #include "core/task_pool.h"
 #include "core/trace.h"
 #include "exec/plan_driver.h"
@@ -69,13 +67,8 @@ struct RowRefEq {
 
 // ---- Morsel runtime -------------------------------------------------------
 
-struct SpillCounters {
-  int64_t bytes = 0;
-  int64_t runs = 0;
-};
-
 // The execution context threaded through every kernel: the work-stealing
-// pool (null = serial), the morsel granularity, and the spill budget.
+// pool (null = serial) and the morsel granularity.
 // Parallel loops split row ranges into morsels whose results are stitched
 // back in input order, so kernel output never depends on the thread count —
 // with one pool worker or pool == nullptr, every loop degenerates to the
@@ -83,8 +76,6 @@ struct SpillCounters {
 struct VexecRuntime {
   WorkStealingPool* pool = nullptr;
   size_t morsel_rows = 32768;
-  uint64_t memory_budget = 0;
-  SpillCounters spill;
   /// Per-query span recorder; null = untraced (one pointer test per
   /// parallel loop, then one RAII span per *morsel*, never per row).
   Tracer* tracer = nullptr;
@@ -391,108 +382,6 @@ std::vector<uint32_t> SortIndices(size_t n, const Less& less,
   return order;
 }
 
-// ---- Spill helpers --------------------------------------------------------
-
-bool ShouldSpill(const ColumnTable& t, const VexecRuntime& rt) {
-  return rt.memory_budget > 0 && t.rows() > 1 &&
-         t.ApproxBytes() > rt.memory_budget;
-}
-
-size_t SpillPartitionCount(uint64_t bytes, uint64_t budget) {
-  uint64_t p = bytes / std::max<uint64_t>(1, budget / 2) + 1;
-  return static_cast<size_t>(
-      std::min<uint64_t>(256, std::max<uint64_t>(2, p)));
-}
-
-// Hash-partitions row records into a spill file: each record is the row's
-// original index (u32) followed by its EncodeSpillRow payload. Records are
-// buffered per partition and flushed in 64 KiB blocks; a partition reads
-// back as the concatenation of its blocks, so its rows return in ascending
-// original-row order — which is what lets the partitioned class/group
-// algorithms reproduce the serial first-occurrence discipline.
-class SpillPartitioner {
- public:
-  explicit SpillPartitioner(size_t parts) : bufs_(parts), blocks_(parts) {}
-
-  bool ok() const { return file_.ok(); }
-  uint64_t bytes_written() const { return file_.bytes_written(); }
-  size_t parts() const { return bufs_.size(); }
-
-  void Add(size_t part, const ColumnTable& t, size_t row) {
-    std::string& buf = bufs_[part];
-    uint32_t idx = static_cast<uint32_t>(row);
-    buf.append(reinterpret_cast<const char*>(&idx), sizeof(idx));
-    EncodeSpillRow(t, row, &buf);
-    if (buf.size() >= 64 * 1024) Flush(part);
-  }
-
-  void FlushAll() {
-    for (size_t p = 0; p < bufs_.size(); ++p) Flush(p);
-  }
-
-  /// Decodes partition `p` into rows (as Values) plus their original
-  /// indices, in ascending original order.
-  void ReadPartition(size_t p, std::vector<uint32_t>* orig,
-                     std::vector<std::vector<Value>>* rows) {
-    orig->clear();
-    rows->clear();
-    size_t total = 0;
-    for (const Block& b : blocks_[p]) total += b.bytes;
-    std::string data(total, '\0');
-    size_t at = 0;
-    for (const Block& b : blocks_[p]) {
-      file_.ReadAt(b.offset, &data[at], b.bytes);
-      at += b.bytes;
-    }
-    const uint8_t* ptr = reinterpret_cast<const uint8_t*>(data.data());
-    size_t avail = total;
-    while (avail > 0) {
-      TQP_CHECK(avail >= 4);
-      uint32_t idx;
-      std::memcpy(&idx, ptr, sizeof(idx));
-      ptr += 4;
-      avail -= 4;
-      std::vector<Value> row;
-      size_t used = DecodeSpillRow(ptr, avail, &row);
-      TQP_CHECK(used != 0);
-      ptr += used;
-      avail -= used;
-      orig->push_back(idx);
-      rows->push_back(std::move(row));
-    }
-  }
-
- private:
-  struct Block {
-    uint64_t offset;
-    size_t bytes;
-  };
-
-  void Flush(size_t p) {
-    if (bufs_[p].empty()) return;
-    uint64_t off = file_.Append(bufs_[p].data(), bufs_[p].size());
-    blocks_[p].push_back(Block{off, bufs_[p].size()});
-    bufs_[p].clear();
-  }
-
-  SpillFile file_;
-  std::vector<std::string> bufs_;
-  std::vector<std::vector<Block>> blocks_;
-};
-
-// Rebuilds a columnar table from decoded spill rows (one partition's worth).
-ColumnTable TableFromRows(const Schema& schema,
-                          const std::vector<std::vector<Value>>& rows) {
-  ColumnTable t(schema);
-  for (size_t c = 0; c < t.num_cols(); ++c) {
-    ColumnVec& col = t.mutable_col(c);
-    col.Reserve(rows.size());
-    for (const std::vector<Value>& row : rows) col.AppendValue(row[c]);
-  }
-  t.CommitRows(rows.size());
-  return t;
-}
-
 // ---- Kernels --------------------------------------------------------------
 
 // The scan hands out the relation version's columnar twin
@@ -700,52 +589,19 @@ ColumnTable VecDifference(const ColumnTable& l, const ColumnTable& r,
 }
 
 ColumnTable VecRdup(const ColumnTable& in, const Schema& out_schema,
-                    VexecRuntime& rt) {
+                    const VexecRuntime& rt) {
   std::vector<uint64_t> h = RowHashes(in, false, rt);
   std::vector<uint32_t> keep;
-  bool done = false;
-  if (ShouldSpill(in, rt)) {
-    // Grace-partitioned rdup: rows hash-partition to a spill file, each
-    // partition deduplicates independently (equal rows share a hash, hence
-    // a partition), and the survivors merge ascending — exactly the serial
-    // first-occurrence set.
-    TraceSpan spill_span(rt.tracer, "vexec", "spill_rdup");
-    size_t parts = SpillPartitionCount(in.ApproxBytes(), rt.memory_budget);
-    SpillPartitioner sp(parts);
-    if (sp.ok()) {
-      for (size_t i = 0; i < in.rows(); ++i) sp.Add(h[i] % parts, in, i);
-      sp.FlushAll();
-      rt.spill.bytes += static_cast<int64_t>(sp.bytes_written());
-      rt.spill.runs += static_cast<int64_t>(parts);
-      std::vector<uint32_t> orig;
-      std::vector<std::vector<Value>> vals;
-      for (size_t p = 0; p < parts; ++p) {
-        sp.ReadPartition(p, &orig, &vals);
-        ColumnTable part = TableFromRows(in.schema(), vals);
-        std::unordered_set<RowRef, RowRefHash, RowRefEq> seen;
-        seen.reserve(part.rows());
-        for (uint32_t k = 0; k < part.rows(); ++k) {
-          if (seen.insert(RowRef{&part, k, h[orig[k]]}).second) {
-            keep.push_back(orig[k]);
-          }
-        }
-      }
-      std::sort(keep.begin(), keep.end());
-      done = true;
-    }
-  }
-  if (!done) {
-    std::unordered_set<RowRef, RowRefHash, RowRefEq> seen;
-    seen.reserve(in.rows());
-    for (uint32_t i = 0; i < in.rows(); ++i) {
-      if (seen.insert(RowRef{&in, i, h[i]}).second) keep.push_back(i);
-    }
+  std::unordered_set<RowRef, RowRefHash, RowRefEq> seen;
+  seen.reserve(in.rows());
+  for (uint32_t i = 0; i < in.rows(); ++i) {
+    if (seen.insert(RowRef{&in, i, h[i]}).second) keep.push_back(i);
   }
   return GatherTable(in, out_schema, keep, rt);
 }
 
-ColumnTable VecSort(ColumnTable&& in, const SortSpec& spec,
-                    VexecRuntime& rt) {
+ColumnTable VecSort(const ColumnTable& in, const SortSpec& spec,
+                    const VexecRuntime& rt) {
   // Per-key comparators specialized once on the column's storage class, so
   // the O(n log n) comparison loop touches raw typed vectors. Null-free
   // typed columns order exactly as Value::Compare does (same type, payload
@@ -753,7 +609,6 @@ ColumnTable VecSort(ColumnTable&& in, const SortSpec& spec,
   enum class KeyKind { kInt64, kDouble, kString, kGeneric };
   struct Key {
     const ColumnVec* col;
-    int idx;
     KeyKind kind;
     bool ascending;
   };
@@ -778,7 +633,7 @@ ColumnTable VecSort(ColumnTable&& in, const SortSpec& spec,
           break;
       }
     }
-    keys.push_back(Key{&col, idx, kind, k.ascending});
+    keys.push_back(Key{&col, kind, k.ascending});
   }
   auto key_compare = [](const Key& k, uint32_t a, uint32_t b) {
     switch (k.kind) {
@@ -806,96 +661,6 @@ ColumnTable VecSort(ColumnTable&& in, const SortSpec& spec,
     }
     return false;
   };
-
-  if (ShouldSpill(in, rt)) {
-    // External merge sort: the input is cut into contiguous runs, each
-    // run's rows are stable-sorted (in parallel) and spilled in sorted
-    // order, the input is released, and the runs are streamed back through
-    // a K-way merge keyed on the sort attributes with ties broken on
-    // ascending run index. Earlier runs hold earlier input rows and each
-    // run is internally stable, so the merged list is exactly the global
-    // stable sort.
-    TraceSpan spill_span(rt.tracer, "vexec", "spill_sort");
-    size_t n = in.rows();
-    uint64_t per_row = std::max<uint64_t>(1, in.ApproxBytes() / n);
-    size_t run_rows = static_cast<size_t>(std::max<uint64_t>(
-        {(rt.memory_budget / 2) / per_row, 16, n / 256 + 1}));
-    size_t num_runs = (n + run_rows - 1) / run_rows;
-    SpillFile file;
-    if (num_runs > 1 && file.ok()) {
-      struct Run {
-        uint64_t offset = 0;
-        uint64_t bytes = 0;
-      };
-      std::vector<Run> runs(num_runs);
-      std::vector<std::vector<uint32_t>> run_order(num_runs);
-      rt.ForTasks(num_runs, [&](size_t k) {
-        size_t b = k * run_rows, e = std::min(n, b + run_rows);
-        std::vector<uint32_t>& ord = run_order[k];
-        ord.resize(e - b);
-        for (size_t i = b; i < e; ++i) ord[i - b] = static_cast<uint32_t>(i);
-        std::stable_sort(ord.begin(), ord.end(), less);
-      });
-      std::string buf;
-      for (size_t k = 0; k < num_runs; ++k) {
-        buf.clear();
-        for (uint32_t row : run_order[k]) EncodeSpillRow(in, row, &buf);
-        runs[k].offset = file.Append(buf.data(), buf.size());
-        runs[k].bytes = buf.size();
-        run_order[k] = std::vector<uint32_t>();
-      }
-      rt.spill.bytes += static_cast<int64_t>(file.bytes_written());
-      rt.spill.runs += static_cast<int64_t>(num_runs);
-
-      std::vector<std::pair<int, bool>> key_at;
-      for (const Key& k : keys) key_at.emplace_back(k.idx, k.ascending);
-      Schema schema = in.schema();
-      in = ColumnTable(schema);  // release the input payload before merging
-
-      struct Cursor {
-        std::unique_ptr<SpillRegionReader> reader;
-        std::vector<Value> row;
-        size_t run = 0;
-      };
-      std::vector<Cursor> cursors;
-      for (size_t k = 0; k < num_runs; ++k) {
-        Cursor c;
-        c.reader = std::make_unique<SpillRegionReader>(&file, runs[k].offset,
-                                                       runs[k].bytes);
-        c.run = k;
-        if (c.reader->Next(&c.row)) cursors.push_back(std::move(c));
-      }
-      // Min-heap on (sort keys, run index): comp(a, b) = "a sorts after b",
-      // so the heap top is the next output row.
-      auto cursor_after = [&](const Cursor& a, const Cursor& b) {
-        for (const auto& [idx, asc] : key_at) {
-          int c = CellRef::Compare(CellRef::Of(a.row[idx]),
-                                   CellRef::Of(b.row[idx]));
-          if (c != 0) return asc ? c > 0 : c < 0;
-        }
-        return a.run > b.run;
-      };
-      std::make_heap(cursors.begin(), cursors.end(), cursor_after);
-      ColumnTable out(schema);
-      size_t total = 0;
-      while (!cursors.empty()) {
-        std::pop_heap(cursors.begin(), cursors.end(), cursor_after);
-        Cursor& c = cursors.back();
-        for (size_t col = 0; col < out.num_cols(); ++col) {
-          out.mutable_col(col).AppendValue(c.row[col]);
-        }
-        ++total;
-        if (c.reader->Next(&c.row)) {
-          std::push_heap(cursors.begin(), cursors.end(), cursor_after);
-        } else {
-          cursors.pop_back();
-        }
-      }
-      out.CommitRows(total);
-      return out;
-    }
-  }
-
   std::vector<uint32_t> order = SortIndices(in.rows(), less, rt);
   return GatherTable(in, in.schema(), order, rt);
 }
@@ -1335,55 +1100,22 @@ void CoalesceClass(const uint32_t* idxs, const uint32_t* idxs_end,
   }
 }
 
-ColumnTable VecCoalesce(const ColumnTable& in, VexecRuntime& rt) {
+ColumnTable VecCoalesce(const ColumnTable& in, const VexecRuntime& rt) {
   // Classes interact with nothing, so the class index (members in row
   // order) reproduces the reference's ordered-map version exactly, and the
-  // per-class merges run in parallel. Over budget, the rows grace-partition
-  // to a spill file instead (value-equivalent rows share a non-temporal
-  // hash, hence a partition), and partitions are indexed and merged one at
-  // a time; a partition reads back in ascending row order, so its members
-  // map back to ascending original rows.
+  // per-class merges run in parallel.
   size_t n = in.rows();
   std::vector<uint8_t> consumed(n, 0);
   std::vector<Period> period(n);
   rt.ForRows(n, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) period[i] = in.RowPeriod(i);
   });
-  auto merge_classes = [&](const ClassIndex& idx, const VexecRuntime& run) {
-    run.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
-      for (size_t c = cb; c < ce; ++c) {
-        CoalesceClass(idx.begin(c), idx.end(c), period, consumed);
-      }
-    });
-  };
-
-  bool done = false;
-  if (ShouldSpill(in, rt)) {
-    TraceSpan spill_span(rt.tracer, "vexec", "spill_coalesce");
-    std::vector<uint64_t> h = RowHashes(in, true, rt);
-    size_t parts = SpillPartitionCount(in.ApproxBytes(), rt.memory_budget);
-    SpillPartitioner sp(parts);
-    if (sp.ok()) {
-      for (size_t i = 0; i < n; ++i) sp.Add(h[i] % parts, in, i);
-      sp.FlushAll();
-      rt.spill.bytes += static_cast<int64_t>(sp.bytes_written());
-      rt.spill.runs += static_cast<int64_t>(parts);
-      std::vector<uint32_t> orig;
-      std::vector<std::vector<Value>> vals;
-      // The spill already hash-partitioned the rows, so each partition's
-      // class index is built and merged serially, without pool round trips.
-      const VexecRuntime serial;
-      for (size_t p = 0; p < parts; ++p) {
-        sp.ReadPartition(p, &orig, &vals);
-        ClassIndex idx =
-            ValueClasses(TableFromRows(in.schema(), vals), serial);
-        for (uint32_t& m : idx.members) m = orig[m];
-        merge_classes(idx, serial);
-      }
-      done = true;
+  const ClassIndex idx = ValueClasses(in, rt);
+  rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      CoalesceClass(idx.begin(c), idx.end(c), period, consumed);
     }
-  }
-  if (!done) merge_classes(ValueClasses(in, rt), rt);
+  });
   std::vector<uint32_t> rows;
   std::vector<Period> periods;
   for (uint32_t i = 0; i < n; ++i) {
@@ -1500,11 +1232,11 @@ struct GroupTable {
   }
 };
 
-// The group classes of the rows of `gt`'s table, given their key hashes.
-ClassIndex GroupClasses(const GroupTable& gt, const std::vector<uint64_t>& hash,
-                        const VexecRuntime& rt) {
+// The group classes of the rows of `gt`'s table.
+ClassIndex GroupClasses(const GroupTable& gt, const VexecRuntime& rt) {
   return BuildClassIndex(
-      hash, [&](uint32_t a, uint32_t b) { return gt.RowsEqual(a, b); }, rt);
+      gt.Hashes(rt), [&](uint32_t a, uint32_t b) { return gt.RowsEqual(a, b); },
+      rt);
 }
 
 // One VecAggState per aggregate, folding rows of `t` (COUNT(*) folds Int 1).
@@ -1541,92 +1273,31 @@ struct AggFold {
 Result<ColumnTable> VecAggregate(const ColumnTable& in,
                                  const std::vector<std::string>& group_by,
                                  const std::vector<AggSpec>& aggs,
-                                 const Schema& out_schema, VexecRuntime& rt) {
+                                 const Schema& out_schema,
+                                 const VexecRuntime& rt) {
   std::vector<int> group_idx, agg_idx;
   std::vector<ValueType> agg_type;
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
   const size_t na = aggs.size();
+  const ClassIndex idx = GroupClasses(GroupTable{in, group_idx}, rt);
   // Groups in first-occurrence order: each group's first row and its
-  // finished aggregates (group-major).
-  std::vector<uint32_t> first_row;
-  std::vector<Value> finished;
-  // Folds every class of `idx` (rows of `t`) in row order — floating-point
-  // sums are not associative, so the order is part of the contract — with
-  // the classes in parallel on `run`, and appends the groups; `orig` maps
-  // t's rows to input rows (null: t is the input).
-  auto fold_groups = [&](const ColumnTable& t, const ClassIndex& idx,
-                         const std::vector<uint32_t>* orig,
-                         const VexecRuntime& run) {
-    const size_t base = first_row.size();
-    first_row.resize(base + idx.classes());
-    finished.resize(first_row.size() * na);
-    run.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
-      AggFold fold{t, aggs, agg_idx, agg_type, {}};
-      for (size_t g = cb; g < ce; ++g) {
-        fold.Reset();
-        for (const uint32_t* m = idx.begin(g); m != idx.end(g); ++m) {
-          fold.Add(*m);
-        }
-        fold.Finish(finished.data() + (base + g) * na);
-        uint32_t first = *idx.begin(g);
-        first_row[base + g] = orig == nullptr ? first : (*orig)[first];
+  // finished aggregates (group-major). Every group folds its rows in row
+  // order — floating-point sums are not associative, so the order is part
+  // of the contract — and the groups fold in parallel.
+  std::vector<uint32_t> first_row(idx.classes());
+  std::vector<Value> finished(idx.classes() * na);
+  rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
+    AggFold fold{in, aggs, agg_idx, agg_type, {}};
+    for (size_t g = cb; g < ce; ++g) {
+      fold.Reset();
+      for (const uint32_t* m = idx.begin(g); m != idx.end(g); ++m) {
+        fold.Add(*m);
       }
-    });
-  };
-
-  bool done = false;
-  if (ShouldSpill(in, rt)) {
-    // Grace-partitioned aggregation: equal group keys share a hash, hence a
-    // partition, and a partition's rows read back in ascending row order —
-    // so folding each partition's classes folds each group in exactly the
-    // global row order. Groups re-sort by first-occurrence row before
-    // emission.
-    TraceSpan spill_span(rt.tracer, "vexec", "spill_aggregate");
-    std::vector<uint64_t> gh = GroupTable{in, group_idx}.Hashes(rt);
-    size_t parts = SpillPartitionCount(in.ApproxBytes(), rt.memory_budget);
-    SpillPartitioner sp(parts);
-    if (sp.ok()) {
-      for (size_t i = 0; i < in.rows(); ++i) sp.Add(gh[i] % parts, in, i);
-      sp.FlushAll();
-      rt.spill.bytes += static_cast<int64_t>(sp.bytes_written());
-      rt.spill.runs += static_cast<int64_t>(parts);
-      std::vector<uint32_t> orig;
-      std::vector<std::vector<Value>> vals;
-      // As in VecCoalesce: each partition is indexed and folded serially.
-      const VexecRuntime serial;
-      for (size_t p = 0; p < parts; ++p) {
-        sp.ReadPartition(p, &orig, &vals);
-        ColumnTable part = TableFromRows(in.schema(), vals);
-        std::vector<uint64_t> ph(orig.size());
-        for (size_t k = 0; k < orig.size(); ++k) ph[k] = gh[orig[k]];
-        fold_groups(part,
-                    GroupClasses(GroupTable{part, group_idx}, ph, serial),
-                    &orig, serial);
-      }
-      std::vector<uint32_t> by_first(first_row.size());
-      for (uint32_t g = 0; g < by_first.size(); ++g) by_first[g] = g;
-      std::sort(by_first.begin(), by_first.end(),
-                [&](uint32_t a, uint32_t b) {
-                  return first_row[a] < first_row[b];
-                });
-      std::vector<uint32_t> sorted_first;
-      std::vector<Value> sorted_finished;
-      for (uint32_t g : by_first) {
-        sorted_first.push_back(first_row[g]);
-        for (size_t a = 0; a < na; ++a) {
-          sorted_finished.push_back(std::move(finished[g * na + a]));
-        }
-      }
-      first_row = std::move(sorted_first);
-      finished = std::move(sorted_finished);
-      done = true;
+      fold.Finish(finished.data() + g * na);
+      first_row[g] = *idx.begin(g);
     }
-  }
-  if (!done) {
-    GroupTable gt{in, group_idx};
-    fold_groups(in, GroupClasses(gt, gt.Hashes(rt), rt), nullptr, rt);
-  }
+  });
 
   ColumnTable out(out_schema);
   rt.ForTasks(out.num_cols(), [&](size_t pos) {
@@ -1662,8 +1333,7 @@ Result<ColumnTable> VecAggregateT(const ColumnTable& in,
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
   const size_t na = aggs.size();
-  GroupTable gt{in, group_idx};
-  ClassIndex idx = GroupClasses(gt, gt.Hashes(rt), rt);
+  const ClassIndex idx = GroupClasses(GroupTable{in, group_idx}, rt);
   std::vector<TimePoint> begins, ends;
   ExtractPeriods(in, &begins, &ends, rt);
 
@@ -1892,13 +1562,13 @@ void HashJoinCandidates(const ColumnTable& l, const ColumnTable& r,
 struct VecTreeExecutor : PlanDriver<VecTreeExecutor, ColumnTable> {
   VecTreeExecutor(const AnnotatedPlan& ann, const EngineConfig& config,
                   ExecStats* stats, const VexecOptions& options,
-                  VexecRuntime& rt)
+                  const VexecRuntime& rt)
       : PlanDriver(ann, config, stats, /*executor_tag=*/2, "vexec"),
         options(options),
         rt(rt) {}
 
   const VexecOptions& options;
-  VexecRuntime& rt;
+  const VexecRuntime& rt;
 
   static size_t Rows(const ColumnTable& t) { return t.rows(); }
   static ColumnTable FromRows(const Relation& r) {
@@ -2051,7 +1721,7 @@ struct VecTreeExecutor : PlanDriver<VecTreeExecutor, ColumnTable> {
       case OpKind::kUnionT:
         return VecUnionT(in[0], in[1], rt);
       case OpKind::kSort:
-        return VecSort(std::move(in[0]), node->sort_spec(), rt);
+        return VecSort(in[0], node->sort_spec(), rt);
       case OpKind::kCoalesce:
         return VecCoalesce(in[0], rt);
       case OpKind::kTransferS:
@@ -2076,7 +1746,6 @@ Result<Relation> ExecuteVectorized(const AnnotatedPlan& plan,
   std::unique_ptr<WorkStealingPool> pool;
   VexecRuntime rt;
   rt.morsel_rows = opts.morsel_rows;
-  rt.memory_budget = opts.memory_budget;
   rt.tracer = config.tracer;
   if (opts.threads > 1) {
     pool = std::make_unique<WorkStealingPool>(opts.threads);
@@ -2087,13 +1756,9 @@ Result<Relation> ExecuteVectorized(const AnnotatedPlan& plan,
   Relation out = ex.root_rows.has_value() ? std::move(*ex.root_rows)
                                           : VecToRelation(table, rt);
   out.set_order(plan.root_info().order);
-  if (stats != nullptr) {
-    stats->spill_bytes += rt.spill.bytes;
-    stats->spill_runs += rt.spill.runs;
-    if (pool != nullptr) {
-      stats->morsels += static_cast<int64_t>(pool->morsels_executed());
-      stats->steals += static_cast<int64_t>(pool->steals());
-    }
+  if (stats != nullptr && pool != nullptr) {
+    stats->morsels += static_cast<int64_t>(pool->morsels_executed());
+    stats->steals += static_cast<int64_t>(pool->steals());
   }
   return out;
 }

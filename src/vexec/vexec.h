@@ -9,7 +9,8 @@
 // through and evaluate the rest into fresh columns, joins run over flat
 // period arrays, and the class operators (rdupT, coalT, \T, ∪T, ℵT, ℵ) run
 // on one hash-partitioned class index, ℵT and \T as endpoint sweeps (see
-// vexec.cc).
+// vexec.cc). Every operator runs in memory: it takes its whole input and
+// returns its whole output as resident ColumnTables.
 //
 // The list-semantics parity contract: for every plan, configuration (both
 // dbms_scrambles_order modes), and catalog, the returned Relation is
@@ -34,7 +35,7 @@
 namespace tqp {
 
 /// Tuning knobs of the vectorized executor. Semantics never depend on them:
-/// any thread count, morsel size, or memory budget produces the same result
+/// any batch size, thread count or morsel size produces the same result
 /// list, byte for byte (tests/test_vexec.cc locks this in).
 struct VexecOptions {
   /// Rows per column batch processed at a time by the scan/filter/projection
@@ -48,13 +49,11 @@ struct VexecOptions {
   size_t threads = 1;
   /// Rows per morsel when threads > 1.
   size_t morsel_rows = 32768;
-  /// Approximate per-operator materialization budget in bytes. When an
-  /// input exceeds it, sort switches to an external merge sort (spilled
-  /// runs) and rdup/coalesce/aggregate partition their class/group tables
-  /// to a temp file (core/spill.h), processing one partition at a time.
-  /// 0 (default) = unlimited, never spill. The budget covers what a query
-  /// materializes; the columnar twins that scans share live with the
-  /// catalog and do not count against it.
+  /// Unread: every operator runs in memory. Each operator's input and
+  /// output are resident tables and scans share the catalog's twin, so
+  /// writing rows to disk would free nothing (ARCHITECTURE.md, "Memory").
+  /// Kept only because the repository benchmark's harness still sets it;
+  /// it goes once the harness stops.
   uint64_t memory_budget = 0;
 };
 

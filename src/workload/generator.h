@@ -44,7 +44,7 @@ struct RelationGenParams {
   /// legacy uniform draws — bit-for-bit the same RNG sequence and output as
   /// before the knob existed. s > 0 skews toward low indices with
   /// P(i) ∝ 1/(i+1)^s, concentrating value-equivalence classes and hash-join
-  /// keys (heavy-hitter classes stress the partitioned/spilling paths).
+  /// keys (heavy-hitter classes stress the class index's partitions).
   double value_zipf = 0.0;
   /// Number of value-equivalent shifted copies emitted per overlap event.
   /// 1 (default) is the legacy single snapshot duplicate; k > 1 emits a

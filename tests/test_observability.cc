@@ -485,10 +485,9 @@ TEST(JsonSurfacesTest, ExecStatsKeySet) {
       "dbms_work",         "stratum_work",       "total_work",
       "tuples_transferred", "tuples_produced",   "vec_batches",
       "vec_materializations", "vec_rows",        "morsels",
-      "steals",            "spill_bytes",        "spill_runs",
-      "backend_pushdowns", "backend_rows",       "backend_fallbacks",
-      "backend_refusals",  "result_cache_hits",  "result_cache_misses",
-      "ops"};
+      "steals",            "backend_pushdowns",  "backend_rows",
+      "backend_fallbacks", "backend_refusals",   "result_cache_hits",
+      "result_cache_misses", "ops"};
   EXPECT_EQ(KeySet(v), expected);
   EXPECT_EQ(v.Find("ops")->kind, JsonValue::Kind::kObject);
 }
@@ -546,7 +545,7 @@ TEST(JsonSurfacesTest, StatsRenderingsArePinned) {
             "{\"dbms_work\":0,\"stratum_work\":0,\"total_work\":0,"
             "\"tuples_transferred\":0,\"tuples_produced\":0,"
             "\"vec_batches\":0,\"vec_materializations\":0,\"vec_rows\":0,"
-            "\"morsels\":0,\"steals\":0,\"spill_bytes\":0,\"spill_runs\":0,"
+            "\"morsels\":0,\"steals\":0,"
             "\"backend_pushdowns\":0,\"backend_rows\":0,"
             "\"backend_fallbacks\":0,\"backend_refusals\":0,"
             "\"result_cache_hits\":0,\"result_cache_misses\":0,\"ops\":{}}");
@@ -576,9 +575,8 @@ TEST(JsonSurfacesTest, StatsRenderingsArePinned) {
   for (int64_t* f :
        {&e.tuples_transferred, &e.tuples_produced, &e.vec_batches,
         &e.vec_materializations, &e.vec_rows, &e.morsels, &e.steals,
-        &e.spill_bytes, &e.spill_runs, &e.backend_pushdowns, &e.backend_rows,
-        &e.backend_fallbacks, &e.backend_refusals, &e.result_cache_hits,
-        &e.result_cache_misses}) {
+        &e.backend_pushdowns, &e.backend_rows, &e.backend_fallbacks,
+        &e.backend_refusals, &e.result_cache_hits, &e.result_cache_misses}) {
     *f = next++;
   }
   e.op_counts["scan"] = 2;
@@ -588,10 +586,9 @@ TEST(JsonSurfacesTest, StatsRenderingsArePinned) {
             "\"total_work\":1.6000000000000001,\"tuples_transferred\":3,"
             "\"tuples_produced\":4,\"vec_batches\":5,"
             "\"vec_materializations\":6,\"vec_rows\":7,\"morsels\":8,"
-            "\"steals\":9,\"spill_bytes\":10,\"spill_runs\":11,"
-            "\"backend_pushdowns\":12,\"backend_rows\":13,"
-            "\"backend_fallbacks\":14,\"backend_refusals\":15,"
-            "\"result_cache_hits\":16,\"result_cache_misses\":17,"
+            "\"steals\":9,\"backend_pushdowns\":10,\"backend_rows\":11,"
+            "\"backend_fallbacks\":12,\"backend_refusals\":13,"
+            "\"result_cache_hits\":14,\"result_cache_misses\":15,"
             "\"ops\":{\"scan\":2,\"select\":1}}");
 
   EngineStats es;

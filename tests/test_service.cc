@@ -8,6 +8,14 @@
 // TSan as well.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -202,6 +210,66 @@ TEST(PlanStoreTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(DeserializePlan("(select (scan \"1:R))").ok());  // no predicate
   EXPECT_FALSE(DeserializePlan("(scan \"1:R) junk").ok());
   EXPECT_FALSE(DeserializeSnapshot("not-a-snapshot 1 2 3").ok());
+  // An entry count far past the file's contents.
+  EXPECT_FALSE(
+      DeserializeSnapshot("tqp-plan-cache-v3 0 \"0: 0 18446744073709551615\n")
+          .ok());
+  // Nesting far past kMaxPlanStoreDepth is a load error, not a stack
+  // overflow.
+  const size_t deep = 1000000;
+  Result<PlanPtr> nested = DeserializePlan(
+      testing_util::Repeat("(rdup ", deep) + "(rdup (scan \"1:R))" +
+      std::string(deep, ')'));
+  ASSERT_FALSE(nested.ok());
+  EXPECT_NE(nested.status().message().find("nested deeper"),
+            std::string::npos)
+      << nested.status().message();
+}
+
+// A plan nesting exactly kMaxPlanStoreDepth levels round-trips; one level
+// more is refused by the reader, and SerializeSnapshot leaves its entry
+// out, so the snapshot it writes still loads.
+TEST(PlanStoreTest, NestingBoundHoldsOnBothSides) {
+  auto wrap = [](PlanPtr p, int rdups) {
+    for (int i = 0; i < rdups; ++i) p = PlanNode::Rdup(p);
+    return p;
+  };
+  const PlanPtr at_bound = wrap(PlanNode::Scan("R"), kMaxPlanStoreDepth - 1);
+  Result<PlanPtr> back = DeserializePlan(SerializePlan(at_bound));
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(SerializePlan(back.value()), SerializePlan(at_bound));
+  const PlanPtr too_deep = wrap(PlanNode::Scan("R"), kMaxPlanStoreDepth);
+  EXPECT_FALSE(DeserializePlan(SerializePlan(too_deep)).ok());
+  // Expression levels count below their operator: this predicate spans
+  // the selection's level + 1 to + 3 (NOT, =, its operands).
+  const PlanPtr select = PlanNode::Select(
+      PlanNode::Scan("R"),
+      Expr::Not(Expr::Compare(CompareOp::kEq, Expr::Attr("Val"),
+                              Expr::Const(Value::Int(1)))));
+  EXPECT_TRUE(
+      DeserializePlan(SerializePlan(wrap(select, kMaxPlanStoreDepth - 4)))
+          .ok());
+  const PlanPtr deep_predicate = wrap(select, kMaxPlanStoreDepth - 3);
+  EXPECT_FALSE(DeserializePlan(SerializePlan(deep_predicate)).ok());
+
+  PlanCacheSnapshot snap;
+  PlanCacheEntry e;
+  e.key = "fits";
+  e.contract = QueryContract::Multiset();
+  e.initial_plan = at_bound;
+  e.best_plan = at_bound;
+  snap.entries.push_back(e);
+  e.key = "too deep";
+  e.best_plan = too_deep;
+  snap.entries.push_back(e);
+  e.key = "deep predicate";
+  e.best_plan = deep_predicate;
+  snap.entries.push_back(e);
+  Result<PlanCacheSnapshot> loaded =
+      DeserializeSnapshot(SerializeSnapshot(snap));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(loaded->entries.size(), 1u);
+  EXPECT_EQ(loaded->entries[0].key, "fits");
 }
 
 TEST(PlanStoreTest, SnapshotRoundTripPreservesEverything) {
@@ -466,15 +534,78 @@ TEST(ServiceServerTest, ErrorFrameLeavesConnectionUsable) {
 
   ServiceClient client;
   ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
-  Result<QueryOutcome> bad = client.RunQuery("SELECT FROM nothing !!");
-  ASSERT_TRUE(bad.ok()) << bad.status().message();
-  EXPECT_FALSE(bad->ok);
-  EXPECT_FALSE(bad->error.empty());
+  // A syntax error, then literals out of range and expressions deeper than
+  // the parser's bound: each must come back as an error frame, not stop
+  // the server.
+  std::vector<std::string> bad_lines = {"SELECT FROM nothing !!"};
+  for (const std::string& where : testing_util::HostileWhereClauses("Val")) {
+    bad_lines.push_back("SELECT Name FROM R WHERE " + where);
+  }
+  for (const std::string& line : bad_lines) {
+    Result<QueryOutcome> bad = client.RunQuery(line);
+    ASSERT_TRUE(bad.ok()) << line.substr(0, 40) << ": "
+                          << bad.status().message();
+    EXPECT_FALSE(bad->ok) << line.substr(0, 40);
+    EXPECT_FALSE(bad->error.empty()) << line.substr(0, 40);
+  }
 
   Result<QueryOutcome> good = client.RunQuery("SELECT Name FROM R");
   ASSERT_TRUE(good.ok()) << good.status().message();
   EXPECT_TRUE(good->ok) << good->error;
   EXPECT_GT(good->rows, 0u);
+  server.Stop();
+  EXPECT_EQ(server.stats().errors, bad_lines.size());
+}
+
+// A client that never ends its line cannot grow the server's buffer
+// without bound: past 1 MiB it gets one error frame and then EOF, and the
+// server goes on serving other clients.
+TEST(ServiceServerTest, OversizedLineIsRejected) {
+  Engine engine(ServiceCatalog());
+  Server server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Bounded waits: a server that keeps buffering fails the test instead of
+  // hanging it.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)), 0);
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof(timeout)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, server.host().c_str(), &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // 2 MiB without a newline. The server stops reading after 1 MiB, so the
+  // send may end early with an error once it closes the connection.
+  const std::string chunk(64 * 1024, 'x');
+  for (size_t sent = 0; sent < 2 * 1024 * 1024;) {
+    ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  std::string reply;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "expected EOF, got errno " << errno;
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("{\"type\":\"error\"", 0), 0u) << reply;
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
+  Result<QueryOutcome> good = client.RunQuery("SELECT Name FROM R");
+  ASSERT_TRUE(good.ok()) << good.status().message();
+  EXPECT_TRUE(good->ok) << good->error;
   server.Stop();
   EXPECT_EQ(server.stats().errors, 1u);
 }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "algebra/printer.h"
+#include "api/engine.h"
 #include "core/equivalence.h"
 #include "exec/evaluator.h"
+#include "test_util.h"
 #include "tql/lexer.h"
 #include "tql/translator.h"
 #include "workload/paper_example.h"
@@ -125,6 +127,49 @@ TEST(ParserTest, RejectsBadSyntax) {
   EXPECT_FALSE(ParseQuery("SELECT a FROM t WHERE").ok());
   EXPECT_FALSE(ParseQuery("SELECT a FROM t ORDER EmpName").ok());
   EXPECT_FALSE(ParseQuery("SELECT a FROM t garbage").ok());
+  // Out-of-range literals and over-deep expressions are syntax errors too:
+  // no exception escapes the parser and no recursion runs away.
+  for (const std::string& where : testing_util::HostileWhereClauses("a")) {
+    Result<QueryAst> ast = ParseQuery("SELECT a FROM t WHERE " + where);
+    ASSERT_FALSE(ast.ok()) << where.substr(0, 40);
+    EXPECT_EQ(ast.status().message().rfind("invalid argument: ", 0), 0u)
+        << ast.status().message();
+  }
+  const std::string big = "99999999999999999999999";
+  Result<QueryAst> overflow = ParseQuery("SELECT a FROM t WHERE a = " + big);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.status().message().find(big), std::string::npos)
+      << overflow.status().message();
+  for (const std::string& where :
+       testing_util::WhereClausesOfDepth("a", kMaxExprDepth + 1)) {
+    EXPECT_FALSE(ParseQuery("SELECT a FROM t WHERE " + where).ok())
+        << where.substr(0, 40);
+  }
+}
+
+// A WHERE clause exactly kMaxExprDepth deep, in each shape the bound
+// counts, compiles, optimizes and executes through the Engine on both
+// executors, to the rows of the shallow comparison it is built from.
+TEST(ParserTest, ExpressionsAtTheDepthBoundRunEndToEnd) {
+  for (ExecutorKind executor :
+       {ExecutorKind::kReference, ExecutorKind::kVectorized}) {
+    EngineOptions options;
+    options.executor = executor;
+    Engine engine(PaperCatalog(), options);
+    Result<QueryResult> shallow =
+        engine.Query("SELECT EmpName FROM EMPLOYEE WHERE T1 >= 0");
+    ASSERT_TRUE(shallow.ok()) << shallow.status().message();
+    ASSERT_GT(shallow->relation.size(), 0u);
+    for (const std::string& where :
+         testing_util::WhereClausesOfDepth("T1", kMaxExprDepth)) {
+      Result<QueryResult> deep =
+          engine.Query("SELECT EmpName FROM EMPLOYEE WHERE " + where);
+      ASSERT_TRUE(deep.ok()) << where.substr(0, 40) << ": "
+                             << deep.status().message();
+      EXPECT_TRUE(EquivalentAsMultisets(shallow->relation, deep->relation))
+          << where.substr(0, 40);
+    }
+  }
 }
 
 TEST(TranslatorTest, PaperQueryMatchesTheHandBuiltInitialPlan) {

@@ -77,6 +77,46 @@ inline Relation RandomConventional(uint64_t seed, size_t cardinality = 24) {
   return GenerateRelation(p);
 }
 
+/// `unit` repeated `n` times.
+inline std::string Repeat(const std::string& unit, size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+/// WHERE clauses over attribute `attr` that the TQL parser must refuse
+/// with an error, neither throwing nor overflowing the stack: literals out
+/// of the int64 and double ranges, and expressions far deeper than
+/// kMaxExprDepth (10 000 parentheses, 20 000 NOTs, 20 001 ANDed
+/// comparisons).
+inline std::vector<std::string> HostileWhereClauses(const std::string& attr) {
+  const std::string cmp = attr + " = 0";
+  return {
+      attr + " = 99999999999999999999999",
+      attr + " = 1" + std::string(400, '0') + ".5",
+      Repeat("(", 10000) + cmp + Repeat(")", 10000),
+      Repeat("NOT ", 20000) + cmp,
+      cmp + Repeat(" AND " + cmp, 20000),
+  };
+}
+
+/// WHERE clauses over attribute `attr` exactly `depth` levels deep, by the
+/// measure of kMaxExprDepth, one per shape the bound counts (depth >= 3):
+/// parentheses, NOTs, a left-deep AND chain and an arithmetic chain, built
+/// of `attr >= 0`. At an even depth each selects the rows `attr >= 0` does.
+inline std::vector<std::string> WhereClausesOfDepth(const std::string& attr,
+                                                    int depth) {
+  const std::string cmp = attr + " >= 0";  // 2 levels
+  const size_t more = static_cast<size_t>(depth - 2);
+  return {
+      Repeat("(", more) + cmp + Repeat(")", more),
+      Repeat("NOT ", more) + cmp,
+      cmp + Repeat(" AND " + cmp, more),
+      attr + Repeat(" + 0", more) + " >= 0",
+  };
+}
+
 }  // namespace testing_util
 }  // namespace tqp
 

@@ -481,11 +481,11 @@ TEST(VexecParity, BatchSizeNeverChangesResults) {
   }
 }
 
-// The morsel-parallel and out-of-core paths obey the same contract as the
-// serial in-memory path: any thread count × memory budget × batch size is
-// list-identical to the reference evaluator, scramble on or off. The
-// reference run does not depend on those options, so it runs once per plan.
-TEST(VexecParity, ThreadsAndBudgetsNeverChangeResults) {
+// The morsel-parallel path obeys the same contract as the serial path: any
+// thread count × batch size is list-identical to the reference evaluator,
+// scramble on or off. The reference run does not depend on those options,
+// so it runs once per plan.
+TEST(VexecParity, ThreadsAndBatchSizesNeverChangeResults) {
   for (uint64_t seed : {11u, 12u}) {
     Catalog catalog = MakeCatalog(seed);
     for (const auto& [cfg_name, config] : Configs()) {
@@ -493,21 +493,18 @@ TEST(VexecParity, ThreadsAndBudgetsNeverChangeResults) {
         ExecStats ref_stats;
         Result<Relation> ref = EvaluatePlan(plan, catalog, config, &ref_stats);
         for (size_t threads : {2u, 4u}) {
-          for (uint64_t budget : {uint64_t{0}, uint64_t{512}}) {
-            for (size_t batch : {1u, 7u, 1024u}) {
-              VexecOptions vopts;
-              vopts.batch_size = batch;
-              vopts.threads = threads;
-              // Tiny morsels so 40-row inputs still split across workers.
-              vopts.morsel_rows = 8;
-              vopts.memory_budget = budget;
-              CheckAgainstReference(
-                  ref, ref_stats, plan, catalog, config,
-                  "seed " + std::to_string(seed) + "/" + cfg_name + "/t" +
-                      std::to_string(threads) + "/b" + std::to_string(budget) +
-                      "/batch" + std::to_string(batch) + "/" + plan_name,
-                  vopts);
-            }
+          for (size_t batch : {1u, 7u, 1024u}) {
+            VexecOptions vopts;
+            vopts.batch_size = batch;
+            vopts.threads = threads;
+            // Tiny morsels so 40-row inputs still split across workers.
+            vopts.morsel_rows = 8;
+            CheckAgainstReference(
+                ref, ref_stats, plan, catalog, config,
+                "seed " + std::to_string(seed) + "/" + cfg_name + "/t" +
+                    std::to_string(threads) + "/batch" +
+                    std::to_string(batch) + "/" + plan_name,
+                vopts);
           }
         }
       }
@@ -545,88 +542,25 @@ TEST(VexecParity, FourThreadOutputByteIdenticalToSerial) {
                                   {AggSpec{AggFunc::kCount, "", "n"},
                                    AggSpec{AggFunc::kSum, "Val", "s"}}));
   for (const auto& [plan_name, plan] : plans) {
-    for (uint64_t budget : {uint64_t{0}, uint64_t{4096}}) {
-      VexecOptions serial;
-      serial.memory_budget = budget;
-      VexecOptions par = serial;
-      par.threads = 4;
-      par.morsel_rows = 64;
-      ExecStats sstats, pstats;
-      Result<Relation> s =
-          ExecuteVectorizedPlan(plan, catalog, config, &sstats, serial);
-      Result<Relation> p =
-          ExecuteVectorizedPlan(plan, catalog, config, &pstats, par);
-      const std::string label =
-          plan_name + "/budget" + std::to_string(budget);
-      ASSERT_TRUE(s.ok() && p.ok()) << label;
-      ExpectListIdentical(s.value(), p.value(), label);
-      EXPECT_DOUBLE_EQ(sstats.dbms_work, pstats.dbms_work) << label;
-      EXPECT_DOUBLE_EQ(sstats.stratum_work, pstats.stratum_work) << label;
-      EXPECT_EQ(sstats.tuples_produced, pstats.tuples_produced) << label;
-      EXPECT_EQ(sstats.op_counts, pstats.op_counts) << label;
-      EXPECT_EQ(sstats.vec_rows, pstats.vec_rows) << label;
-      // Spill volume is deterministic; morsel/steal counts are telemetry.
-      EXPECT_EQ(sstats.spill_bytes, pstats.spill_bytes) << label;
-      EXPECT_EQ(sstats.spill_runs, pstats.spill_runs) << label;
-      EXPECT_EQ(sstats.morsels, 0) << label;  // serial run never morselizes
-      EXPECT_GT(pstats.morsels, 0) << label;
-    }
-  }
-}
-
-// Under a budget smaller than the materialized input the blocking operators
-// must actually go out of core (nonzero spill counters) and still match the
-// reference; with no budget they must never touch disk.
-TEST(VexecParity, SpillCountersTrackOutOfCoreWork) {
-  Catalog catalog;
-  TQP_CHECK(
-      catalog.RegisterWithInferredFlags("R", Messy(47, 500), Site::kDbms)
-          .ok());
-  EngineConfig config;
-  std::vector<std::pair<std::string, PlanPtr>> plans;
-  plans.emplace_back("sort", PlanNode::Sort(PlanNode::Scan("R"),
-                                            {{"Name", true}, {"Val", false}}));
-  plans.emplace_back("rdup", PlanNode::Rdup(PlanNode::Scan("R")));
-  plans.emplace_back("coalesce", PlanNode::Coalesce(PlanNode::Scan("R")));
-  plans.emplace_back("aggregate",
-                     PlanNode::Aggregate(PlanNode::Scan("R"), {"Name", "Cat"},
-                                         {AggSpec{AggFunc::kSum, "Val", "s"},
-                                          AggSpec{AggFunc::kAvg, "Val", "a"}}));
-  for (const auto& [plan_name, plan] : plans) {
-    ExecStats ref_stats;
-    Result<Relation> ref = EvaluatePlan(plan, catalog, config, &ref_stats);
-    ASSERT_TRUE(ref.ok()) << plan_name;
-
-    VexecOptions unbounded;
-    ExecStats mem_stats;
-    Result<Relation> mem =
-        ExecuteVectorizedPlan(plan, catalog, config, &mem_stats, unbounded);
-    ASSERT_TRUE(mem.ok()) << plan_name;
-    ExpectListIdentical(ref.value(), mem.value(), plan_name + "/in-memory");
-    EXPECT_EQ(mem_stats.spill_bytes, 0) << plan_name;
-    EXPECT_EQ(mem_stats.spill_runs, 0) << plan_name;
-
-    VexecOptions tiny;
-    tiny.memory_budget = 1024;  // far below 500 materialized rows
-    ExecStats spill_stats;
-    Result<Relation> spilled =
-        ExecuteVectorizedPlan(plan, catalog, config, &spill_stats, tiny);
-    ASSERT_TRUE(spilled.ok()) << plan_name;
-    ExpectListIdentical(ref.value(), spilled.value(), plan_name + "/spilled");
-    EXPECT_GT(spill_stats.spill_bytes, 0) << plan_name;
-    EXPECT_GT(spill_stats.spill_runs, 0) << plan_name;
-
-    // Spilling composes with morsel parallelism.
-    VexecOptions both = tiny;
-    both.threads = 4;
-    both.morsel_rows = 64;
-    ExecStats both_stats;
-    Result<Relation> b =
-        ExecuteVectorizedPlan(plan, catalog, config, &both_stats, both);
-    ASSERT_TRUE(b.ok()) << plan_name;
-    ExpectListIdentical(ref.value(), b.value(), plan_name + "/spill+threads");
-    EXPECT_EQ(both_stats.spill_bytes, spill_stats.spill_bytes) << plan_name;
-    EXPECT_EQ(both_stats.spill_runs, spill_stats.spill_runs) << plan_name;
+    VexecOptions serial;
+    VexecOptions par = serial;
+    par.threads = 4;
+    par.morsel_rows = 64;
+    ExecStats sstats, pstats;
+    Result<Relation> s =
+        ExecuteVectorizedPlan(plan, catalog, config, &sstats, serial);
+    Result<Relation> p =
+        ExecuteVectorizedPlan(plan, catalog, config, &pstats, par);
+    ASSERT_TRUE(s.ok() && p.ok()) << plan_name;
+    ExpectListIdentical(s.value(), p.value(), plan_name);
+    EXPECT_DOUBLE_EQ(sstats.dbms_work, pstats.dbms_work) << plan_name;
+    EXPECT_DOUBLE_EQ(sstats.stratum_work, pstats.stratum_work) << plan_name;
+    EXPECT_EQ(sstats.tuples_produced, pstats.tuples_produced) << plan_name;
+    EXPECT_EQ(sstats.op_counts, pstats.op_counts) << plan_name;
+    EXPECT_EQ(sstats.vec_rows, pstats.vec_rows) << plan_name;
+    // Morsel/steal counts are telemetry.
+    EXPECT_EQ(sstats.morsels, 0) << plan_name;  // serial never morselizes
+    EXPECT_GT(pstats.morsels, 0) << plan_name;
   }
 }
 
@@ -916,13 +850,12 @@ TEST(VexecEngine, ScrambledDbmsMatchesThroughEngineToo) {
   ExpectListIdentical(ref->relation, vec->relation, q);
 }
 
-TEST(VexecEngine, ThreadsAndBudgetFlowThroughEngineOptions) {
+TEST(VexecEngine, ThreadsFlowThroughEngineOptions) {
   Catalog catalog = MakeCatalog(31);
   EngineOptions ref_opts;
   EngineOptions vec_opts;
   vec_opts.executor = ExecutorKind::kVectorized;
   vec_opts.vexec_threads = 4;
-  vec_opts.vexec_memory_budget = 1024;
   Engine ref_engine(catalog, ref_opts);
   Engine vec_engine(catalog, vec_opts);
   const std::string q =
@@ -931,9 +864,8 @@ TEST(VexecEngine, ThreadsAndBudgetFlowThroughEngineOptions) {
   Result<QueryResult> vec = vec_engine.Query(q);
   ASSERT_TRUE(ref.ok() && vec.ok());
   ExpectListIdentical(ref->relation, vec->relation, q);
-  // The budget reached the executor: the sort of 40 messy rows exceeds 1 KiB.
-  EXPECT_GT(vec->exec.spill_bytes, 0);
-  EXPECT_EQ(ref->exec.spill_bytes, 0);
+  // The threads reached the executor: only its pool runs morsels.
+  EXPECT_GT(vec->exec.morsels, 0);
 }
 
 }  // namespace
