@@ -141,19 +141,6 @@ void CompareMemoAgainstLegacy() {
   bench::SetMetric("legacy_plans_per_s", legacy_pps);
   bench::SetMetric("memo_plans_per_s", memo_pps);
   bench::SetMetric("memo_speedup", memo_pps / legacy_pps);
-
-  // Cost-bounded pruning (off by default): expansion skips plans whose
-  // estimated cost exceeds factor x best-so-far.
-  std::printf("\nCost-bounded pruning (factor -> plans / expanded / pruned):\n");
-  for (double factor : {1.5, 4.0, 16.0}) {
-    EnumerationOptions opts = bench::SearchOptions(4000);
-    opts.cost_prune_factor = factor;
-    Result<EnumerationResult> res = bench::RunPaperSearch(catalog, rules, opts);
-    TQP_CHECK(res.ok());
-    std::printf("  %5.1f -> %zu plans, %zu expanded, %zu pruned\n", factor,
-                res->plans.size(), res->plans.size() - res->cost_pruned,
-                res->cost_pruned);
-  }
 }
 
 namespace {

@@ -304,8 +304,13 @@ void Expr::ComputeHash() {
     default:
       break;
   }
-  for (const ExprPtr& c : children_) h = HashCombine(h, c->hash());
+  int below = 0;
+  for (const ExprPtr& c : children_) {
+    h = HashCombine(h, c->hash());
+    below = std::max(below, c->depth());
+  }
   hash_ = h;
+  depth_ = below + 1;
 }
 
 bool Expr::Equals(const ExprPtr& a, const ExprPtr& b) {

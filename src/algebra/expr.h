@@ -77,6 +77,10 @@ class Expr {
   /// converse is confirmed with Equals() where it matters.
   uint64_t hash() const { return hash_; }
 
+  /// Nesting depth in levels: an attribute or constant is 1, each operator
+  /// one more than its deepest operand. Computed once at construction.
+  int depth() const { return depth_; }
+
   /// Structural equality (pointer short-circuit, then hash, then recursion).
   static bool Equals(const ExprPtr& a, const ExprPtr& b);
 
@@ -87,11 +91,12 @@ class Expr {
  private:
   Expr() = default;
 
-  /// Seals the node: derives hash_ from the payload and children. Must be the
-  /// last step of every construction path.
+  /// Seals the node: derives hash_ and depth_ from the payload and children.
+  /// Must be the last step of every construction path.
   void ComputeHash();
 
   ExprKind kind_ = ExprKind::kConst;
+  int depth_ = 1;
   std::string attr_name_;
   Value constant_;
   CompareOp compare_op_ = CompareOp::kEq;

@@ -167,8 +167,48 @@ void PlanNode::Finalize() {
   payload_hash_ = h;
   fingerprint_ = FingerprintOf(kind_, payload_hash_, children_);
   size_t size = 1;
-  for (const PlanPtr& c : children_) size += c->subtree_size();
+  int below = 0;
+  for (const PlanPtr& c : children_) {
+    size += c->subtree_size();
+    below = std::max(below, c->depth());
+  }
+  if (predicate_ != nullptr) below = std::max(below, predicate_->depth());
+  for (const ProjItem& item : projections_) {
+    below = std::max(below, item.expr->depth());
+  }
   subtree_size_ = size;
+  depth_ = below + 1;
+}
+
+PlanNode::~PlanNode() {
+  // Subtrees up to this deep destroy recursively, as members normally do.
+  constexpr int kRecursiveReleaseDepth = 64;
+  if (depth_ <= kRecursiveReleaseDepth) return;
+  // Deeper ones: detach every child this node alone owns onto a worklist and
+  // release them one at a time, so no destructor recurses more than one
+  // level. A sole owner may take a node's children: nothing else can reach
+  // the node (plans are never held by weak_ptr).
+  std::vector<PlanPtr> pending;
+  auto detach = [&pending](std::vector<PlanPtr>& children) {
+    for (PlanPtr& child : children) {
+      if (child.use_count() == 1) pending.push_back(std::move(child));
+    }
+    children.clear();
+  };
+  detach(children_);
+  while (!pending.empty()) {
+    PlanPtr node = std::move(pending.back());
+    pending.pop_back();
+    detach(const_cast<PlanNode&>(*node).children_);
+  }
+}
+
+Status CheckPlanDepth(const PlanPtr& plan) {
+  if (plan->depth() <= kMaxPlanDepth) return Status::OK();
+  return Status::InvalidArgument(
+      "plan nested " + std::to_string(plan->depth()) +
+      " levels deep; at most " + std::to_string(kMaxPlanDepth) +
+      " are accepted");
 }
 
 bool PlanNode::SamePayload(const PlanNode& a, const PlanNode& b) {

@@ -102,6 +102,12 @@ class PlanNode {
   /// Counts occurrences, so a hash-consed DAG reports its unfolded size.
   size_t subtree_size() const { return subtree_size_; }
 
+  /// Nesting depth in levels, expressions included (cached, O(1)): this
+  /// node is level 1, and each child operator, predicate or projection
+  /// expression, and expression operand is one level below its parent.
+  /// See kMaxPlanDepth.
+  int depth() const { return depth_; }
+
   /// Shallow structural equality: same kind and payload, children compared
   /// by pointer. Sufficient for full structural equality when both nodes'
   /// children are already interned.
@@ -147,11 +153,16 @@ class PlanNode {
   static PlanPtr WithChildren(const PlanPtr& node,
                               std::vector<PlanPtr> children);
 
+  /// Releases a deep subtree iteratively: a plan built deeper than
+  /// kMaxPlanDepth (and refused) would otherwise overflow the stack while
+  /// it is destroyed, one chain of frames per level.
+  ~PlanNode();
+
  protected:
   PlanNode() = default;
 
-  /// Seals the node: derives payload_hash_, fingerprint_ and subtree_size_
-  /// from the payload and children. Must be the last step of every
+  /// Seals the node: derives payload_hash_, fingerprint_, subtree_size_ and
+  /// depth_ from the payload and children. Must be the last step of every
   /// construction path.
   void Finalize();
 
@@ -166,7 +177,23 @@ class PlanNode {
   uint64_t payload_hash_ = 0;
   uint64_t fingerprint_ = 0;
   size_t subtree_size_ = 1;
+  int depth_ = 1;
 };
+
+/// The deepest plan (PlanNode::depth()) the system accepts. Interning,
+/// derivation, the optimizer, both executors and the plan-snapshot readers
+/// all recurse once per level, so plans are checked where they enter:
+/// CompileQuery rejects a deeper translation, and tqp::Engine a deeper
+/// hand-built plan or chosen plan, before anything recurses over them; the
+/// snapshot readers refuse deeper input as corrupt. So every plan the Engine
+/// caches can also be snapshotted and loaded. 512 is twice the parser's
+/// kMaxExprDepth, and shallow enough for an 8 MiB stack in a sanitized Debug
+/// build, where a level of the snapshot reader took 8-12 KiB.
+inline constexpr int kMaxPlanDepth = 512;
+
+/// InvalidArgument naming the depth if `plan` is deeper than kMaxPlanDepth;
+/// OK otherwise. O(1): reads the cached depth.
+Status CheckPlanDepth(const PlanPtr& plan);
 
 /// Canonical, order-stable serialization of a plan tree; two plans are the
 /// same tree iff their canonical strings are equal. Used for plan-set dedup

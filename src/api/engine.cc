@@ -70,6 +70,9 @@ std::vector<std::pair<std::string, uint64_t>> StampDepVersions(
 }  // namespace
 
 EngineOptions::EngineOptions() : rules(DefaultRuleSet()) {
+  // A search that pays for itself: cheapest plans first, stopping once the
+  // search has outworked the best plan's estimated cost.
+  enumeration.strategy = SearchStrategy::kBestFirst;
   // The facade's plan identity is fingerprint/pointer-based end to end;
   // canonical strings are only for callers that assert on them.
   enumeration.fill_canonical = false;
@@ -345,6 +348,9 @@ Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
       optimized,
       Optimize(root, catalog_, contract, options_.rules, opt, &interner,
                &derivation));
+  // A rewrite may add up to max_plan_growth nodes to a plan at the depth
+  // bound; the cache keeps only plans a snapshot can hold.
+  TQP_RETURN_IF_ERROR(CheckPlanDepth(optimized.best_plan));
 
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -414,6 +420,9 @@ Result<PreparedQuery> Engine::PrepareTraced(const std::string& text,
 
 Result<PreparedQuery> Engine::Prepare(const PlanPtr& initial,
                                       const QueryContract& contract) {
+  // Checked before the cache probe: confirming a hit, interning and
+  // derivation all recurse once per plan level.
+  TQP_RETURN_IF_ERROR(CheckPlanDepth(initial));
   // Key hand-built plans by structural fingerprint + contract. Fingerprints
   // are 64-bit and never trusted blindly anywhere in this codebase: a cache
   // hit is confirmed structurally before it is served.

@@ -83,7 +83,7 @@ enum class ExecutorKind {
 };
 
 /// The unified option set, subsuming the per-layer structs. One EngineConfig
-/// and one CardinalityParams drive enumeration pruning, plan choice, and
+/// and one CardinalityParams drive the plan search, plan choice, and
 /// execution alike (`enumeration.cost_engine`/`.cardinality` are overridden
 /// by the unified fields, exactly as OptimizerOptions always did).
 struct EngineOptions {
@@ -91,13 +91,14 @@ struct EngineOptions {
 
   /// TQL → initial plan (layered architecture on/off).
   TranslatorOptions translator;
-  /// Figure 5 search knobs, including the frontier strategy (breadth-first
-  /// vs cost-directed best-first) and the pruning/expansion budgets. Each
-  /// query's search runs serially on its calling thread, in an interner and
-  /// derivation cache of its own. `fill_canonical` defaults OFF here — the
-  /// facade never asserts on canonical strings — unlike the bare
-  /// EnumeratePlans default, which stays on for the string-asserting tests
-  /// and benches.
+  /// Figure 5 search knobs. Two defaults differ from the bare
+  /// EnumerationOptions, which stay the paper's exhaustive breadth-first
+  /// order for the reproduction tests and benches: `strategy` is kBestFirst,
+  /// the cost-directed search that stops once its work outweighs the best
+  /// plan's estimated cost (SearchStrategy::kBestFirst; `max_plans` still
+  /// caps it), and `fill_canonical` is OFF — the facade never asserts on
+  /// canonical strings. Each query's search runs serially on its calling
+  /// thread, in an interner and derivation cache of its own.
   EnumerationOptions enumeration;
   /// Cost model + simulated execution environment.
   EngineConfig engine;
@@ -458,7 +459,9 @@ class Engine {
 
   /// Same for a hand-built initial plan + contract (no TQL involved). The
   /// plan cache keys these by the initial plan's structural fingerprint;
-  /// hits are confirmed structurally before being served.
+  /// hits are confirmed structurally before being served. A plan deeper
+  /// than kMaxPlanDepth is InvalidArgument, as is (for either Prepare) a
+  /// chosen plan that a rewrite took past it.
   Result<PreparedQuery> Prepare(const PlanPtr& initial,
                                 const QueryContract& contract);
 

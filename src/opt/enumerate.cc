@@ -66,6 +66,33 @@ bool IsOrderSafeAcrossSites(const std::string& rule_id) {
          rule_id == "S3";
 }
 
+// The payoff rule's exchange rate (SearchStrategy::kBestFirst): one admitted
+// plan node of best-first search costs about as much wall time as 20
+// estimated cost units of execution. Measured once, on the adhoc workload of
+// the repository benchmark (its catalog at seeds 3 and 7, three texts of each
+// of its seven templates; Release, gcc 12.2, a 4-vCPU x86 host): an
+// Engine-default search took 0.41–1.0 µs per admitted node (EnumeratePlans
+// wall time / search_work, best of three), and the reference evaluator took
+// 9–90 ns per estimated cost unit of the chosen plan (median of seven
+// Evaluate runs / its EstimatePlanCost). The ratio of the totals is 22.5 at
+// seed 7 (0.78 µs per node, 34.6 ns per unit); per text it spreads from 6
+// to 100, because the cost model weighs operators by one constant each. It
+// is rounded down to 20, which errs toward searching longer. Re-measure it
+// when the search's per-node work or the cost model's units change.
+const double kSearchCostPerNode = 20.0;
+
+const char* SearchStopName(SearchStop stop) {
+  switch (stop) {
+    case SearchStop::kDrained:
+      return "drained";
+    case SearchStop::kPayoff:
+      return "payoff";
+    case SearchStop::kMaxPlans:
+      return "max_plans";
+  }
+  return "drained";
+}
+
 namespace {
 
 // Bound on a plan's unfolded (per-occurrence) node count: the per-plan walks
@@ -135,6 +162,7 @@ Result<EnumerationResult> EnumerateLegacy(const PlanPtr& initial,
 
   result.plans.push_back(EnumeratedPlan{initial, CanonicalString(initial),
                                         initial->fingerprint(), -1, ""});
+  result.search_work = PlanSize(initial);
   seen.insert(result.plans[0].canonical);
 
   for (size_t p = 0; p < result.plans.size(); ++p) {
@@ -168,7 +196,8 @@ Result<EnumerationResult> EnumerateLegacy(const PlanPtr& initial,
         ++result.admitted;
 
         PlanPtr rewritten = ReplaceNode(plan, loc.get(), match->replacement);
-        if (PlanSize(rewritten) > size_cap) continue;
+        size_t rewritten_size = PlanSize(rewritten);
+        if (rewritten_size > size_cap) continue;
         std::string canon = CanonicalString(rewritten);
         if (!seen.insert(canon).second) continue;
         // Re-validate: a rewrite may produce a site-inconsistent or
@@ -182,12 +211,16 @@ Result<EnumerationResult> EnumerateLegacy(const PlanPtr& initial,
         result.plans.push_back(EnumeratedPlan{rewritten, std::move(canon),
                                               rewritten->fingerprint(),
                                               static_cast<int>(p), rule.id()});
+        result.search_work += rewritten_size;
         if (result.plans.size() >= options.max_plans) break;
       }
       if (result.plans.size() >= options.max_plans) break;
     }
   }
-  if (result.plans.size() >= options.max_plans) result.truncated = true;
+  if (result.plans.size() >= options.max_plans) {
+    result.truncated = true;
+    result.stop = SearchStop::kMaxPlans;
+  }
   return result;
 }
 
@@ -254,10 +287,11 @@ class Frontier {
 };
 
 // The memo search: hash-consed plans, pointer-keyed dedup, path-copy
-// rewrites, one annotation per distinct plan against a shared bottom-up
-// cache, and optional cost-bounded pruning. The driver pops a plan
-// (NextToExpand) and expands it (Expand); expansion admits each rule match
-// on the spot, so the admitted sequence is the Figure 5 worklist's.
+// rewrites, and one annotation per distinct plan against a shared bottom-up
+// cache. The search loop pops a plan (NextToExpand) and expands it (Expand);
+// expansion admits each rule match on the spot, so the admitted sequence is
+// the Figure 5 worklist's. Every admission checks the stopping rules
+// (AdmitWork): the `max_plans` cap, and under best-first the payoff rule.
 class MemoSearch {
  public:
   MemoSearch(const Catalog& catalog, const QueryContract& contract,
@@ -269,9 +303,7 @@ class MemoSearch {
         options_(options),
         interner_(interner),
         cache_(cache),
-        pruning_(options.cost_prune_factor > 0.0),
         best_first_(options.strategy == SearchStrategy::kBestFirst),
-        costing_(pruning_ || best_first_),
         frontier_(best_first_),
         // Costing runs against a context backed solely by the shared
         // derivation cache: each plan is costed right after it is derived,
@@ -295,55 +327,32 @@ class MemoSearch {
     result_.plans.push_back(
         EnumeratedPlan{root, CanonOf(root), root->fingerprint(), -1, ""});
     memo_[root->fingerprint()].push_back(0);
-    if (costing_) {
+    double cost = 0.0;
+    if (best_first_) {
       // The root is costed only now, after cache.Derive(root) above made its
       // bottom-up facts (cardinalities, sites) available.
-      best_cost_ = EstimatePlanCost(root, cost_ctx_, options_.cost_engine);
-      result_.costs.push_back(best_cost_);
+      cost = EstimatePlanCost(root, cost_ctx_, options_.cost_engine);
+      best_cost_ = cost;
+      result_.costs.push_back(cost);
     }
-    frontier_.Push(0, costing_ ? result_.costs[0] : 0.0);
+    frontier_.Push(0, cost);
+    AdmitWork(root->subtree_size());
     return Status::OK();
   }
 
-  /// The driver loop head: pops the next plan to consider and applies the
-  /// pruning decision and expansion budget. Returns the index to expand, or
-  /// nullopt when the search is over (frontier drained, plan cap, or budget
-  /// exhausted — the cap/budget cases also set `truncated`).
+  /// The search loop's head: the next plan to expand, or nullopt when the
+  /// search is over (frontier drained, or a stopping rule fired — that case
+  /// also set `truncated`).
   std::optional<size_t> NextToExpand() {
-    while (true) {
-      if (result_.plans.size() >= options_.max_plans) {
-        result_.truncated = true;
-        return std::nullopt;
-      }
-      std::optional<size_t> popped = frontier_.Pop(result_.plans.size());
-      if (!popped.has_value()) return std::nullopt;
-      size_t p = *popped;
-      // The pruning decision happens at pop time, against the bound as it
-      // stands now. best_cost only ever tightens, so a plan failing here
-      // could never pass later: pruned plans are final, never re-queued,
-      // and every admitted plan is popped exactly once unless a budget ends
-      // the search first, which makes cost_pruned deterministic under both
-      // strategies.
-      if (pruning_ &&
-          result_.costs[p] > best_cost_ * options_.cost_prune_factor) {
-        ++result_.cost_pruned;
-        continue;
-      }
-      if (options_.max_expansions > 0 &&
-          result_.expanded >= options_.max_expansions) {
-        // Expansion budget exhausted with this (unpruned) plan still
-        // pending.
-        result_.truncated = true;
-        return std::nullopt;
-      }
-      ++result_.expanded;
-      return p;
-    }
+    if (result_.truncated) return std::nullopt;
+    std::optional<size_t> popped = frontier_.Pop(result_.plans.size());
+    if (popped.has_value()) ++result_.expanded;
+    return popped;
   }
 
   /// Expands plan `p`: the Table 2 props walk, then every rule at every
   /// location in the Figure 5 order, each match admitted on the spot. Stops
-  /// as soon as the plan cap is reached. Fails only on an internal
+  /// as soon as a stopping rule fires. Fails only on an internal
   /// derivation-cache miss.
   Status Expand(size_t p) {
     // By value: admission appends to result_.plans, which may reallocate.
@@ -386,7 +395,6 @@ class MemoSearch {
 
   /// Finalizes counters and hands the result out.
   EnumerationResult Finish() {
-    if (result_.plans.size() >= options_.max_plans) result_.truncated = true;
     result_.interner_nodes = interner_.unique_nodes();
     result_.interner_hits = interner_.hits();
     result_.cache_nodes = cache_.size();
@@ -445,7 +453,7 @@ class MemoSearch {
 
   // One rule application attempt at location index `li` of plan `p`: a
   // match is counted, gated, and — when admissible — admitted. Returns
-  // false once the plan cap is reached (stop expanding).
+  // false once a stopping rule fires (stop expanding).
   bool TryLocation(const Rule& rule, uint32_t li, const PlanPtr& plan,
                    size_t p) {
     const PlanLocation& loc = locations_[li];
@@ -477,7 +485,7 @@ class MemoSearch {
   // confirms a hit structurally, so fingerprint collisions can never merge
   // distinct plans and a duplicate candidate allocates nothing. A confirmed
   // miss is interned, validated, costed, and pushed onto the frontier.
-  // Returns false once the plan cap is reached.
+  // Returns false once a stopping rule fires.
   bool Admit(const Rule& rule, const PlanPtr& plan, size_t p,
              const PlanPath& path, PlanPtr replacement) {
     uint64_t fingerprint =
@@ -501,7 +509,7 @@ class MemoSearch {
       return true;
     }
     double cost = 0.0;
-    if (costing_) {
+    if (best_first_) {
       // Costed against cost_ctx_, never the expansion's window-scoped
       // context. cache_.Derive just ran, so every bottom-up fact the cost
       // model reads is present.
@@ -512,12 +520,31 @@ class MemoSearch {
     result_.plans.push_back(EnumeratedPlan{rewritten, CanonOf(rewritten),
                                            fingerprint, static_cast<int>(p),
                                            rule.id()});
-    if (costing_) {
+    if (best_first_) {
       result_.costs.push_back(cost);
       if (cost < best_cost_) best_cost_ = cost;
     }
     frontier_.Push(index, cost);
-    return result_.plans.size() < options_.max_plans;
+    return AdmitWork(rewritten->subtree_size());
+  }
+
+  // Books one admitted plan of `nodes` nodes into the search-work tally and
+  // applies the stopping rules to the admissions so far: the plan cap, then
+  // (best-first) the payoff rule against the cheapest cost admitted so far.
+  // Returns false, with `truncated` and the stop reason set, once one fires.
+  bool AdmitWork(size_t nodes) {
+    result_.search_work += nodes;
+    if (result_.plans.size() >= options_.max_plans) {
+      result_.stop = SearchStop::kMaxPlans;
+    } else if (best_first_ &&
+               static_cast<double>(result_.search_work) * kSearchCostPerNode >
+                   best_cost_) {
+      result_.stop = SearchStop::kPayoff;
+    } else {
+      return true;
+    }
+    result_.truncated = true;
+    return false;
   }
 
   std::string CanonOf(const PlanPtr& p) {
@@ -533,9 +560,7 @@ class MemoSearch {
   const EnumerationOptions& options_;
   PlanInterner& interner_;
   DerivationCache& cache_;
-  const bool pruning_;
   const bool best_first_;
-  const bool costing_;
 
   EnumerationResult result_;
   // The memo over admitted plans: fingerprint -> indices in result_.plans (a
@@ -617,8 +642,9 @@ Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
     span.Arg("plans", static_cast<uint64_t>(r.plans.size()));
     span.Arg("expanded", static_cast<uint64_t>(r.expanded));
     span.Arg("memo_hits", static_cast<uint64_t>(r.memo_hits));
-    span.Arg("cost_pruned", static_cast<uint64_t>(r.cost_pruned));
     span.Arg("gated_out", static_cast<uint64_t>(r.gated_out));
+    span.Arg("stop", SearchStopName(r.stop));
+    span.Arg("search_work", static_cast<uint64_t>(r.search_work));
   }
   return res;
 }

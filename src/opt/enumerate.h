@@ -30,10 +30,12 @@
 // (bench_fig5_enumeration); both produce the identical plan sequence.
 //
 // Frontier ordering: unexpanded plans are held in a frontier that is either
-// FIFO (breadth-first, the default — the exact Figure 5 order) or a priority
-// queue keyed by estimated plan cost with admission-index tie-break
-// (best-first, cost-directed). Cost-bounded pruning and an explicit
-// expansion budget apply under either order; see EnumerationOptions.
+// FIFO (breadth-first, the EnumerationOptions default — the exact Figure 5
+// order) or a priority queue keyed by estimated plan cost with
+// admission-index tie-break (best-first, the Engine's default). Best-first
+// also stops once the search has done more work than the cheapest plan
+// found so far is estimated to cost (the payoff rule, see SearchStrategy);
+// `max_plans` caps both orders.
 //
 // Termination: the default rule set excludes expanding rules (Section 6) and
 // a plan-size growth bound caps rule chains that grow plans (e.g. repeated
@@ -52,19 +54,44 @@ namespace tqp {
 
 class PlanInterner;
 
-/// How the memo enumerator orders its frontier of unexpanded plans.
+/// How the memo enumerator orders its frontier of unexpanded plans, and
+/// when it stops short of the closure.
 enum class SearchStrategy {
   /// Expand plans in admission order (the paper's Figure 5 loop). The
-  /// default: exhaustive up to the budgets, and the reference order the A/B
-  /// byte-identity checks compare against.
+  /// EnumerationOptions default: exhaustive up to `max_plans`, and the
+  /// reference order the A/B byte-identity checks compare against.
   kBreadthFirst,
-  /// Expand the cheapest unexpanded plan first (cost-directed), under the
-  /// same cost model the optimizer's final choice uses. With a pruning
-  /// factor and/or an expansion budget this reaches near-optimal plans
-  /// while expanding a fraction of the space (bench_bestfirst_search).
-  /// Ties break on admission index, so the search stays deterministic.
+  /// Expand the cheapest unexpanded plan first, under the cost model the
+  /// optimizer's final choice uses (ties break on admission index), and stop
+  /// once the search pays no more: every admitted plan adds its node count
+  /// (subtree_size()) to a search-work tally, and the search ends at the
+  /// first admission where tally × kSearchCostPerNode exceeds the cheapest
+  /// estimated cost admitted so far. The stop is checked at every admission,
+  /// like `max_plans`, so one large expansion cannot overshoot it; it sets
+  /// `truncated` and SearchStop::kPayoff. The rule reads no clock, so the
+  /// outcome is a pure function of plan, catalog and options. The Engine's
+  /// default (EngineOptions()).
   kBestFirst,
 };
+
+/// Estimated-cost units one searched plan node is worth: the payoff rule's
+/// exchange rate between search work and execution cost (see kBestFirst).
+/// The value and how it was measured are in opt/enumerate.cc.
+extern const double kSearchCostPerNode;
+
+/// Why a search ended.
+enum class SearchStop {
+  /// The frontier ran empty: every reachable plan was admitted.
+  kDrained,
+  /// Best-first's payoff rule fired (see SearchStrategy::kBestFirst).
+  kPayoff,
+  /// `max_plans` plans were admitted.
+  kMaxPlans,
+};
+
+/// "drained", "payoff" or "max_plans": the `stop` argument of the
+/// opt/enumerate trace span.
+const char* SearchStopName(SearchStop stop);
 
 /// Options controlling the enumeration.
 struct EnumerationOptions {
@@ -81,26 +108,11 @@ struct EnumerationOptions {
       EquivalenceType::kSet,          EquivalenceType::kSnapshotList,
       EquivalenceType::kSnapshotMultiset, EquivalenceType::kSnapshotSet,
   };
-  /// Frontier ordering; see SearchStrategy. Only the memo path supports
-  /// kBestFirst (the legacy path rejects it).
+  /// Frontier order and stopping rule; see SearchStrategy. Only the memo
+  /// path supports kBestFirst (the legacy path rejects it).
   SearchStrategy strategy = SearchStrategy::kBreadthFirst;
-  /// Cost-bounded pruning: when > 0, a plan whose estimated cost exceeds
-  /// `cost_prune_factor` times the cheapest cost seen so far is still
-  /// admitted to the result but never expanded. The decision is made when
-  /// the plan is popped from the frontier, against the bound at that moment;
-  /// the bound only ever tightens, so a plan that fails the check once could
-  /// never pass it later — pruned plans are final and are not re-queued,
-  /// which makes `cost_pruned` a deterministic function of the admitted
-  /// sequence under both strategies. 0 (default) disables pruning, so
-  /// exhaustive benches and the completeness tests are unaffected. Only the
-  /// memo path supports pruning.
-  double cost_prune_factor = 0.0;
-  /// Exploration budget: stop after this many plans have been expanded
-  /// (pruned pops do not count). 0 (default) = unlimited. Only the memo
-  /// path enforces it.
-  size_t max_expansions = 0;
-  /// Cost/cardinality models backing the pruning bound and the best-first
-  /// frontier order.
+  /// Cost/cardinality models backing the best-first frontier order and its
+  /// payoff rule.
   EngineConfig cost_engine;
   CardinalityParams cardinality;
   /// Run the seed implementation (canonical-string dedup, two annotation
@@ -152,17 +164,19 @@ struct EnumerationResult {
   size_t interner_hits = 0;
   /// Bottom-up derivation-cache entries at the end.
   size_t cache_nodes = 0;
-  /// Plans admitted to the result but not expanded due to cost pruning.
-  size_t cost_pruned = 0;
-  /// Plans actually expanded (popped from the frontier and not pruned).
-  /// Equals plans.size() for an exhaustive run, on the memo and legacy
-  /// paths alike.
+  /// Plans actually expanded (popped from the frontier). Equals
+  /// plans.size() for an exhaustive run, on the memo and legacy paths alike.
   size_t expanded = 0;
+  /// Why the search ended; `truncated` iff it is not kDrained.
+  SearchStop stop = SearchStop::kDrained;
+  /// The search-work tally: the node count (subtree_size()) summed over
+  /// every admitted plan, the initial plan included.
+  size_t search_work = 0;
   /// Estimated cost of each admitted plan, aligned with `plans`. Filled only
-  /// when the enumeration costs plans at all (pruning enabled or best-first
-  /// strategy); empty otherwise. Computed against the same derivation cache
-  /// and models the optimizer's final choice uses, so Optimize can reuse
-  /// these instead of re-costing the whole set.
+  /// by the best-first strategy (the only one that costs while it searches);
+  /// empty otherwise. Computed against the same derivation cache and models
+  /// the optimizer's final choice uses, so Optimize can reuse these instead
+  /// of re-costing the whole set.
   std::vector<double> costs;
 
   /// Reconstructs the rule chain that derived plan `index` from the initial

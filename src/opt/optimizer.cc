@@ -11,8 +11,8 @@ Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
                                 PlanInterner* interner,
                                 DerivationCache* derivation) {
   // The enumeration shares the optimizer's cost and cardinality models, so
-  // cost-bounded pruning (when enabled) bounds against the same costs the
-  // final plan choice uses.
+  // best-first's frontier order and payoff rule use the same costs the
+  // final plan choice does.
   EnumerationOptions enum_options = options.enumeration;
   enum_options.cardinality = options.cardinality;
   enum_options.cost_engine = options.engine;
@@ -28,9 +28,9 @@ Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
   double best_cost = 0.0;
   TraceSpan span(enum_options.tracer, "opt", "cost");
   if (enumeration.costs.size() == enumeration.plans.size()) {
-    // A cost-directed enumeration (pruning or best-first) already costed
-    // every admitted plan against the same derivation cache and models this
-    // loop would use; reuse those costs instead of re-deriving the set.
+    // A best-first enumeration already costed every admitted plan against
+    // the same derivation cache and models this loop would use; reuse those
+    // costs instead of re-deriving the set.
     for (size_t i = 0; i < enumeration.costs.size(); ++i) {
       if (i == 0) out.initial_cost = enumeration.costs[i];
       if (i == 0 || enumeration.costs[i] < best_cost) {

@@ -144,10 +144,10 @@ class Reader {
     return static_cast<uint64_t>(v);
   }
 
-  /// The error for input nested deeper than kMaxPlanStoreDepth.
+  /// The error for input nested deeper than kMaxPlanDepth.
   Status TooDeep() const {
-    return Corrupt("nested deeper than " +
-                   std::to_string(kMaxPlanStoreDepth) + " levels");
+    return Corrupt("nested deeper than " + std::to_string(kMaxPlanDepth) +
+                   " levels");
   }
 
   Result<double> Dbl() {
@@ -228,8 +228,7 @@ Result<Value> ReadValue(Reader* r) {
 
 // ---- Expressions -----------------------------------------------------------
 
-// Writes `e`; returns its depth in levels (see kMaxPlanStoreDepth).
-int WriteExpr(std::string* out, const ExprPtr& e) {
+void WriteExpr(std::string* out, const ExprPtr& e) {
   Open(out);
   switch (e->kind()) {
     case ExprKind::kAttr:
@@ -261,17 +260,13 @@ int WriteExpr(std::string* out, const ExprPtr& e) {
       A(out, "overlaps");
       break;
   }
-  int below = 0;
-  for (const ExprPtr& c : e->children()) {
-    below = std::max(below, WriteExpr(out, c));
-  }
+  for (const ExprPtr& c : e->children()) WriteExpr(out, c);
   Close(out);
-  return below + 1;
 }
 
-// Reads an expression at nesting level `level` (see kMaxPlanStoreDepth).
+// Reads an expression at nesting level `level` (see kMaxPlanDepth).
 Result<ExprPtr> ReadExpr(Reader* r, int level) {
-  if (level > kMaxPlanStoreDepth) return r->TooDeep();
+  if (level > kMaxPlanDepth) return r->TooDeep();
   TQP_RETURN_IF_ERROR(r->Expect('('));
   TQP_ASSIGN_OR_RETURN(tag, r->Atom());
 
@@ -415,10 +410,7 @@ const std::unordered_map<std::string, OpKind>& KindByName() {
   return *map;
 }
 
-// Writes `p`; returns its depth in levels, its expressions included (see
-// kMaxPlanStoreDepth).
-int WritePlanNode(std::string* out, const PlanPtr& p) {
-  int below = 0;
+void WritePlanNode(std::string* out, const PlanPtr& p) {
   Open(out);
   A(out, OpKindName(p->kind()));
   switch (p->kind()) {
@@ -426,14 +418,14 @@ int WritePlanNode(std::string* out, const PlanPtr& p) {
       WStr(out, p->rel_name());
       break;
     case OpKind::kSelect:
-      below = WriteExpr(out, p->predicate());
+      WriteExpr(out, p->predicate());
       break;
     case OpKind::kProject:
       Open(out);
       A(out, "items");
       for (const ProjItem& item : p->projections()) {
         WStr(out, item.name);
-        below = std::max(below, WriteExpr(out, item.expr));
+        WriteExpr(out, item.expr);
       }
       Close(out);
       break;
@@ -458,16 +450,13 @@ int WritePlanNode(std::string* out, const PlanPtr& p) {
     default:
       break;  // pure structural operators carry no payload
   }
-  for (const PlanPtr& c : p->children()) {
-    below = std::max(below, WritePlanNode(out, c));
-  }
+  for (const PlanPtr& c : p->children()) WritePlanNode(out, c);
   Close(out);
-  return below + 1;
 }
 
-// Reads a plan node at nesting level `level` (see kMaxPlanStoreDepth).
+// Reads a plan node at nesting level `level` (see kMaxPlanDepth).
 Result<PlanPtr> ReadPlanNode(Reader* r, int level) {
-  if (level > kMaxPlanStoreDepth) return r->TooDeep();
+  if (level > kMaxPlanDepth) return r->TooDeep();
   TQP_RETURN_IF_ERROR(r->Expect('('));
   TQP_ASSIGN_OR_RETURN(name, r->Atom());
   auto it = KindByName().find(name);
@@ -658,6 +647,12 @@ std::string SerializeSnapshot(const PlanCacheSnapshot& snapshot) {
   std::string entries;
   size_t kept = 0;
   for (const PlanCacheEntry& e : snapshot.entries) {
+    // A plan built by hand can nest deeper than the readers accept; its
+    // entry stays out and costs only warmth.
+    if (std::max(e.initial_plan->depth(), e.best_plan->depth()) >
+        kMaxPlanDepth) {
+      continue;
+    }
     std::string entry;
     Open(&entry);
     A(&entry, "entry");
@@ -672,12 +667,9 @@ std::string SerializeSnapshot(const PlanCacheSnapshot& snapshot) {
     A(&entry, "derivation");
     for (const std::string& d : e.derivation) WStr(&entry, d);
     Close(&entry);
-    const int initial_depth = WritePlanNode(&entry, e.initial_plan);
-    const int best_depth = WritePlanNode(&entry, e.best_plan);
+    WritePlanNode(&entry, e.initial_plan);
+    WritePlanNode(&entry, e.best_plan);
     Close(&entry);
-    // A plan built by hand (Engine::Prepare of a plan) can nest deeper
-    // than the readers accept; its entry stays out and costs only warmth.
-    if (std::max(initial_depth, best_depth) > kMaxPlanStoreDepth) continue;
     entries += entry;
     entries.push_back('\n');
     ++kept;

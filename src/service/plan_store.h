@@ -25,8 +25,10 @@
 // format version (another tqp-plan-cache-v* magic) loads as a stale
 // snapshot, a cold start; a corrupt or truncated file of this version is a
 // clean load error, never a crash or a partial import. Plans nest at most
-// kMaxPlanStoreDepth levels deep in a snapshot, so reading one never
-// recurses deeper than that.
+// kMaxPlanDepth (algebra/plan.h) levels deep in a snapshot, so reading one
+// never recurses deeper than that: the readers reject deeper input as
+// corrupt, and SerializeSnapshot leaves out an entry with a deeper plan, so
+// every snapshot it writes loads.
 #ifndef TQP_SERVICE_PLAN_STORE_H_
 #define TQP_SERVICE_PLAN_STORE_H_
 
@@ -63,15 +65,6 @@ Result<PlanStoreLoadOutcome> LoadPlanCache(Engine* engine,
                                            const std::string& path);
 
 // ---- Serialization primitives (exposed for tests) -------------------------
-
-/// The deepest nesting a snapshot holds: a plan's root is level 1, and each
-/// child operator, predicate or projection expression, and expression
-/// operand is one level below its parent. The readers recurse once per
-/// level and reject deeper input as corrupt; SerializeSnapshot leaves out
-/// an entry with a deeper plan, so every snapshot it writes loads. 512 is
-/// twice the parser's kMaxExprDepth, and shallow enough for an 8 MiB stack
-/// in a sanitized Debug build, where a plan level took 8-12 KiB.
-inline constexpr int kMaxPlanStoreDepth = 512;
 
 /// Canonical token-stream serialization of a plan tree (round-trips through
 /// DeserializePlan to a structurally equal plan with identical fingerprint).

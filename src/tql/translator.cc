@@ -174,6 +174,10 @@ Result<TranslatedQuery> TranslateQuery(const QueryAst& ast,
   } else {
     out.contract = QueryContract::Multiset();
   }
+  // A chain of set operations nests one level per statement, and everything
+  // downstream recurses once per level: refuse a plan too deep to walk
+  // before anything does.
+  TQP_RETURN_IF_ERROR(CheckPlanDepth(plan));
   // Fail fast on malformed queries (unknown attributes, schema mismatches).
   TQP_ASSIGN_OR_RETURN(ann,
                        AnnotatedPlan::Make(plan, &catalog, out.contract));

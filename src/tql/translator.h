@@ -46,7 +46,8 @@ struct TranslatedQuery {
   QueryContract contract;
 };
 
-/// Translates a parsed query against a catalog.
+/// Translates a parsed query against a catalog. A plan deeper than
+/// kMaxPlanDepth (a long chain of set operations) is InvalidArgument.
 Result<TranslatedQuery> TranslateQuery(const QueryAst& ast,
                                        const Catalog& catalog,
                                        const TranslatorOptions& options = {});

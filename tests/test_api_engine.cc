@@ -59,15 +59,18 @@ std::vector<std::string> WorkloadQueries() {
 TEST(ApiEngineTest, FacadeMatchesHandWiredPipeline) {
   // The A/B guarantee: Engine::Query is byte-identical to the hand-wired
   // CompileQuery + Optimize + AnnotatedPlan::Make + Evaluate pipeline with
-  // the same (default) models — same relation, fingerprint, costs, and
-  // derivation chain, even though the facade skips canonical strings and
-  // passes its own search caches to Optimize.
+  // the same (default) models and the Engine's search options — same
+  // relation, fingerprint, costs, and derivation chain, even though the
+  // facade skips canonical strings and passes its own search caches to
+  // Optimize.
   Catalog catalog = PaperCatalog();
 
   Result<TranslatedQuery> q = CompileQuery(PaperQueryText(), catalog);
   ASSERT_TRUE(q.ok());
-  Result<OptimizeResult> opt =
-      Optimize(q->plan, catalog, q->contract, DefaultRuleSet());
+  OptimizerOptions hand_options;
+  hand_options.enumeration = EngineOptions().enumeration;
+  Result<OptimizeResult> opt = Optimize(q->plan, catalog, q->contract,
+                                        DefaultRuleSet(), hand_options);
   ASSERT_TRUE(opt.ok());
   Result<AnnotatedPlan> ann =
       AnnotatedPlan::Make(opt->best_plan, &catalog, q->contract);
@@ -230,24 +233,64 @@ TEST(ApiEngineTest, PlanCacheKeysOnTokenStreamNotRawText) {
 }
 
 TEST(ApiEngineTest, BestFirstEngineMatchesBreadthFirstChoice) {
-  // The facade threads SearchStrategy through: a best-first engine with a
-  // generous bound chooses the same plan (same fingerprint, cost, and
-  // relation) as the default breadth-first engine.
-  Engine breadth(PaperCatalog());
-  EngineOptions directed_options;
-  directed_options.enumeration.strategy = SearchStrategy::kBestFirst;
-  directed_options.enumeration.cost_prune_factor = 1.5;
-  Engine directed(PaperCatalog(), directed_options);
+  // Where every plan is estimated to cost far more than searching them
+  // all, the default (payoff-bounded best-first) engine admits the whole
+  // 174-plan Figure 5 closure and chooses the breadth-first engine's plan:
+  // same fingerprint, cost, and relation.
+  const Catalog catalog = testing_util::ScaledPaperCatalog(16000);
+  EngineOptions breadth_options;
+  breadth_options.enumeration.strategy = SearchStrategy::kBreadthFirst;
+  Engine breadth(catalog, breadth_options);
+  Engine directed(catalog);
+  ASSERT_EQ(directed.options().enumeration.strategy,
+            SearchStrategy::kBestFirst);
 
   Result<QueryResult> a = breadth.Query(PaperQueryText());
   Result<QueryResult> b = directed.Query(PaperQueryText());
   ASSERT_TRUE(a.ok() && b.ok()) << a.status().message()
                                 << b.status().message();
+  EXPECT_EQ(a->plans_considered, 174u);
+  EXPECT_EQ(b->plans_considered, 174u);
+  EXPECT_FALSE(b->truncated);
   ExpectIdentical(a->relation, b->relation);
   EXPECT_EQ(a->plan_fingerprint, b->plan_fingerprint);
   EXPECT_EQ(a->best_cost, b->best_cost);
-  // The cost-directed engine considered strictly fewer plans.
-  EXPECT_LT(b->plans_considered, a->plans_considered);
+}
+
+TEST(ApiEngineTest, PlansDeeperThanTheBoundAreInvalidArguments) {
+  // A 20 000-way UNION ALL chain nests one plan level per statement; every
+  // pass over a plan recurses once per level, so the engine refuses it
+  // before anything walks it, and keeps serving.
+  Engine engine(PaperCatalog());
+  Result<QueryResult> deep = engine.Query(testing_util::UnionAllChain(20000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().message().rfind("invalid argument: plan nested", 0),
+            0u)
+      << deep.status().message();
+
+  // The same bound holds for a hand-built plan.
+  PlanPtr chain = PlanNode::Scan("EMPLOYEE");
+  for (int i = 0; i < kMaxPlanDepth; ++i) chain = PlanNode::Rdup(chain);
+  Result<PreparedQuery> hand = engine.Prepare(chain, QueryContract::Set());
+  ASSERT_FALSE(hand.ok());
+  EXPECT_EQ(hand.status().message().rfind("invalid argument: plan nested", 0),
+            0u)
+      << hand.status().message();
+
+  Result<QueryResult> after = engine.Query(PaperQueryText());
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_GT(after->relation.size(), 0u);
+}
+
+TEST(ApiEngineTest, FourHundredWayChainPreparesAndRuns) {
+  // Within the depth bound a long chain still prepares — and the payoff rule
+  // keeps its search short — and runs: 401 statements of EMPLOYEE's names.
+  Engine engine(PaperCatalog());
+  Result<QueryResult> chain = engine.Query(testing_util::UnionAllChain(400));
+  ASSERT_TRUE(chain.ok()) << chain.status().message();
+  Result<QueryResult> one = engine.Query("SELECT EmpName FROM EMPLOYEE");
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(chain->relation.size(), 401 * one->relation.size());
 }
 
 TEST(ApiEngineTest, CatalogMutationInvalidatesCaches) {

@@ -757,10 +757,23 @@ TEST(EngineTraceTest, TraceCoversWholeLifecycle) {
   ASSERT_FALSE(result->trace_json.empty());
   JsonValue v = MustParse(result->trace_json);
   std::set<std::string> names, cats;
+  const JsonValue* enumerate_args = nullptr;
   for (const JsonValue& ev : v.Find("traceEvents")->array) {
     names.insert(ev.Find("name")->str);
     cats.insert(ev.Find("cat")->str);
+    if (ev.Find("name")->str == "enumerate") enumerate_args = ev.Find("args");
   }
+  // The search span says why the search stopped, and how much it searched.
+  ASSERT_NE(enumerate_args, nullptr);
+  const JsonValue* stop = enumerate_args->Find("stop");
+  const JsonValue* work = enumerate_args->Find("search_work");
+  ASSERT_NE(stop, nullptr);
+  ASSERT_NE(work, nullptr);
+  EXPECT_TRUE(stop->str == "drained" || stop->str == "payoff" ||
+              stop->str == "max_plans")
+      << stop->str;
+  EXPECT_EQ(stop->str != "drained", result->truncated);
+  EXPECT_GT(std::stoull(work->str), 0u);
   // One trace spans the full pipeline: facade, compile, optimize, execute.
   for (const char* name : {"plan_cache_probe", "parse", "translate",
                            "enumerate", "cost"}) {

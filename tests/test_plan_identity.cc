@@ -218,14 +218,15 @@ TEST(PlanIdentityTest, DerivationOfHandlesOutOfWorklistOrderParents) {
             (std::vector<std::string>{"R1", "R2", "R3"}));
 }
 
-TEST(PlanIdentityTest, DerivationChainsReplayUnderCostPruning) {
-  // With pruning enabled some plans are admitted but never expanded, so
-  // parent indices can skip around; every chain must still replay from the
-  // initial plan.
+TEST(PlanIdentityTest, DerivationChainsReplayUnderThePayoffStop) {
+  // Best-first expands plans out of admission order and the payoff rule
+  // stops it with admitted plans still unexpanded, so parent indices can
+  // skip around; every chain must still replay from the initial plan.
   EnumerationOptions opts = Options(100000);
-  opts.cost_prune_factor = 2.0;
+  opts.strategy = SearchStrategy::kBestFirst;
   EnumerationResult res = Enumerate(opts);
-  EXPECT_GT(res.cost_pruned, 0u);
+  EXPECT_EQ(res.stop, SearchStop::kPayoff);
+  EXPECT_LT(res.expanded, res.plans.size());
   for (size_t i = 0; i < res.plans.size(); ++i) {
     // Parents precede children and chains terminate.
     EXPECT_LT(res.plans[i].parent, static_cast<int>(i));
@@ -235,21 +236,24 @@ TEST(PlanIdentityTest, DerivationChainsReplayUnderCostPruning) {
   }
 }
 
-TEST(PlanIdentityTest, CostPruningIsOffByDefaultAndSound) {
+TEST(PlanIdentityTest, PayoffStopIsOffByDefaultAndSound) {
+  // The default strategy is the exhaustive Figure 5 order: it drains.
   EnumerationOptions exhaustive = Options(100000);
-  EXPECT_EQ(exhaustive.cost_prune_factor, 0.0);
+  EXPECT_EQ(exhaustive.strategy, SearchStrategy::kBreadthFirst);
   EnumerationResult full = Enumerate(exhaustive);
-  EXPECT_EQ(full.cost_pruned, 0u);
+  EXPECT_EQ(full.stop, SearchStop::kDrained);
+  EXPECT_FALSE(full.truncated);
 
-  EnumerationOptions pruned_opts = Options(100000);
-  pruned_opts.cost_prune_factor = 1.5;
-  EnumerationResult pruned = Enumerate(pruned_opts);
-  // Pruning only shrinks the space, and every plan it keeps is one the
-  // exhaustive run also found.
-  EXPECT_LE(pruned.plans.size(), full.plans.size());
+  EnumerationOptions payoff_opts = Options(100000);
+  payoff_opts.strategy = SearchStrategy::kBestFirst;
+  EnumerationResult payoff = Enumerate(payoff_opts);
+  EXPECT_EQ(payoff.stop, SearchStop::kPayoff);
+  // The payoff stop only shrinks the space, and every plan it keeps is one
+  // the exhaustive run also found.
+  EXPECT_LT(payoff.plans.size(), full.plans.size());
   std::set<std::string> all;
   for (const EnumeratedPlan& p : full.plans) all.insert(p.canonical);
-  for (const EnumeratedPlan& p : pruned.plans) {
+  for (const EnumeratedPlan& p : payoff.plans) {
     EXPECT_TRUE(all.count(p.canonical) > 0) << p.canonical;
   }
 }

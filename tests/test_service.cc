@@ -214,7 +214,7 @@ TEST(PlanStoreTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(
       DeserializeSnapshot("tqp-plan-cache-v3 0 \"0: 0 18446744073709551615\n")
           .ok());
-  // Nesting far past kMaxPlanStoreDepth is a load error, not a stack
+  // Nesting far past kMaxPlanDepth is a load error, not a stack
   // overflow.
   const size_t deep = 1000000;
   Result<PlanPtr> nested = DeserializePlan(
@@ -226,7 +226,7 @@ TEST(PlanStoreTest, DeserializeRejectsGarbage) {
       << nested.status().message();
 }
 
-// A plan nesting exactly kMaxPlanStoreDepth levels round-trips; one level
+// A plan nesting exactly kMaxPlanDepth levels round-trips; one level
 // more is refused by the reader, and SerializeSnapshot leaves its entry
 // out, so the snapshot it writes still loads.
 TEST(PlanStoreTest, NestingBoundHoldsOnBothSides) {
@@ -234,11 +234,12 @@ TEST(PlanStoreTest, NestingBoundHoldsOnBothSides) {
     for (int i = 0; i < rdups; ++i) p = PlanNode::Rdup(p);
     return p;
   };
-  const PlanPtr at_bound = wrap(PlanNode::Scan("R"), kMaxPlanStoreDepth - 1);
+  const PlanPtr at_bound = wrap(PlanNode::Scan("R"), kMaxPlanDepth - 1);
+  EXPECT_EQ(at_bound->depth(), kMaxPlanDepth);  // the snapshot's measure
   Result<PlanPtr> back = DeserializePlan(SerializePlan(at_bound));
   ASSERT_TRUE(back.ok()) << back.status().message();
   EXPECT_EQ(SerializePlan(back.value()), SerializePlan(at_bound));
-  const PlanPtr too_deep = wrap(PlanNode::Scan("R"), kMaxPlanStoreDepth);
+  const PlanPtr too_deep = wrap(PlanNode::Scan("R"), kMaxPlanDepth);
   EXPECT_FALSE(DeserializePlan(SerializePlan(too_deep)).ok());
   // Expression levels count below their operator: this predicate spans
   // the selection's level + 1 to + 3 (NOT, =, its operands).
@@ -247,9 +248,10 @@ TEST(PlanStoreTest, NestingBoundHoldsOnBothSides) {
       Expr::Not(Expr::Compare(CompareOp::kEq, Expr::Attr("Val"),
                               Expr::Const(Value::Int(1)))));
   EXPECT_TRUE(
-      DeserializePlan(SerializePlan(wrap(select, kMaxPlanStoreDepth - 4)))
+      DeserializePlan(SerializePlan(wrap(select, kMaxPlanDepth - 4)))
           .ok());
-  const PlanPtr deep_predicate = wrap(select, kMaxPlanStoreDepth - 3);
+  const PlanPtr deep_predicate = wrap(select, kMaxPlanDepth - 3);
+  EXPECT_EQ(deep_predicate->depth(), kMaxPlanDepth + 1);
   EXPECT_FALSE(DeserializePlan(SerializePlan(deep_predicate)).ok());
 
   PlanCacheSnapshot snap;
@@ -534,13 +536,15 @@ TEST(ServiceServerTest, ErrorFrameLeavesConnectionUsable) {
 
   ServiceClient client;
   ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
-  // A syntax error, then literals out of range and expressions deeper than
-  // the parser's bound: each must come back as an error frame, not stop
-  // the server.
+  // A syntax error, then literals out of range, expressions deeper than
+  // the parser's bound, and a 20 000-way UNION ALL chain far deeper than
+  // kMaxPlanDepth: each must come back as an error frame, not stop the
+  // server.
   std::vector<std::string> bad_lines = {"SELECT FROM nothing !!"};
   for (const std::string& where : testing_util::HostileWhereClauses("Val")) {
     bad_lines.push_back("SELECT Name FROM R WHERE " + where);
   }
+  bad_lines.push_back(testing_util::UnionAllChain(20000));
   for (const std::string& line : bad_lines) {
     Result<QueryOutcome> bad = client.RunQuery(line);
     ASSERT_TRUE(bad.ok()) << line.substr(0, 40) << ": "

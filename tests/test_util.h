@@ -8,6 +8,7 @@
 #include "core/catalog.h"
 #include "core/relation.h"
 #include "workload/generator.h"
+#include "workload/paper_example.h"
 
 namespace tqp {
 namespace testing_util {
@@ -83,6 +84,32 @@ inline std::string Repeat(const std::string& unit, size_t n) {
   out.reserve(unit.size() * n);
   for (size_t i = 0; i < n; ++i) out += unit;
   return out;
+}
+
+/// The paper's EMPLOYEE and PROJECT scaled to `scale` employees, both at
+/// the DBMS. At scale 16 000 every plan of the paper query is estimated to
+/// cost far more than searching all 174 of them, so the payoff rule lets
+/// best-first reach the whole Figure 5 closure.
+inline Catalog ScaledPaperCatalog(size_t scale) {
+  Catalog catalog;
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("EMPLOYEE", ScaledEmployee(scale),
+                                           Site::kDbms)
+                .ok());
+  TQP_CHECK(catalog
+                .RegisterWithInferredFlags("PROJECT", ScaledProject(scale),
+                                           Site::kDbms)
+                .ok());
+  return catalog;
+}
+
+/// `SELECT EmpName FROM EMPLOYEE` followed by `unions` times
+/// ` UNION ALL SELECT EmpName FROM EMPLOYEE`: a plan one level deeper per
+/// union. 20 000 unions make a 780 028-byte line, under the service's
+/// 1 MiB cap and far past kMaxPlanDepth; 400 stay within it.
+inline std::string UnionAllChain(size_t unions) {
+  const std::string stmt = "SELECT EmpName FROM EMPLOYEE";
+  return stmt + Repeat(" UNION ALL " + stmt, unions);
 }
 
 /// WHERE clauses over attribute `attr` that the TQL parser must refuse
