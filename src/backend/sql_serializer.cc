@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tqp {
@@ -87,8 +88,19 @@ Status Refuse(const std::string& what) {
 // short-circuits on a non-null false lhs *before* null-poisoning on the rhs
 // (NULL AND 0 is NULL in the stratum, 0 in SQL), all arithmetic happens in
 // double with integral results truncated toward zero, and comparisons
-// return 1/0/NULL values. Each construct becomes a CASE expression encoding
-// the stratum's evaluation order.
+// return 1/0/NULL values. As a value (Tr), each construct becomes a CASE
+// expression encoding the stratum's evaluation order.
+//
+// In WHERE position (Where) only survival matters: σ keeps a row exactly
+// when the stratum value is non-null and non-zero. A comparison survives
+// exactly when SQL's bare comparison of the same operand SQL is true, and
+// an AND exactly when both operands survive, which is SQL's AND of their
+// WHERE forms; those two drop their CASE wrappers there. OR, NOT, OVERLAPS
+// and bare values keep their CASE (or plain) translations, whose 1/0/NULL
+// value SQL's WHERE reads as the stratum does: OR cannot go bare, since
+// SQL's `NULL OR 1` is true where the stratum's is NULL, nor can NOT, since
+// its operand's NULL-versus-0 distinction (the stratum's `NULL AND 0` is
+// NULL, SQL's is false) is what it negates.
 
 struct ExprTr {
   const Schema& schema;
@@ -114,16 +126,8 @@ struct ExprTr {
         return "?" + std::to_string(params->size());
       }
       case ExprKind::kCompare: {
-        TQP_ASSIGN_OR_RETURN(lt, DeriveExprType(e->children()[0], schema));
-        TQP_ASSIGN_OR_RETURN(rt, DeriveExprType(e->children()[1], schema));
-        // The stratum's type-rank order puts time above string; SQLite puts
-        // every INTEGER below every TEXT.
-        if ((lt == ValueType::kTime && rt == ValueType::kString) ||
-            (lt == ValueType::kString && rt == ValueType::kTime)) {
-          return Refuse("time vs string comparison");
-        }
-        TQP_ASSIGN_OR_RETURN(l, Tr(e->children()[0]));
-        TQP_ASSIGN_OR_RETURN(r, Tr(e->children()[1]));
+        TQP_ASSIGN_OR_RETURN(ops, CompareOperands(e));
+        const auto& [l, r] = ops;
         return "CASE WHEN (" + l + ") IS NULL OR (" + r +
                ") IS NULL THEN NULL WHEN (" + l + ") " +
                CompareToken(e->compare_op()) + " (" + r +
@@ -194,6 +198,43 @@ struct ExprTr {
     return Status::Error("unreachable expression kind");
   }
 
+  /// `e` as a σ predicate: SQL whose WHERE truth is the stratum's survival
+  /// (see the section comment).
+  Result<std::string> Where(const ExprPtr& e) const {
+    switch (e->kind()) {
+      case ExprKind::kCompare: {
+        TQP_ASSIGN_OR_RETURN(ops, CompareOperands(e));
+        const auto& [l, r] = ops;
+        return "(" + l + ") " + CompareToken(e->compare_op()) + " (" + r +
+               ")";
+      }
+      case ExprKind::kAnd: {
+        TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[0]));
+        TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[1]));
+        TQP_ASSIGN_OR_RETURN(l, Where(e->children()[0]));
+        TQP_ASSIGN_OR_RETURN(r, Where(e->children()[1]));
+        return "(" + l + ") AND (" + r + ")";
+      }
+      default:
+        return Tr(e);
+    }
+  }
+
+  // The operand SQL of comparison `e`. The stratum's type-rank order puts
+  // time above string; SQLite puts every INTEGER below every TEXT.
+  Result<std::pair<std::string, std::string>> CompareOperands(
+      const ExprPtr& e) const {
+    TQP_ASSIGN_OR_RETURN(lt, DeriveExprType(e->children()[0], schema));
+    TQP_ASSIGN_OR_RETURN(rt, DeriveExprType(e->children()[1], schema));
+    if ((lt == ValueType::kTime && rt == ValueType::kString) ||
+        (lt == ValueType::kString && rt == ValueType::kTime)) {
+      return Refuse("time vs string comparison");
+    }
+    TQP_ASSIGN_OR_RETURN(l, Tr(e->children()[0]));
+    TQP_ASSIGN_OR_RETURN(r, Tr(e->children()[1]));
+    return std::make_pair(std::move(l), std::move(r));
+  }
+
   // AND/OR/NOT operands feed NumericValue() in the stratum; a string there
   // would be a crash in-engine and a text-affinity comparison in SQL.
   Status CheckBoolOperand(const ExprPtr& e) const {
@@ -242,7 +283,7 @@ Status SqlSerializer::Check(const PlanPtr& node) const {
       ExprTr tr{in, SimpleColRefFn, nullptr};
       TQP_ASSIGN_OR_RETURN(t, DeriveExprType(node->predicate(), in));
       if (t == ValueType::kString) return Refuse("string-typed predicate");
-      TQP_ASSIGN_OR_RETURN(sql, tr.Tr(node->predicate()));
+      TQP_ASSIGN_OR_RETURN(sql, tr.Where(node->predicate()));
       (void)sql;
       return Check(node->child(0));
     }
@@ -343,6 +384,33 @@ struct SqlBuilder {
     return ann.info(n.get()).schema;
   }
 
+  // A right-side ord `ord` shifted past every ord of `left`, whose CTE is
+  // `left_cte`. Ords are positive, so adding any value no smaller than the
+  // left's largest ord puts the right rows after all left rows, in their
+  // own order, without a sort over the concatenation. That value is the
+  // left CTE's MAX(ord), except below σ, π, \, rdup, ℵ and sort ending in a
+  // scan: none of those gives an ord above its input's largest (each keeps
+  // a subset of its input's ords, group minima, or 1..row count), so the
+  // scan's mirror table's largest rowid bounds them, in one b-tree probe.
+  // A second reference to the left CTE makes SQLite materialize it and
+  // every CTE below it, which can cost more than the sort it replaces.
+  static std::string AfterAll(const std::string& ord, const PlanNode* left,
+                              const std::string& left_cte) {
+    while (left->kind() == OpKind::kSelect ||
+           left->kind() == OpKind::kProject ||
+           left->kind() == OpKind::kDifference ||
+           left->kind() == OpKind::kRdup ||
+           left->kind() == OpKind::kAggregate ||
+           left->kind() == OpKind::kSort) {
+      left = left->child(0).get();
+    }
+    if (left->kind() == OpKind::kScan) {
+      return ord + " + (SELECT COALESCE(MAX(rowid), 0) FROM \"" +
+             SqlSerializer::MirrorTable(left->rel_name()) + "\")";
+    }
+    return ord + " + (SELECT COALESCE(MAX(ord), 0) FROM " + left_cte + ")";
+  }
+
   // Body of a fused "σ over ×" or a bare "×": the product pairs stream
   // through the DBMS's join machinery with the predicate applied in place,
   // and ROW_NUMBER over (left ord, right ord) restores the exact
@@ -365,14 +433,15 @@ struct SqlBuilder {
                                 : "b.c" + std::to_string(i - la);
                 },
                 params};
-      TQP_ASSIGN_OR_RETURN(pred, tr.Tr(predicate));
+      TQP_ASSIGN_OR_RETURN(pred, tr.Where(predicate));
       body += " WHERE " + pred;
     }
     return body;
   }
 
   // Emits the subtree as CTEs and returns the name of its CTE. Every CTE
-  // has columns c0..cN-1 plus ord (exact reference list position key).
+  // has columns c0..cN-1 plus ord, the reference list position: a unique
+  // positive integer per row, increasing in list order (gaps allowed).
   Result<std::string> Emit(const PlanPtr& node) {
     const Schema& schema = SchemaOf(node);
     size_t n = schema.size();
@@ -389,7 +458,7 @@ struct SqlBuilder {
         const Schema& in = SchemaOf(node->child(0));
         TQP_ASSIGN_OR_RETURN(c, Emit(node->child(0)));
         ExprTr tr{in, SimpleColRefFn, params};
-        TQP_ASSIGN_OR_RETURN(pred, tr.Tr(node->predicate()));
+        TQP_ASSIGN_OR_RETURN(pred, tr.Where(node->predicate()));
         return NewCte("SELECT " + AliasedCols("s", n) +
                       ", s.ord AS ord FROM " + c + " AS s WHERE " + pred);
       }
@@ -412,15 +481,15 @@ struct SqlBuilder {
         return NewCte(body);
       }
       case OpKind::kUnionAll: {
+        // Left rows keep their ords; right rows follow all of them.
         TQP_ASSIGN_OR_RETURN(l, Emit(node->child(0)));
         TQP_ASSIGN_OR_RETURN(r, Emit(node->child(1)));
-        return NewCte(
-            "SELECT " + BareCols(n) +
-            ", ROW_NUMBER() OVER (ORDER BY u_side, u_ord) AS ord FROM ("
-            "SELECT " + AliasedCols("s", n) +
-            ", 0 AS u_side, s.ord AS u_ord FROM " + l + " AS s "
-            "UNION ALL SELECT " + AliasedCols("s", n) +
-            ", 1 AS u_side, s.ord AS u_ord FROM " + r + " AS s)");
+        const std::string right_ord =
+            AfterAll("s.ord", node->child(0).get(), l);
+        return NewCte("SELECT " + AliasedCols("s", n) +
+                      ", s.ord AS ord FROM " + l + " AS s UNION ALL SELECT " +
+                      AliasedCols("s", n) + ", " + right_ord + " AS ord FROM " +
+                      r + " AS s");
       }
       case OpKind::kUnion: {
         // ∪ keeps all left occurrences plus the right occurrences whose
@@ -435,16 +504,15 @@ struct SqlBuilder {
         std::string left_counts =
             "SELECT " + AliasedCols("s", n) + ", COUNT(*) AS cnt FROM " + l +
             " AS s GROUP BY " + QualifiedCols("s", n);
-        return NewCte(
-            "SELECT " + BareCols(n) +
-            ", ROW_NUMBER() OVER (ORDER BY u_side, u_ord) AS ord FROM ("
-            "SELECT " + AliasedCols("s", n) +
-            ", 0 AS u_side, s.ord AS u_ord FROM " + l + " AS s "
-            "UNION ALL SELECT " + AliasedCols("rr", n) +
-            ", 1 AS u_side, rr.ord AS u_ord FROM (" + ranked_right +
-            ") AS rr LEFT JOIN (" + left_counts + ") AS lc ON " +
-            NullSafeJoin("rr", "lc", n) +
-            " WHERE rr.rn > COALESCE(lc.cnt, 0))");
+        const std::string right_ord =
+            AfterAll("rr.ord", node->child(0).get(), l);
+        return NewCte("SELECT " + AliasedCols("s", n) +
+                      ", s.ord AS ord FROM " + l + " AS s UNION ALL SELECT " +
+                      AliasedCols("rr", n) + ", " + right_ord +
+                      " AS ord FROM (" + ranked_right + ") AS rr LEFT JOIN (" +
+                      left_counts + ") AS lc ON " +
+                      NullSafeJoin("rr", "lc", n) +
+                      " WHERE rr.rn > COALESCE(lc.cnt, 0)");
       }
       case OpKind::kDifference: {
         // Each right occurrence cancels the earliest surviving matching

@@ -5,10 +5,30 @@
 // statement whose result is the *exact list* the reference evaluator would
 // produce: every operator becomes a CTE carrying its value columns
 // positionally (c0..cN-1) plus a scalar `ord` column encoding the list
-// position, and the final SELECT orders by it. List-sensitive operators
-// (⊎, ∪, \, sort, rdup, ℵ) derive their output `ord` from their inputs'
-// via window functions, so duplicates and ordering semantics (Table 1)
-// survive the round trip through the DBMS.
+// position, and the final SELECT orders by it. A DBMS's output order is
+// outside SQL's contract, so the position must travel as data.
+//
+// The invariant: every CTE's `ord` is a unique positive integer per row,
+// increasing in list order (gaps allowed). Each operator keeps it:
+//   * scan: the mirror table's rowid, which is the list position (1-based);
+//   * σ, π, \: the surviving input rows' ords (\ ranks per value with
+//     ROW_NUMBER to pick which left occurrences survive);
+//   * ⊎ and ∪: left rows keep theirs; right rows (all of them for ⊎, the
+//     survivors of ∪'s per-value rank) add a value no smaller than every
+//     left ord, which puts them after every left row, in their own order,
+//     without a sort. The value is MAX(ord) of the left CTE, or the largest
+//     rowid of the scan the left side's ords come from (AfterAll in the
+//     .cc says when);
+//   * rdup and ℵ: MIN(ord) of each group, its first occurrence;
+//   * × and sort: ROW_NUMBER over (left ord, right ord) and over (sort keys,
+//     input ord), the only orders they cannot inherit.
+// So duplicates and ordering semantics (Table 1) survive the round trip
+// through the DBMS.
+//
+// A σ predicate is emitted in its WHERE form: comparisons as bare SQL
+// comparisons and AND as SQL AND, which keep exactly the rows the stratum
+// keeps; OR, NOT and OVERLAPS keep the CASE translations that reproduce the
+// stratum's NULL logic (sql_serializer.cc, "Expression translation").
 //
 // Anything whose semantics SQL cannot reproduce byte-identically is
 // *refused* (Check returns an error): temporal operators, transfers,

@@ -69,9 +69,14 @@ Value DecodeColumn(sqlite3_stmt* st, int i, ValueType t) {
       return Value::Time(sqlite3_column_int64(st, i));
     case ValueType::kDouble:
       return Value::Double(sqlite3_column_double(st, i));
-    case ValueType::kString:
-      return Value::String(
-          reinterpret_cast<const char*>(sqlite3_column_text(st, i)));
+    case ValueType::kString: {
+      // By length, not as a C string: a bound string may hold NUL bytes.
+      // (The bytes are read after the text, as SQLite asks.)
+      const char* text =
+          reinterpret_cast<const char*>(sqlite3_column_text(st, i));
+      return Value::String(std::string(
+          text, static_cast<size_t>(sqlite3_column_bytes(st, i))));
+    }
     case ValueType::kNull:
       return Value::Null();
   }
@@ -205,12 +210,13 @@ struct SqliteBackend::Impl {
         sqlite3_finalize(st);
         return Status::Error("sqlite: column count mismatch");
       }
-      Tuple t;
+      std::vector<Value> values;
+      values.reserve(width);
       for (size_t i = 0; i < width; ++i) {
-        t.push_back(DecodeColumn(st, static_cast<int>(i),
-                                 out_schema.attr(i).type));
+        values.push_back(DecodeColumn(st, static_cast<int>(i),
+                                      out_schema.attr(i).type));
       }
-      out.Append(std::move(t));
+      out.Append(Tuple(std::move(values)));
     }
     if (rc != SQLITE_DONE) {
       Status s = Status::Error(std::string("sqlite step: ") +

@@ -11,37 +11,49 @@
 #ifndef TQP_CORE_JSON_H_
 #define TQP_CORE_JSON_H_
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace tqp {
+
+/// Appends `s` to `*out` escaped for a JSON string literal (quotes not
+/// included): `"`, `\`, \n, \r and \t get their short escapes, other
+/// control characters become \u00XX, and every other byte (UTF-8 included)
+/// is copied as is. Runs of bytes that need no escape are copied whole.
+inline void AppendJsonEscaped(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out->append("\\\"", 2); break;
+      case '\\': out->append("\\\\", 2); break;
+      case '\n': out->append("\\n", 2); break;
+      case '\r': out->append("\\r", 2); break;
+      case '\t': out->append("\\t", 2); break;
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out->append(u, sizeof(u));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
 
 /// Escapes a string for inclusion inside a JSON string literal (quotes not
 /// included). Control characters become \u00XX.
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  AppendJsonEscaped(s, &out);
   return out;
 }
 
@@ -57,8 +69,13 @@ JsonOnly(const T&) -> JsonOnly<T>;
 /// Builds a JSON document into a string. Purely syntactic: the caller drives
 /// Begin/End nesting; the writer only tracks where commas are needed. No
 /// newlines or indentation — frames go over the wire one per line, so the
-/// output must never contain a raw newline (JsonEscape guarantees that for
+/// output must never contain a raw newline (the escaping guarantees that for
 /// string payloads).
+///
+/// The service renders every result row through this class, so it writes
+/// straight into its buffer: integers through std::to_chars, keys and
+/// strings escaped in place (AppendJsonEscaped), no temporary per value.
+/// Doubles go through printf's %.17g, which round-trips every double.
 class JsonWriter {
  public:
   JsonWriter() { out_.reserve(256); }
@@ -69,36 +86,24 @@ class JsonWriter {
   JsonWriter& EndArray() { return Close(']'); }
 
   /// Object key; must be followed by exactly one value/Begin call.
-  JsonWriter& Key(const std::string& k) {
+  JsonWriter& Key(std::string_view k) {
     Comma();
     out_ += '"';
-    out_ += JsonEscape(k);
+    AppendJsonEscaped(k, &out_);
     out_ += "\":";
     pending_value_ = true;
     return *this;
   }
 
-  JsonWriter& String(const std::string& v) {
+  JsonWriter& String(std::string_view v) {
     Comma();
     out_ += '"';
-    out_ += JsonEscape(v);
+    AppendJsonEscaped(v, &out_);
     out_ += '"';
     return *this;
   }
-  JsonWriter& Int(int64_t v) {
-    Comma();
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-    out_ += buf;
-    return *this;
-  }
-  JsonWriter& Uint(uint64_t v) {
-    Comma();
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out_ += buf;
-    return *this;
-  }
+  JsonWriter& Int(int64_t v) { return Integer(v); }
+  JsonWriter& Uint(uint64_t v) { return Integer(v); }
   JsonWriter& Double(double v) {
     // JSON has no inf/nan literals; clamp to null.
     if (!std::isfinite(v)) return Null();
@@ -148,6 +153,14 @@ class JsonWriter {
   std::string Take() { return std::move(out_); }
 
  private:
+  template <typename T>
+  JsonWriter& Integer(T v) {
+    Comma();
+    char buf[24];  // 20 digits and a sign at most
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    out_.append(buf, static_cast<size_t>(r.ptr - buf));
+    return *this;
+  }
   JsonWriter& Open(char c) {
     Comma();
     out_ += c;

@@ -11,7 +11,11 @@
 //    conventional subplan under a transferS cut returns a result
 //    LIST-IDENTICAL to the reference evaluator's — across scramble modes,
 //    both executors, and vexec thread counts — and ExecStats records the
-//    pushdowns;
+//    pushdowns. The cut plans cover each SQL shape the serializer emits:
+//    ⊎'s offset ords nested and under every ord reader, and σ's WHERE form
+//    over NULL operands beside the OR and NOT predicates that must keep
+//    their CASE translations;
+//  * strings holding NUL bytes come back from SQLite whole;
 //  * anything the serializer refuses (or that fails at runtime) falls back
 //    to in-engine evaluation with identical results;
 //  * Engine-level selection (EngineOptions::backend), stats surfacing, and
@@ -259,6 +263,80 @@ std::vector<std::pair<std::string, PlanPtr>> CutPlans() {
   cut("sort", PlanNode::Sort(C(), by_name_val));
   cut("sort-over-select",
       PlanNode::Sort(PlanNode::Select(C(), pred), by_name_val));
+
+  // ⊎ shifts its right rows' ords past every left ord. Nested three deep on
+  // either side, with an empty side, and under every operator that reads
+  // ords. last_n() keeps only N's last row (group b), whose ord is the
+  // shift itself, so a shift one short would tie N's first row (group a)
+  // with it, and rdup and ℵ, which keep MIN(ord) per group, would put a
+  // first.
+  ExprPtr none = Expr::Compare(CompareOp::kGt, Expr::Attr("Val"),
+                               Expr::Const(Value::Int(1000000)));
+  auto last_n = [&] {
+    return PlanNode::Select(N(), Expr::Compare(CompareOp::kEq,
+                                               Expr::Attr("Cat"),
+                                               Expr::Const(Value::Int(2))));
+  };
+  cut("union-all-left-deep",
+      PlanNode::UnionAll(PlanNode::UnionAll(PlanNode::UnionAll(C(), D()), N()),
+                         C()));
+  cut("union-all-right-deep",
+      PlanNode::UnionAll(C(), PlanNode::UnionAll(
+                                  D(), PlanNode::UnionAll(N(), C()))));
+  cut("union-all-empty-left",
+      PlanNode::UnionAll(PlanNode::Select(C(), none), D()));
+  cut("union-all-empty-right",
+      PlanNode::UnionAll(C(), PlanNode::Select(D(), none)));
+  cut("rdup-over-union-all",
+      PlanNode::Rdup(PlanNode::UnionAll(last_n(), N())));
+  cut("aggregate-over-union-all",
+      PlanNode::Aggregate(PlanNode::UnionAll(last_n(), N()), {"Name"},
+                          {AggSpec{AggFunc::kCount, "", "n"}}));
+  cut("sort-over-union-all",
+      PlanNode::Sort(PlanNode::UnionAll(D(), C()), {{"Cat", true}}));
+  cut("union-max-over-union-all",
+      PlanNode::Union(PlanNode::UnionAll(C(), N()),
+                      PlanNode::UnionAll(N(), D())));
+  cut("difference-over-union-all",
+      PlanNode::Difference(PlanNode::UnionAll(C(), N()),
+                           PlanNode::UnionAll(D(), N())));
+  cut("union-max-empty-left",
+      PlanNode::Union(PlanNode::Select(C(), none), N()));
+
+  // σ in WHERE form: compare and AND over NULL operands, and the OR and NOT
+  // predicates whose SQL three-valued truth differs from the stratum's. On
+  // N's row (a, 1, NULL), `Val > 5 OR Cat < 3` is NULL in the stratum (the
+  // row is dropped) and true in SQL; `NOT (Val > 15 AND Cat = 2)` is NULL
+  // in the stratum and true in SQL.
+  auto cmp = [](CompareOp op, const char* attr, int64_t v) {
+    return Expr::Compare(op, Expr::Attr(attr), Expr::Const(Value::Int(v)));
+  };
+  cut("select-and-nulls",
+      PlanNode::Select(N(), Expr::And(cmp(CompareOp::kGt, "Val", 15),
+                                      cmp(CompareOp::kEq, "Cat", 1))));
+  cut("select-or-nulls",
+      PlanNode::Select(N(), Expr::Or(cmp(CompareOp::kGt, "Val", 5),
+                                     cmp(CompareOp::kLt, "Cat", 3))));
+  cut("select-not-and-nulls",
+      PlanNode::Select(
+          N(), Expr::Not(Expr::And(cmp(CompareOp::kGt, "Val", 15),
+                                   cmp(CompareOp::kEq, "Cat", 2)))));
+  cut("select-and-over-or-nulls",
+      PlanNode::Select(
+          N(), Expr::And(cmp(CompareOp::kLt, "Cat", 3),
+                         Expr::Or(cmp(CompareOp::kGt, "Val", 5),
+                                  cmp(CompareOp::kLt, "Cat", 3)))));
+  // The fused σ-over-× with NULL join keys on both sides.
+  std::vector<ProjItem> n_renamed = {ProjItem::Rename("Name", "DName"),
+                                     ProjItem::Rename("Cat", "DCat"),
+                                     ProjItem::Rename("Val", "DVal")};
+  cut("select-product-null-keys",
+      PlanNode::Select(
+          PlanNode::Product(N(), PlanNode::Project(N(), n_renamed)),
+          Expr::And(Expr::Compare(CompareOp::kEq, Expr::Attr("Name"),
+                                  Expr::Attr("DName")),
+                    Expr::Compare(CompareOp::kEq, Expr::Attr("Val"),
+                                  Expr::Attr("DVal")))));
   return plans;
 }
 
@@ -464,9 +542,66 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
       }
     }
   }
-  // The suite is pointless if nothing actually pushed down; most of the
-  // conventional cut plans must serialize.
-  EXPECT_GE(pushed_plans, 10 * 3) << "pushdown coverage collapsed";
+  // The suite is pointless if nothing actually pushed down; every
+  // conventional cut plan must serialize.
+  EXPECT_EQ(pushed_plans,
+            static_cast<int>(CutPlans().size() * Configs().size()))
+      << "pushdown coverage collapsed";
+}
+
+TEST(SqliteBackendTest, EmbeddedNulStringsRoundTrip) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  // SQLite stores a bound string's full length; reading it back must too,
+  // not stop at the first NUL byte.
+  Schema s;
+  s.Add(Attribute{"Name", ValueType::kString});
+  s.Add(Attribute{"Val", ValueType::kInt});
+  Relation z(s);
+  for (const auto& [name, val] :
+       std::vector<std::pair<std::string, int64_t>>{
+           {std::string("a\0b", 3), 1},
+           {"plain", 2},
+           {std::string("\0", 1), 3},
+           {std::string("x\0\0", 3), 9}}) {
+    Tuple t;
+    t.push_back(Value::String(name));
+    t.push_back(Value::Int(val));
+    z.Append(std::move(t));
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterWithInferredFlags("Z", z, Site::kDbms).ok());
+  Result<std::unique_ptr<Backend>> made = MakeBackend(BackendKind::kSqlite);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+
+  auto Z = [] { return PlanNode::Scan("Z"); };
+  const std::vector<std::pair<std::string, PlanPtr>> plans = {
+      {"scan", PlanNode::TransferS(Z())},
+      {"select", PlanNode::TransferS(PlanNode::Select(
+                     Z(), Expr::Compare(CompareOp::kLt, Expr::Attr("Val"),
+                                        Expr::Const(Value::Int(5)))))},
+      {"union-all", PlanNode::TransferS(PlanNode::UnionAll(Z(), Z()))},
+  };
+  EngineConfig cfg;
+  cfg.backend = made.value().get();
+  for (const auto& [name, plan] : plans) {
+    Result<Relation> ref =
+        EvaluatePlan(plan, catalog, EngineConfig{}, nullptr);
+    ASSERT_TRUE(ref.ok()) << name;
+    Result<AnnotatedPlan> ann =
+        AnnotatedPlan::Make(plan, &catalog, QueryContract::Multiset());
+    ASSERT_TRUE(ann.ok()) << name;
+    ExecStats stats;
+    Result<Relation> got = Evaluate(ann.value(), cfg, &stats, nullptr);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    EXPECT_EQ(stats.backend_pushdowns, 1) << name;
+    ExpectListIdentical(ref.value(), got.value(), name + "/exec");
+    ExecStats vec_stats;
+    Result<Relation> vec =
+        ExecuteVectorized(ann.value(), cfg, &vec_stats, VexecOptions{});
+    ASSERT_TRUE(vec.ok()) << name << ": " << vec.status().ToString();
+    EXPECT_EQ(vec_stats.backend_pushdowns, 1) << name;
+    ExpectListIdentical(ref.value(), vec.value(), name + "/vexec");
+  }
 }
 
 TEST(SqliteBackendTest, SimpleSelectActuallyPushesDown) {

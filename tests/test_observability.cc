@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "api/engine.h"
 #include "backend/backend.h"
 #include "backend/sqlite_backend.h"
+#include "core/json.h"
 #include "core/metrics.h"
 #include "core/profile.h"
 #include "core/trace.h"
@@ -647,6 +650,38 @@ TEST(JsonSurfacesTest, StatsRenderingsArePinned) {
   expect_gauges(ss.ToJson(), "tqp_server_");
   EXPECT_EQ(expected_gauges.size(), 22u + 10u);
   EXPECT_EQ(KeySet(MustParse(reg.ToJson())), expected_gauges);
+}
+
+// Byte pins of the writer's scalars: the integer extremes on both the signed
+// and unsigned paths, and every byte JsonEscape rewrites, in a key and in
+// a string (an embedded NUL included).
+TEST(JsonSurfacesTest, WriterScalarsArePinned) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("u").BeginArray();
+  w.Uint(0).Uint(std::numeric_limits<uint64_t>::max()).Uint(uint64_t{1} << 53);
+  w.EndArray();
+  w.Key("i").BeginArray();
+  w.Int(std::numeric_limits<int64_t>::min()).Int(-1).Int(0).Int(9).Int(10);
+  w.Int(std::numeric_limits<int64_t>::max());
+  w.EndArray();
+  w.Key(std::string("k\"\\\n\x01\0z", 7)).Bool(true);
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"u\":[0,18446744073709551615,9007199254740992],"
+            "\"i\":[-9223372036854775808,-1,0,9,10,9223372036854775807],"
+            "\"k\\\"\\\\\\n\\u0001\\u0000z\":true}");
+
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all.push_back(static_cast<char>(c));
+  all += "\"\\\x7f\xc3\xa9";
+  const std::string escaped =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n"
+      "\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014"
+      "\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d"
+      "\\u001e\\u001f\\\"\\\\\x7f\xc3\xa9";
+  EXPECT_EQ(JsonEscape(all), escaped);
+  EXPECT_EQ(JsonWriter().String(all).str(), "\"" + escaped + "\"");
 }
 
 TEST(JsonSurfacesTest, LoadGenReportAndHistogramKeySets) {

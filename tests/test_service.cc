@@ -3,9 +3,9 @@
 // cross-restart snapshot contract (warm import, wholesale staleness
 // rejection on any content change, older formats as cold starts,
 // corrupt-file errors, byte-identical warm-vs-cold results), and
-// the TCP server end to end (query streaming, error recovery on a live
-// connection, concurrent clients, clean shutdown). CI runs this suite under
-// TSan as well.
+// the TCP server end to end (query streaming, the literal bytes of schema
+// and batch frames, error recovery on a live connection, concurrent
+// clients, clean shutdown). CI runs this suite under TSan as well.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -682,6 +684,79 @@ TEST(ServiceServerTest, WarmRestartIsByteIdenticalToCold) {
     EXPECT_EQ(warm_raws[i], first_raws[i]) << "client " << i;
   }
   std::remove(path.c_str());
+}
+
+// The wire bytes of result frames, pinned literally. perfbench's oracle
+// renders its expected frames with the same JsonWriter, so a format drift
+// there would pass the benchmark's byte-identity gate; these literals do
+// not move with the writer. The values cover the integer and time extremes,
+// doubles that %.17g renders in every notation (non-finite ones as null),
+// NULL in each column, and strings that need every kind of escape.
+TEST(ServiceServerTest, WireFramesArePinned) {
+  Schema s;
+  s.Add(Attribute{"I", ValueType::kInt});
+  s.Add(Attribute{"Tp", ValueType::kTime});
+  s.Add(Attribute{"D", ValueType::kDouble});
+  s.Add(Attribute{"S", ValueType::kString});
+  Relation w(s);
+  auto add = [&](Value i, Value tp, Value d, Value str) {
+    Tuple t;
+    t.push_back(std::move(i));
+    t.push_back(std::move(tp));
+    t.push_back(std::move(d));
+    t.push_back(std::move(str));
+    w.Append(std::move(t));
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  add(Value::Int(std::numeric_limits<int64_t>::min()), Value::Time(-7),
+      Value::Double(-0.0), Value::String("quote\"q"));
+  add(Value::Int(std::numeric_limits<int64_t>::max()), Value::Time(0),
+      Value::Double(5e-324), Value::String("back\\slash"));
+  add(Value::Int(0), Value::Time(1700000000), Value::Double(1e308),
+      Value::String("nl\nand\ttab\r"));
+  add(Value::Int(-1), Value::Time(std::numeric_limits<int64_t>::min()),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+      Value::String("\x01\x1f\x7f"));
+  add(Value::Int(-42), Value::Null(), Value::Double(inf),
+      Value::String("\xc3\xa9\xe6\x97\xa5\xf0\x9f\x99\x82"));
+  add(Value::Null(), Value::Time(-1), Value::Double(-inf), Value::String(""));
+  add(Value::Int(7), Value::Time(2), Value::Null(), Value::Null());
+  add(Value::Int(123456789), Value::Time(3), Value::Double(0.1),
+      Value::String("plain"));
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.RegisterWithInferredFlags("W", w).ok());
+
+  Engine engine(std::move(catalog));
+  ServerOptions opts;
+  opts.batch_rows = 3;
+  Server server(&engine, opts);
+  ASSERT_TRUE(server.Start().ok());
+  ServiceClient client;
+  ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
+  Result<QueryOutcome> out =
+      client.RunQuery("SELECT I, Tp, D, S FROM W", /*capture_raw=*/true);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  ASSERT_TRUE(out->ok) << out->error;
+  EXPECT_EQ(out->raw,
+            "{\"type\":\"schema\",\"attrs\":[{\"name\":\"I\",\"type\":\"int\"},"
+            "{\"name\":\"Tp\",\"type\":\"time\"},"
+            "{\"name\":\"D\",\"type\":\"double\"},"
+            "{\"name\":\"S\",\"type\":\"string\"}]}\n"
+            "{\"type\":\"batch\",\"rows\":["
+            "[-9223372036854775808,-7,-0,\"quote\\\"q\"],"
+            "[9223372036854775807,0,4.9406564584124654e-324,"
+            "\"back\\\\slash\"],"
+            "[0,1700000000,1e+308,\"nl\\nand\\ttab\\r\"]]}\n"
+            "{\"type\":\"batch\",\"rows\":["
+            "[-1,-9223372036854775808,null,\"\\u0001\\u001f\x7f\"],"
+            "[-42,null,null,\"\xc3\xa9\xe6\x97\xa5\xf0\x9f\x99\x82\"],"
+            "[null,-1,null,\"\"]]}\n"
+            "{\"type\":\"batch\",\"rows\":["
+            "[7,2,null,null],"
+            "[123456789,3,0.10000000000000001,\"plain\"]]}\n");
+  client.Close();
+  server.Stop();
 }
 
 TEST(ServiceServerTest, OlderFormatIsAColdStart) {

@@ -8,10 +8,12 @@
 
 Builds each side from `git archive REV` (or uses the working tree as it is
 for `--head worktree`, the default), each into its own absolute
-CARGO_TARGET_DIR under --workdir, and then runs perfbench/run.py on both
-sides in pairs, alternating which side runs first: the host drifts by tens
-of percent over minutes, so back-to-back blocks of one side mislead. Every
-run lasts BENCHMARK.json's run_seconds, which fixes each workload's op count.
+CARGO_TARGET_DIR under --workdir (the working tree's is named after its
+checkout path, so checkouts can share a --workdir), and then runs
+perfbench/run.py on both sides in pairs, alternating which side runs
+first: the host drifts by tens of percent over minutes, so back-to-back
+blocks of one side mislead. Every run lasts BENCHMARK.json's run_seconds,
+which fixes each workload's op count.
 
 For every end-to-end metric BENCHMARK.json declares, it prints both sides'
 median and quartiles, the change in the median, and the pairs the head side
@@ -35,6 +37,7 @@ make the overall verdict a regression. --workdir keeps the sources and
 builds, so later calls for other workloads rebuild nothing.
 """
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -195,6 +198,10 @@ def selftest():
     assert rows[0]["wins"] == 2 and rows[0]["pairs"] == 3, rows
     assert rows[1]["base"] == 4.0 and rows[1]["head"] == 4.0, rows
     assert rows[1]["wins"] == 1 and rows[1]["pairs"] == 2, rows
+    label = worktree_label("/src/one")
+    assert re.fullmatch(r"worktree-[0-9a-f]{8}", label), label
+    assert label == worktree_label("/src/one/")
+    assert label != worktree_label("/src/two")
     print("perf_pairs selftest: OK")
 
 
@@ -205,11 +212,19 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
+def worktree_label(root):
+    """The build label of the checkout at `root`. It names the checkout, so
+    two checkouts paired against one --workdir keep separate builds (CMake
+    refuses a build directory configured from another source)."""
+    digest = hashlib.sha256(os.path.realpath(root).encode()).hexdigest()
+    return "worktree-" + digest[:8]
+
+
 class Side:
     def __init__(self, rev, workdir):
         self.rev = rev
         if rev == "worktree":
-            self.label = "worktree"
+            self.label = worktree_label(ROOT)
             self.src = ROOT
         else:
             self.label = git("rev-parse", "--short=12", rev + "^{commit}")
