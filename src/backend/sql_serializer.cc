@@ -1,8 +1,8 @@
 #include "backend/sql_serializer.h"
 
+#include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tqp {
@@ -88,19 +88,19 @@ Status Refuse(const std::string& what) {
 // short-circuits on a non-null false lhs *before* null-poisoning on the rhs
 // (NULL AND 0 is NULL in the stratum, 0 in SQL), all arithmetic happens in
 // double with integral results truncated toward zero, and comparisons
-// return 1/0/NULL values. As a value (Tr), each construct becomes a CASE
-// expression encoding the stratum's evaluation order.
+// return 1/0/NULL values. Each construct becomes a CASE expression encoding
+// the stratum's evaluation order, except a comparison: SQL's own `(l) op (r)`
+// is already 1, 0, or NULL when either side is NULL, the stratum's value.
 //
 // In WHERE position (Where) only survival matters: σ keeps a row exactly
-// when the stratum value is non-null and non-zero. A comparison survives
-// exactly when SQL's bare comparison of the same operand SQL is true, and
-// an AND exactly when both operands survive, which is SQL's AND of their
-// WHERE forms; those two drop their CASE wrappers there. OR, NOT, OVERLAPS
-// and bare values keep their CASE (or plain) translations, whose 1/0/NULL
-// value SQL's WHERE reads as the stratum does: OR cannot go bare, since
-// SQL's `NULL OR 1` is true where the stratum's is NULL, nor can NOT, since
-// its operand's NULL-versus-0 distinction (the stratum's `NULL AND 0` is
-// NULL, SQL's is false) is what it negates.
+// when the stratum value is non-null and non-zero, so an AND survives
+// exactly when both operands survive, which is SQL's AND of their WHERE
+// forms, and drops its CASE wrapper there. OR, NOT and OVERLAPS keep their
+// CASE translations, whose 1/0/NULL value SQL's WHERE reads as the stratum
+// does: OR cannot go bare, since SQL's `NULL OR 1` is true where the
+// stratum's is NULL, nor can NOT, since its operand's NULL-versus-0
+// distinction (the stratum's `NULL AND 0` is NULL, SQL's is false) is what
+// it negates.
 
 struct ExprTr {
   const Schema& schema;
@@ -126,12 +126,18 @@ struct ExprTr {
         return "?" + std::to_string(params->size());
       }
       case ExprKind::kCompare: {
-        TQP_ASSIGN_OR_RETURN(ops, CompareOperands(e));
-        const auto& [l, r] = ops;
-        return "CASE WHEN (" + l + ") IS NULL OR (" + r +
-               ") IS NULL THEN NULL WHEN (" + l + ") " +
-               CompareToken(e->compare_op()) + " (" + r +
-               ") THEN 1 ELSE 0 END";
+        TQP_ASSIGN_OR_RETURN(lt, DeriveExprType(e->children()[0], schema));
+        TQP_ASSIGN_OR_RETURN(rt, DeriveExprType(e->children()[1], schema));
+        // The stratum's type-rank order puts time above string; SQLite puts
+        // every INTEGER below every TEXT.
+        if ((lt == ValueType::kTime && rt == ValueType::kString) ||
+            (lt == ValueType::kString && rt == ValueType::kTime)) {
+          return Refuse("time vs string comparison");
+        }
+        TQP_ASSIGN_OR_RETURN(l, Tr(e->children()[0]));
+        TQP_ASSIGN_OR_RETURN(r, Tr(e->children()[1]));
+        return "(" + l + ") " + CompareToken(e->compare_op()) + " (" + r +
+               ")";
       }
       case ExprKind::kAnd: {
         TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[0]));
@@ -201,38 +207,12 @@ struct ExprTr {
   /// `e` as a σ predicate: SQL whose WHERE truth is the stratum's survival
   /// (see the section comment).
   Result<std::string> Where(const ExprPtr& e) const {
-    switch (e->kind()) {
-      case ExprKind::kCompare: {
-        TQP_ASSIGN_OR_RETURN(ops, CompareOperands(e));
-        const auto& [l, r] = ops;
-        return "(" + l + ") " + CompareToken(e->compare_op()) + " (" + r +
-               ")";
-      }
-      case ExprKind::kAnd: {
-        TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[0]));
-        TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[1]));
-        TQP_ASSIGN_OR_RETURN(l, Where(e->children()[0]));
-        TQP_ASSIGN_OR_RETURN(r, Where(e->children()[1]));
-        return "(" + l + ") AND (" + r + ")";
-      }
-      default:
-        return Tr(e);
-    }
-  }
-
-  // The operand SQL of comparison `e`. The stratum's type-rank order puts
-  // time above string; SQLite puts every INTEGER below every TEXT.
-  Result<std::pair<std::string, std::string>> CompareOperands(
-      const ExprPtr& e) const {
-    TQP_ASSIGN_OR_RETURN(lt, DeriveExprType(e->children()[0], schema));
-    TQP_ASSIGN_OR_RETURN(rt, DeriveExprType(e->children()[1], schema));
-    if ((lt == ValueType::kTime && rt == ValueType::kString) ||
-        (lt == ValueType::kString && rt == ValueType::kTime)) {
-      return Refuse("time vs string comparison");
-    }
-    TQP_ASSIGN_OR_RETURN(l, Tr(e->children()[0]));
-    TQP_ASSIGN_OR_RETURN(r, Tr(e->children()[1]));
-    return std::make_pair(std::move(l), std::move(r));
+    if (e->kind() != ExprKind::kAnd) return Tr(e);
+    TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[0]));
+    TQP_RETURN_IF_ERROR(CheckBoolOperand(e->children()[1]));
+    TQP_ASSIGN_OR_RETURN(l, Where(e->children()[0]));
+    TQP_ASSIGN_OR_RETURN(r, Where(e->children()[1]));
+    return "(" + l + ") AND (" + r + ")";
   }
 
   // AND/OR/NOT operands feed NumericValue() in the stratum; a string there
@@ -368,6 +348,8 @@ Status SqlSerializer::Check(const PlanPtr& node) const {
 
 namespace {
 
+constexpr int64_t kRowsBound = int64_t{1} << 40;
+
 struct SqlBuilder {
   const AnnotatedPlan& ann;
   std::vector<std::string> ctes;
@@ -384,31 +366,29 @@ struct SqlBuilder {
     return ann.info(n.get()).schema;
   }
 
-  // A right-side ord `ord` shifted past every ord of `left`, whose CTE is
-  // `left_cte`. Ords are positive, so adding any value no smaller than the
-  // left's largest ord puts the right rows after all left rows, in their
-  // own order, without a sort over the concatenation. That value is the
-  // left CTE's MAX(ord), except below σ, π, \, rdup, ℵ and sort ending in a
-  // scan: none of those gives an ord above its input's largest (each keeps
-  // a subset of its input's ords, group minima, or 1..row count), so the
-  // scan's mirror table's largest rowid bounds them, in one b-tree probe.
-  // A second reference to the left CTE makes SQLite materialize it and
-  // every CTE below it, which can cost more than the sort it replaces.
-  static std::string AfterAll(const std::string& ord, const PlanNode* left,
-                              const std::string& left_cte) {
-    while (left->kind() == OpKind::kSelect ||
-           left->kind() == OpKind::kProject ||
-           left->kind() == OpKind::kDifference ||
-           left->kind() == OpKind::kRdup ||
-           left->kind() == OpKind::kAggregate ||
-           left->kind() == OpKind::kSort) {
-      left = left->child(0).get();
+  // An integer no smaller than any ord of `node`'s CTE. A scan's ords are
+  // its mirror table's rowids, 1 to the relation's row count, and × and
+  // sort number their rows from 1, so kRowsBound bounds each: no relation
+  // held in memory, nor any CTE SQLite numbers, has 2^40 rows. σ, π, \,
+  // rdup and ℵ keep a subset of their input's ords or group minima, so each
+  // takes its input's bound. ⊎ and ∪ shift right ords by the left bound,
+  // so they take the sum (a cut would need 2^23 scans to overflow it). The
+  // bound is a literal, not SQL: a second reference to a CTE makes SQLite
+  // materialize it and every CTE below it, and a sum of MAX(rowid) probes
+  // nests one level deeper per ⊎ of a left-deep chain, past SQLite's
+  // parser stack at 100.
+  static int64_t Bound(const PlanNode* node) {
+    switch (node->kind()) {
+      case OpKind::kScan:
+      case OpKind::kProduct:
+      case OpKind::kSort:
+        return kRowsBound;
+      case OpKind::kUnionAll:
+      case OpKind::kUnion:
+        return Bound(node->child(0).get()) + Bound(node->child(1).get());
+      default:  // σ, π, \, rdup, ℵ: Check admits no other operator
+        return Bound(node->child(0).get());
     }
-    if (left->kind() == OpKind::kScan) {
-      return ord + " + (SELECT COALESCE(MAX(rowid), 0) FROM \"" +
-             SqlSerializer::MirrorTable(left->rel_name()) + "\")";
-    }
-    return ord + " + (SELECT COALESCE(MAX(ord), 0) FROM " + left_cte + ")";
   }
 
   // Body of a fused "σ over ×" or a bare "×": the product pairs stream
@@ -481,15 +461,15 @@ struct SqlBuilder {
         return NewCte(body);
       }
       case OpKind::kUnionAll: {
-        // Left rows keep their ords; right rows follow all of them.
+        // Left rows keep their ords; right rows, shifted past the left
+        // bound, follow all of them in their own order, with no sort.
         TQP_ASSIGN_OR_RETURN(l, Emit(node->child(0)));
         TQP_ASSIGN_OR_RETURN(r, Emit(node->child(1)));
-        const std::string right_ord =
-            AfterAll("s.ord", node->child(0).get(), l);
         return NewCte("SELECT " + AliasedCols("s", n) +
                       ", s.ord AS ord FROM " + l + " AS s UNION ALL SELECT " +
-                      AliasedCols("s", n) + ", " + right_ord + " AS ord FROM " +
-                      r + " AS s");
+                      AliasedCols("s", n) + ", s.ord + " +
+                      std::to_string(Bound(node->child(0).get())) +
+                      " AS ord FROM " + r + " AS s");
       }
       case OpKind::kUnion: {
         // ∪ keeps all left occurrences plus the right occurrences whose
@@ -504,12 +484,12 @@ struct SqlBuilder {
         std::string left_counts =
             "SELECT " + AliasedCols("s", n) + ", COUNT(*) AS cnt FROM " + l +
             " AS s GROUP BY " + QualifiedCols("s", n);
-        const std::string right_ord =
-            AfterAll("rr.ord", node->child(0).get(), l);
         return NewCte("SELECT " + AliasedCols("s", n) +
                       ", s.ord AS ord FROM " + l + " AS s UNION ALL SELECT " +
-                      AliasedCols("rr", n) + ", " + right_ord +
-                      " AS ord FROM (" + ranked_right + ") AS rr LEFT JOIN (" +
+                      AliasedCols("rr", n) + ", rr.ord + " +
+                      std::to_string(Bound(node->child(0).get())) +
+                      " AS ord FROM (" +
+                      ranked_right + ") AS rr LEFT JOIN (" +
                       left_counts + ") AS lc ON " +
                       NullSafeJoin("rr", "lc", n) +
                       " WHERE rr.rn > COALESCE(lc.cnt, 0)");

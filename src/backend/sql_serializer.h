@@ -14,21 +14,22 @@
 //   * σ, π, \: the surviving input rows' ords (\ ranks per value with
 //     ROW_NUMBER to pick which left occurrences survive);
 //   * ⊎ and ∪: left rows keep theirs; right rows (all of them for ⊎, the
-//     survivors of ∪'s per-value rank) add a value no smaller than every
+//     survivors of ∪'s per-value rank) add a bound no smaller than every
 //     left ord, which puts them after every left row, in their own order,
-//     without a sort. The value is MAX(ord) of the left CTE, or the largest
-//     rowid of the scan the left side's ords come from (AfterAll in the
-//     .cc says when);
+//     without a sort. The bound is an integer the serializer computes from
+//     the left subtree's shape alone (Bound in the .cc: 2^40 per scan, ×
+//     or sort, summed over ⊎ and ∪);
 //   * rdup and ℵ: MIN(ord) of each group, its first occurrence;
 //   * × and sort: ROW_NUMBER over (left ord, right ord) and over (sort keys,
 //     input ord), the only orders they cannot inherit.
 // So duplicates and ordering semantics (Table 1) survive the round trip
 // through the DBMS.
 //
-// A σ predicate is emitted in its WHERE form: comparisons as bare SQL
-// comparisons and AND as SQL AND, which keep exactly the rows the stratum
-// keeps; OR, NOT and OVERLAPS keep the CASE translations that reproduce the
-// stratum's NULL logic (sql_serializer.cc, "Expression translation").
+// A comparison is SQL's bare comparison, whose 1/0/NULL value is the
+// stratum's. A σ predicate is emitted in its WHERE form, which also turns
+// AND into SQL AND and keeps exactly the rows the stratum keeps; OR, NOT and
+// OVERLAPS keep the CASE translations that reproduce the stratum's NULL
+// logic (sql_serializer.cc, "Expression translation").
 //
 // Anything whose semantics SQL cannot reproduce byte-identically is
 // *refused* (Check returns an error): temporal operators, transfers,

@@ -14,8 +14,8 @@
 //    pushdowns. The cut plans cover each SQL shape the serializer emits:
 //    ⊎'s offset ords nested and under every ord reader, and σ's WHERE form
 //    over NULL operands beside the OR and NOT predicates that must keep
-//    their CASE translations;
-//  * strings holding NUL bytes come back from SQLite whole;
+//    their CASE translations, and strings holding NUL bytes come back
+//    whole;
 //  * anything the serializer refuses (or that fails at runtime) falls back
 //    to in-engine evaluation with identical results;
 //  * Engine-level selection (EngineOptions::backend), stats surfacing, and
@@ -184,6 +184,27 @@ Relation WithNulls() {
   return r;
 }
 
+/// Strings holding NUL bytes: SQLite stores a bound string's full length,
+/// and reading it back must too, not stop at the first NUL.
+Relation WithNulBytes() {
+  Schema s;
+  s.Add(Attribute{"Name", ValueType::kString});
+  s.Add(Attribute{"Val", ValueType::kInt});
+  Relation r(s);
+  for (const auto& [name, val] :
+       std::vector<std::pair<std::string, int64_t>>{
+           {std::string("a\0b", 3), 1},
+           {"plain", 2},
+           {std::string("\0", 1), 3},
+           {std::string("x\0\0", 3), 9}}) {
+    Tuple t;
+    t.push_back(Value::String(name));
+    t.push_back(Value::Int(val));
+    r.Append(std::move(t));
+  }
+  return r;
+}
+
 Catalog MakeCatalog(uint64_t seed) {
   Catalog catalog;
   TQP_CHECK(
@@ -199,10 +220,13 @@ Catalog MakeCatalog(uint64_t seed) {
                 .ok());
   TQP_CHECK(
       catalog.RegisterWithInferredFlags("N", WithNulls(), Site::kDbms).ok());
+  TQP_CHECK(
+      catalog.RegisterWithInferredFlags("Z", WithNulBytes(), Site::kDbms)
+          .ok());
   return catalog;
 }
 
-/// Conventional subplans (over C, D, N) wrapped in the transferS cut the
+/// Conventional subplans (over C, D, N, Z) wrapped in the transferS cut the
 /// backend intercepts. Everything the SQL serializer accepts must come back
 /// list-identical; anything refused must fall back with identical results.
 std::vector<std::pair<std::string, PlanPtr>> CutPlans() {
@@ -267,9 +291,9 @@ std::vector<std::pair<std::string, PlanPtr>> CutPlans() {
   // ⊎ shifts its right rows' ords past every left ord. Nested three deep on
   // either side, with an empty side, and under every operator that reads
   // ords. last_n() keeps only N's last row (group b), whose ord is the
-  // shift itself, so a shift one short would tie N's first row (group a)
-  // with it, and rdup and ℵ, which keep MIN(ord) per group, would put a
-  // first.
+  // left side's largest, so a shift one short of it would tie N's first
+  // row (group a) with it, and rdup and ℵ, which keep MIN(ord) per group,
+  // would put a first.
   ExprPtr none = Expr::Compare(CompareOp::kGt, Expr::Attr("Val"),
                                Expr::Const(Value::Int(1000000)));
   auto last_n = [&] {
@@ -302,6 +326,12 @@ std::vector<std::pair<std::string, PlanPtr>> CutPlans() {
                            PlanNode::UnionAll(D(), N())));
   cut("union-max-empty-left",
       PlanNode::Union(PlanNode::Select(C(), none), N()));
+  // ⊎ over ×, whose ords are its own ROW_NUMBER, 1..|C|·|D| = 360, above
+  // every rowid of the relations it pairs.
+  cut("union-all-over-product",
+      PlanNode::UnionAll(
+          PlanNode::Product(C(), PlanNode::Project(D(), d_renamed)),
+          PlanNode::Product(N(), PlanNode::Project(D(), d_renamed))));
 
   // σ in WHERE form: compare and AND over NULL operands, and the OR and NOT
   // predicates whose SQL three-valued truth differs from the stratum's. On
@@ -337,6 +367,12 @@ std::vector<std::pair<std::string, PlanPtr>> CutPlans() {
                                   Expr::Attr("DName")),
                     Expr::Compare(CompareOp::kEq, Expr::Attr("Val"),
                                   Expr::Attr("DVal")))));
+
+  // Z's names hold NUL bytes.
+  auto Z = [] { return PlanNode::Scan("Z"); };
+  cut("nul-scan", Z());
+  cut("nul-select", PlanNode::Select(Z(), cmp(CompareOp::kLt, "Val", 5)));
+  cut("nul-union-all", PlanNode::UnionAll(Z(), Z()));
   return plans;
 }
 
@@ -547,61 +583,6 @@ TEST(SqliteBackendTest, PushdownParityAcrossExecutorsAndConfigs) {
   EXPECT_EQ(pushed_plans,
             static_cast<int>(CutPlans().size() * Configs().size()))
       << "pushdown coverage collapsed";
-}
-
-TEST(SqliteBackendTest, EmbeddedNulStringsRoundTrip) {
-  if (!SqliteBackend::Available()) GTEST_SKIP();
-  // SQLite stores a bound string's full length; reading it back must too,
-  // not stop at the first NUL byte.
-  Schema s;
-  s.Add(Attribute{"Name", ValueType::kString});
-  s.Add(Attribute{"Val", ValueType::kInt});
-  Relation z(s);
-  for (const auto& [name, val] :
-       std::vector<std::pair<std::string, int64_t>>{
-           {std::string("a\0b", 3), 1},
-           {"plain", 2},
-           {std::string("\0", 1), 3},
-           {std::string("x\0\0", 3), 9}}) {
-    Tuple t;
-    t.push_back(Value::String(name));
-    t.push_back(Value::Int(val));
-    z.Append(std::move(t));
-  }
-  Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterWithInferredFlags("Z", z, Site::kDbms).ok());
-  Result<std::unique_ptr<Backend>> made = MakeBackend(BackendKind::kSqlite);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-
-  auto Z = [] { return PlanNode::Scan("Z"); };
-  const std::vector<std::pair<std::string, PlanPtr>> plans = {
-      {"scan", PlanNode::TransferS(Z())},
-      {"select", PlanNode::TransferS(PlanNode::Select(
-                     Z(), Expr::Compare(CompareOp::kLt, Expr::Attr("Val"),
-                                        Expr::Const(Value::Int(5)))))},
-      {"union-all", PlanNode::TransferS(PlanNode::UnionAll(Z(), Z()))},
-  };
-  EngineConfig cfg;
-  cfg.backend = made.value().get();
-  for (const auto& [name, plan] : plans) {
-    Result<Relation> ref =
-        EvaluatePlan(plan, catalog, EngineConfig{}, nullptr);
-    ASSERT_TRUE(ref.ok()) << name;
-    Result<AnnotatedPlan> ann =
-        AnnotatedPlan::Make(plan, &catalog, QueryContract::Multiset());
-    ASSERT_TRUE(ann.ok()) << name;
-    ExecStats stats;
-    Result<Relation> got = Evaluate(ann.value(), cfg, &stats, nullptr);
-    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-    EXPECT_EQ(stats.backend_pushdowns, 1) << name;
-    ExpectListIdentical(ref.value(), got.value(), name + "/exec");
-    ExecStats vec_stats;
-    Result<Relation> vec =
-        ExecuteVectorized(ann.value(), cfg, &vec_stats, VexecOptions{});
-    ASSERT_TRUE(vec.ok()) << name << ": " << vec.status().ToString();
-    EXPECT_EQ(vec_stats.backend_pushdowns, 1) << name;
-    ExpectListIdentical(ref.value(), vec.value(), name + "/vexec");
-  }
 }
 
 TEST(SqliteBackendTest, SimpleSelectActuallyPushesDown) {
@@ -1053,7 +1034,8 @@ TEST(SqliteMirrorTest, AppendInsertsOnlyTheNewRows) {
   EXPECT_EQ(TotalChanges(be), before);
   EXPECT_EQ(be.mirror_loads(), 1);
 
-  // An append to C writes its new rows and C's record, nothing of R, D, N.
+  // An append to C writes its new rows and C's record, nothing of R, D, N,
+  // Z.
   Relation extra = MessyConventional(77, 5);
   ASSERT_TRUE(
       Put(&catalog, "C", Appended(catalog.Find("C")->data, extra)).ok());
