@@ -1,5 +1,6 @@
 #include "backend/sql_serializer.h"
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -118,6 +119,12 @@ struct ExprTr {
       }
       case ExprKind::kConst: {
         if (e->constant().is_null()) return std::string("NULL");
+        // SQLite binds a NaN as NULL, where the stratum keeps a NaN that
+        // compares equal to every number.
+        if (e->constant().type() == ValueType::kDouble &&
+            std::isnan(e->constant().AsDouble())) {
+          return Refuse("NaN constant");
+        }
         if (params == nullptr) return std::string("?1");  // check-only
         // Numbered parameter: the CASE translations splice an operand's SQL
         // more than once, and every occurrence must bind this one value (a

@@ -42,22 +42,65 @@ const char* SqlType(ValueType t) {
   return "";
 }
 
-int BindValue(sqlite3_stmt* st, int idx, const Value& v) {
+/// Binds `v` to parameter `idx` of `st`. A NaN is never bound: SQLite
+/// would store it as NULL, where the stratum keeps a NaN (which compares
+/// equal to every number).
+Status BindValue(sqlite3* db, sqlite3_stmt* st, int idx, const Value& v) {
+  int rc = SQLITE_MISUSE;
   switch (v.type()) {
     case ValueType::kNull:
-      return sqlite3_bind_null(st, idx);
+      rc = sqlite3_bind_null(st, idx);
+      break;
     case ValueType::kInt:
-      return sqlite3_bind_int64(st, idx, v.AsInt());
+      rc = sqlite3_bind_int64(st, idx, v.AsInt());
+      break;
     case ValueType::kTime:
-      return sqlite3_bind_int64(st, idx, v.AsTime());
+      rc = sqlite3_bind_int64(st, idx, v.AsTime());
+      break;
     case ValueType::kDouble:
-      return sqlite3_bind_double(st, idx, v.AsDouble());
+      if (std::isnan(v.AsDouble())) {
+        return Status::Error("sqlite bind: NaN would be stored as NULL");
+      }
+      rc = sqlite3_bind_double(st, idx, v.AsDouble());
+      break;
     case ValueType::kString:
-      return sqlite3_bind_text(st, idx, v.AsString().c_str(),
-                               static_cast<int>(v.AsString().size()),
-                               SQLITE_TRANSIENT);
+      rc = sqlite3_bind_text(st, idx, v.AsString().c_str(),
+                             static_cast<int>(v.AsString().size()),
+                             SQLITE_TRANSIENT);
+      break;
   }
-  return SQLITE_MISUSE;
+  if (rc != SQLITE_OK) {
+    return Status::Error(std::string("sqlite bind: ") + sqlite3_errmsg(db));
+  }
+  return Status::OK();
+}
+
+/// True iff a tuple of `rows` from position `from` on holds a NaN double,
+/// which the mirror cannot store (BindValue).
+bool HoldsNaN(const Relation& rows, size_t from) {
+  for (size_t r = from; r < rows.size(); ++r) {
+    for (const Value& v : rows.tuple(r).values()) {
+      if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// True iff `plan` scans a relation of `unmirrored` (name -> the digest it
+/// was left out of the mirror at) in the version `catalog` holds.
+bool ScansUnmirrored(const PlanPtr& plan, const Catalog& catalog,
+                     const std::map<std::string, uint64_t>& unmirrored) {
+  if (plan->kind() == OpKind::kScan) {
+    auto it = unmirrored.find(plan->rel_name());
+    return it != unmirrored.end() &&
+           it->second == catalog.relation_digest(plan->rel_name());
+  }
+  for (const PlanPtr& c : plan->children()) {
+    if (ScansUnmirrored(c, catalog, unmirrored)) return true;
+  }
+  return false;
 }
 
 Value DecodeColumn(sqlite3_stmt* st, int i, ValueType t) {
@@ -99,24 +142,33 @@ constexpr size_t kRecordPrefixLen = sizeof(kRecordPrefix) - 1;
 
 /// One mirrored relation: its table, and the ContentDigest and row count of
 /// the tuple list the table holds (rowid = list position). Persisted in
-/// tqp_meta as "<table> <digest hex> <rows>" under "mirror:<name>".
+/// tqp_meta as "<version> <table> <digest hex> <rows>" under
+/// "mirror:<name>".
 struct MirrorRecord {
   std::string table;
   uint64_t digest = 0;
   size_t rows = 0;
 };
 
+/// The record format's version. Records without it were written while
+/// NaNs were still bound (and stored as NULL), so their tables may not
+/// hold what their digests say: DecodeRecord rejects them, and the next
+/// sync reloads their relations in full, checking them for NaN.
+const char kRecordVersion[] = "v2";
+
 std::string EncodeRecord(const MirrorRecord& rec) {
   char digest[17];
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(rec.digest));
-  return rec.table + " " + digest + " " + std::to_string(rec.rows);
+  return std::string(kRecordVersion) + " " + rec.table + " " + digest + " " +
+         std::to_string(rec.rows);
 }
 
 bool DecodeRecord(const std::string& value, MirrorRecord* rec) {
   std::istringstream in(value);
-  return static_cast<bool>(in >> rec->table >> std::hex >> rec->digest >>
-                           std::dec >> rec->rows);
+  std::string version;
+  return in >> version && version == kRecordVersion &&
+         in >> rec->table >> std::hex >> rec->digest >> std::dec >> rec->rows;
 }
 
 }  // namespace
@@ -129,6 +181,9 @@ struct SqliteBackend::Impl {
   mutable std::mutex mu;
   /// Committed mirror state by relation name; changed only after COMMIT.
   std::map<std::string, MirrorRecord> mirrored;
+  /// DBMS-site relations kept out of the mirror because they hold a NaN
+  /// double, by name, with the relation digest they were synced at.
+  std::map<std::string, uint64_t> unmirrored;
   int64_t mirror_loads = 0;
 
   Status CreateTableLocked(const std::string& table, const Schema& schema) {
@@ -159,10 +214,10 @@ struct SqliteBackend::Impl {
     for (size_t r = from; r < rows.size(); ++r) {
       const Tuple& t = rows.tuple(r);
       for (size_t i = 0; i < t.size(); ++i) {
-        if (BindValue(st, static_cast<int>(i) + 1, t.at(i)) != SQLITE_OK) {
+        Status bound = BindValue(db, st, static_cast<int>(i) + 1, t.at(i));
+        if (!bound.ok()) {
           sqlite3_finalize(st);
-          return Status::Error(std::string("sqlite bind: ") +
-                               sqlite3_errmsg(db));
+          return bound;
         }
       }
       if (sqlite3_step(st) != SQLITE_DONE) {
@@ -196,10 +251,10 @@ struct SqliteBackend::Impl {
       return Status::Error("sqlite: expected exactly one statement");
     }
     for (size_t i = 0; i < params.size(); ++i) {
-      if (BindValue(st, static_cast<int>(i) + 1, params[i]) != SQLITE_OK) {
+      Status bound = BindValue(db, st, static_cast<int>(i) + 1, params[i]);
+      if (!bound.ok()) {
         sqlite3_finalize(st);
-        return Status::Error(std::string("sqlite bind: ") +
-                             sqlite3_errmsg(db));
+        return bound;
       }
     }
     size_t width = out_schema.size();
@@ -341,20 +396,30 @@ Status SqliteBackend::SyncCatalog(const Catalog& catalog) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::map<std::string, MirrorRecord>& mirrored = impl_->mirrored;
   // O(relations): a DBMS-site relation is written when its digest differs
-  // from its record's; a record whose relation left the DBMS site is dropped.
+  // from its record's (or from the digest it was left unmirrored at); a
+  // record whose relation left the DBMS site is dropped.
   std::vector<std::string> changed;
   std::map<std::string, MirrorRecord> next;
+  std::map<std::string, uint64_t> next_unmirrored;
   for (const std::string& name : catalog.Names()) {
     if (catalog.Find(name)->site != Site::kDbms) continue;
+    const uint64_t digest = catalog.relation_digest(name);
+    auto un = impl_->unmirrored.find(name);
+    if (un != impl_->unmirrored.end() && un->second == digest) {
+      next_unmirrored.insert(*un);
+      continue;
+    }
     auto it = mirrored.find(name);
-    if (it == mirrored.end() ||
-        it->second.digest != catalog.relation_digest(name)) {
+    if (it == mirrored.end() || it->second.digest != digest) {
       changed.push_back(name);
     } else {
       next.insert(*it);
     }
   }
-  if (changed.empty() && next.size() == mirrored.size()) return Status::OK();
+  if (changed.empty() && next.size() == mirrored.size()) {
+    impl_->unmirrored = std::move(next_unmirrored);
+    return Status::OK();
+  }
 
   Status st = [&]() -> Status {
     TQP_RETURN_IF_ERROR(impl_->ExecLocked("BEGIN IMMEDIATE"));
@@ -364,12 +429,20 @@ Status SqliteBackend::SyncCatalog(const Catalog& catalog) {
                        catalog.relation_digest(name), data.size()};
       // A list that extends the mirrored one only needs its new suffix;
       // anything else is reloaded.
-      size_t from = 0;
       auto old = mirrored.find(name);
-      if (old != mirrored.end() && old->second.rows <= data.size() &&
-          ContentDigest(data, old->second.rows) == old->second.digest) {
-        from = old->second.rows;
-      } else {
+      const bool append =
+          old != mirrored.end() && old->second.rows <= data.size() &&
+          ContentDigest(data, old->second.rows) == old->second.digest;
+      const size_t from = append ? old->second.rows : 0;
+      // A mirrored prefix holds no NaN, so only the new rows are checked. A
+      // relation holding one stays unmirrored, and the sweep below drops
+      // its old table: no cut can read a stale copy, and the other
+      // relations still sync.
+      if (HoldsNaN(data, from)) {
+        next_unmirrored[name] = rec.digest;
+        continue;
+      }
+      if (!append) {
         TQP_RETURN_IF_ERROR(impl_->CreateTableLocked(rec.table, data.schema()));
       }
       TQP_RETURN_IF_ERROR(impl_->LoadLocked(rec.table, data, from));
@@ -388,13 +461,20 @@ Status SqliteBackend::SyncCatalog(const Catalog& catalog) {
     return st;
   }
   mirrored = std::move(next);
+  impl_->unmirrored = std::move(next_unmirrored);
   ++impl_->mirror_loads;
   return Status::OK();
 }
 
 bool SqliteBackend::CanPush(const PlanPtr& plan,
                             const AnnotatedPlan& ann) const {
-  return SqlSerializer(ann).CanSerialize(plan);
+  // The serializer refuses NaN constants; a cut over a relation the last
+  // sync left unmirrored runs in the stratum. A cut that runs before that
+  // sync finds no table and falls back instead.
+  if (!SqlSerializer(ann).CanSerialize(plan)) return false;
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->unmirrored.empty() ||
+         !ScansUnmirrored(plan, ann.catalog(), impl_->unmirrored);
 }
 
 Result<Relation> SqliteBackend::ExecuteSubplan(const PlanPtr& plan,

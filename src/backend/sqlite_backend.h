@@ -15,10 +15,18 @@
 //  * reloads any other changed relation;
 //  * drops the tables of relations gone from the DBMS site.
 // Records change only after COMMIT; a failed sync forgets the records of the
-// relations it was writing, so the next sync reloads them in full. Digests,
-// unlike catalog versions, identify contents across catalogs and processes:
-// a file-backed database written by an earlier process is reused across
-// restarts, reloading only the relations that changed meanwhile.
+// relations it was writing, so the next sync reloads them in full. SQLite
+// stores a bound NaN as NULL, so nothing binds one: a relation holding a
+// NaN double stays out of the mirror (its old table is dropped, the other
+// relations sync as usual), and CanPush refuses a cut that scans it in that
+// version or compares with a NaN constant, so such cuts run in the stratum
+// (counted as refusals; a cut that runs before the first sync finds no
+// table and counts as a fallback). Digests, unlike catalog versions,
+// identify contents across catalogs and processes: a file-backed database
+// written by an earlier process is reused across restarts, reloading only
+// the relations that changed meanwhile. Records carry a format version;
+// those written before NaNs were kept out (NULL in a NaN's place) lack it
+// and are not adopted, so their relations reload in full.
 //
 // Compiled against system sqlite3 when available (TQP_HAVE_SQLITE3,
 // detected by CMake); otherwise Available() is false and Open() fails,

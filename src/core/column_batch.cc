@@ -1,6 +1,10 @@
 #include "core/column_batch.h"
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
+
+#include "core/hash.h"
 
 namespace tqp {
 
@@ -11,6 +15,52 @@ int Cmp(const T& a, const T& b) {
   if (a < b) return -1;
   if (b < a) return 1;
   return 0;
+}
+
+// Tuple::Hash's (and Value::Hash's) combine step: folds one more hash into
+// a running seed.
+inline uint64_t FoldStep(uint64_t seed, uint64_t h) {
+  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+}
+
+// Tuple::Hash's initial seed.
+constexpr uint64_t kRowSeed = 0x51ab1e5;
+
+// Value::Hash of a non-null cell of type `t` whose payload hashes to `h`:
+// the type-rank seed with the payload hash folded in.
+inline uint64_t TypedHash(ValueType t, uint64_t h) {
+  return FoldStep(static_cast<uint64_t>(t) * 0x9e3779b97f4a7c15ULL, h);
+}
+
+// ClassHash of a numeric cell: every Compare-equal number hashes alike, so
+// the hash reads the value as a double, -0.0 as 0.0 and every NaN as one.
+inline uint64_t NumericClassHash(double v) {
+  if (v != v) return 0x6e756d6572696331ULL;  // "numeric1"
+  if (v == 0.0) v = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return HashMix64(bits);
+}
+
+inline uint64_t StringClassHash(const std::string& s) {
+  return std::hash<std::string>()(s);
+}
+
+// seeds[k] = FoldStep(seeds[k], hash of row begin + k), where a null row
+// contributes 0 (Value::Hash and ClassHash of a null) and `cell` hashes a
+// non-null row.
+template <typename CellHash>
+void FoldRows(const std::vector<uint8_t>& nulls, size_t begin, size_t end,
+              uint64_t* seeds, const CellHash& cell) {
+  if (nulls.empty()) {
+    for (size_t r = begin; r < end; ++r, ++seeds) {
+      *seeds = FoldStep(*seeds, cell(r));
+    }
+    return;
+  }
+  for (size_t r = begin; r < end; ++r, ++seeds) {
+    *seeds = FoldStep(*seeds, nulls[r] != 0 ? 0 : cell(r));
+  }
 }
 
 ColumnStorage StorageFor(ValueType t) {
@@ -63,42 +113,26 @@ int CellRef::Compare(const CellRef& a, const CellRef& b) {
 }
 
 uint64_t CellRef::Hash() const {
-  // Bit-for-bit Value::Hash: the type-rank seed plus one payload mix.
-  uint64_t seed = static_cast<uint64_t>(type) * 0x9e3779b97f4a7c15ULL;
-  auto mix = [&seed](uint64_t h) {
-    seed ^= h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-  };
+  // Bit-for-bit Value::Hash: the type-rank seed plus one payload mix (a
+  // null is the bare seed, 0).
   switch (type) {
     case ValueType::kNull:
-      break;
+      return 0;
     case ValueType::kInt:
     case ValueType::kTime:
-      mix(std::hash<int64_t>()(i));
-      break;
+      return TypedHash(type, std::hash<int64_t>()(i));
     case ValueType::kDouble:
-      mix(std::hash<double>()(d));
-      break;
+      return TypedHash(type, std::hash<double>()(d));
     case ValueType::kString:
-      mix(std::hash<std::string>()(*s));
-      break;
+      return TypedHash(type, std::hash<std::string>()(*s));
   }
-  return seed;
+  return 0;
 }
 
 uint64_t CellRef::ClassHash() const {
   if (type == ValueType::kNull) return 0;
-  if (IsNumeric()) {
-    // One shared seed for all numeric types; payload hashed as double so
-    // every Compare-equal numeric cell hashes equally.
-    double v = Numeric();
-    uint64_t seed = 0x6e756d6572696331ULL;  // "numeric1"
-    if (v != v) return seed ^ 0x6e616eULL;  // all NaNs Compare equal
-    if (v == 0.0) v = 0.0;                  // collapse -0.0 into +0.0
-    seed ^= std::hash<double>()(v) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-            (seed >> 2);
-    return seed;
-  }
-  return Hash();  // strings never Compare-equal a non-string
+  if (IsNumeric()) return NumericClassHash(Numeric());
+  return StringClassHash(*s);  // strings never Compare-equal a non-string
 }
 
 Value CellRef::ToValue() const {
@@ -264,6 +298,15 @@ void ColumnVec::AppendCell(const CellRef& c) {
 
 void ColumnVec::AppendValue(const Value& v) { AppendCell(CellRef::Of(v)); }
 
+int64_t* ColumnVec::AppendInt64s(size_t n) {
+  TQP_DCHECK(storage_ == ColumnStorage::kInt64);
+  const size_t at = ints_.size();
+  ints_.resize(at + n);
+  if (!nulls_.empty()) nulls_.resize(nulls_.size() + n, 0);
+  size_ += n;
+  return ints_.data() + at;
+}
+
 CellRef ColumnVec::At(size_t row) const {
   CellRef c;
   if (IsNull(row)) return c;
@@ -321,7 +364,59 @@ void ColumnVec::AppendFrom(const ColumnVec& src, size_t row) {
 
 void ColumnVec::AppendRangeFrom(const ColumnVec& src, size_t begin,
                                 size_t end) {
-  for (size_t r = begin; r < end; ++r) AppendFrom(src, r);
+  TQP_DCHECK(&src != this);
+  if (begin >= end) return;
+  const bool typed = src.storage_ == ColumnStorage::kInt64 ||
+                     src.storage_ == ColumnStorage::kDouble ||
+                     src.storage_ == ColumnStorage::kString;
+  const uint8_t* src_nulls = src.nulls_.empty() ? nullptr : &src.nulls_[0];
+  // An undecided destination takes the source's type where AppendFrom
+  // would: at the range's first non-null cell (DecideStorage backfills the
+  // null prefix with the same placeholders AppendNull writes).
+  if (storage_ == ColumnStorage::kUndecided && typed) {
+    size_t first = begin;
+    while (first < end && src_nulls != nullptr && src_nulls[first] != 0) {
+      ++first;
+    }
+    if (first < end) DecideStorage(src.declared_);
+  }
+  if (storage_ != src.storage_ || declared_ != src.declared_ ||
+      storage_ == ColumnStorage::kUndecided) {
+    for (size_t r = begin; r < end; ++r) AppendFrom(src, r);
+    return;
+  }
+  // Same storage and declared type: payloads (null cells hold the
+  // placeholder AppendNull writes) and null flags copy as ranges.
+  switch (storage_) {
+    case ColumnStorage::kInt64:
+      ints_.insert(ints_.end(), src.ints_.begin() + begin,
+                   src.ints_.begin() + end);
+      break;
+    case ColumnStorage::kDouble:
+      doubles_.insert(doubles_.end(), src.doubles_.begin() + begin,
+                      src.doubles_.begin() + end);
+      break;
+    case ColumnStorage::kString:
+      strings_.insert(strings_.end(), src.strings_.begin() + begin,
+                      src.strings_.begin() + end);
+      break;
+    case ColumnStorage::kBoxed:
+      boxed_.insert(boxed_.end(), src.boxed_.begin() + begin,
+                    src.boxed_.begin() + end);
+      break;
+    case ColumnStorage::kUndecided:
+      break;
+  }
+  const bool range_has_null =
+      src_nulls != nullptr && std::any_of(src_nulls + begin, src_nulls + end,
+                                          [](uint8_t f) { return f != 0; });
+  if (range_has_null) {
+    EnsureNulls();
+    nulls_.insert(nulls_.end(), src_nulls + begin, src_nulls + end);
+  } else if (!nulls_.empty()) {
+    nulls_.resize(nulls_.size() + (end - begin), 0);
+  }
+  size_ += end - begin;
 }
 
 void ColumnVec::AppendGather(const ColumnVec& src, const uint32_t* rows,
@@ -353,6 +448,86 @@ void ColumnVec::AppendGather(const ColumnVec& src, const uint32_t* rows,
     }
   }
   for (size_t k = 0; k < n; ++k) AppendFrom(src, rows[k]);
+}
+
+void ColumnVec::FoldHashes(size_t begin, size_t end, bool class_hash,
+                           uint64_t* seeds) const {
+  switch (storage_) {
+    case ColumnStorage::kInt64: {
+      const int64_t* v = ints_.data();
+      if (class_hash) {
+        FoldRows(nulls_, begin, end, seeds, [v](size_t r) {
+          return NumericClassHash(static_cast<double>(v[r]));
+        });
+      } else {
+        const ValueType t = declared_;
+        FoldRows(nulls_, begin, end, seeds, [v, t](size_t r) {
+          return TypedHash(t, std::hash<int64_t>()(v[r]));
+        });
+      }
+      return;
+    }
+    case ColumnStorage::kDouble: {
+      const double* v = doubles_.data();
+      if (class_hash) {
+        FoldRows(nulls_, begin, end, seeds,
+                 [v](size_t r) { return NumericClassHash(v[r]); });
+      } else {
+        FoldRows(nulls_, begin, end, seeds, [v](size_t r) {
+          return TypedHash(ValueType::kDouble, std::hash<double>()(v[r]));
+        });
+      }
+      return;
+    }
+    case ColumnStorage::kString: {
+      const std::string* v = strings_.data();
+      if (class_hash) {
+        FoldRows(nulls_, begin, end, seeds,
+                 [v](size_t r) { return StringClassHash(v[r]); });
+      } else {
+        FoldRows(nulls_, begin, end, seeds, [v](size_t r) {
+          return TypedHash(ValueType::kString,
+                           std::hash<std::string>()(v[r]));
+        });
+      }
+      return;
+    }
+    case ColumnStorage::kBoxed:
+    case ColumnStorage::kUndecided:
+      for (size_t r = begin; r < end; ++r, ++seeds) {
+        const CellRef c = At(r);
+        *seeds = FoldStep(*seeds, class_hash ? c.ClassHash() : c.Hash());
+      }
+      return;
+  }
+}
+
+int ColumnVec::CompareCells(const ColumnVec& a, size_t ra, const ColumnVec& b,
+                            size_t rb) {
+  if (!a.IsNull(ra) && !b.IsNull(rb)) {
+    const ColumnStorage sa = a.storage_, sb = b.storage_;
+    if (sa == ColumnStorage::kInt64 && sb == ColumnStorage::kInt64 &&
+        a.declared_ == b.declared_) {
+      return Cmp(a.ints_[ra], b.ints_[rb]);
+    }
+    auto numeric = [](ColumnStorage s) {
+      return s == ColumnStorage::kInt64 || s == ColumnStorage::kDouble;
+    };
+    if (numeric(sa) && numeric(sb)) {
+      const double x = sa == ColumnStorage::kInt64
+                           ? static_cast<double>(a.ints_[ra])
+                           : a.doubles_[ra];
+      const double y = sb == ColumnStorage::kInt64
+                           ? static_cast<double>(b.ints_[rb])
+                           : b.doubles_[rb];
+      return Cmp(x, y);
+    }
+    if (sa == ColumnStorage::kString && sb == ColumnStorage::kString) {
+      const int c = a.strings_[ra].compare(b.strings_[rb]);
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+  }
+  return CellRef::Compare(a.At(ra), b.At(rb));
 }
 
 ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
@@ -404,19 +579,21 @@ Relation ColumnTable::ToRelation() const {
 
 uint64_t ColumnTable::RowHash(size_t row) const {
   // Bit-for-bit Tuple::Hash over the row's cells.
-  uint64_t seed = 0x51ab1e5;
-  for (const auto& c : cols_) {
-    seed ^= c->At(row).Hash() + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-            (seed >> 2);
-  }
+  uint64_t seed = kRowSeed;
+  for (const auto& c : cols_) seed = FoldStep(seed, c->At(row).Hash());
   return seed;
+}
+
+void ColumnTable::RowHashes(size_t begin, size_t end, uint64_t* out) const {
+  std::fill(out, out + (end - begin), kRowSeed);
+  for (const auto& c : cols_) c->FoldHashes(begin, end, false, out);
 }
 
 int ColumnTable::RowCompare(const ColumnTable& a, size_t ra,
                             const ColumnTable& b, size_t rb) {
   size_t n = std::min(a.cols_.size(), b.cols_.size());
   for (size_t i = 0; i < n; ++i) {
-    int c = CellRef::Compare(a.cols_[i]->At(ra), b.cols_[i]->At(rb));
+    int c = ColumnVec::CompareCells(*a.cols_[i], ra, *b.cols_[i], rb);
     if (c != 0) return c;
   }
   if (a.cols_.size() < b.cols_.size()) return -1;
@@ -428,11 +605,10 @@ uint64_t ColumnTable::RowHashNonTemporal(size_t row) const {
   // Class keys compare with RowCompareNonTemporal (cross-type numeric
   // equality), so cells must contribute their Compare-consistent ClassHash
   // — not Value::Hash, which is type-seeded.
-  uint64_t seed = 0x51ab1e5;
+  uint64_t seed = kRowSeed;
   for (size_t i = 0; i < cols_.size(); ++i) {
     if (static_cast<int>(i) == t1_ || static_cast<int>(i) == t2_) continue;
-    seed ^= cols_[i]->At(row).ClassHash() + 0x9e3779b97f4a7c15ULL +
-            (seed << 6) + (seed >> 2);
+    seed = FoldStep(seed, cols_[i]->At(row).ClassHash());
   }
   return seed;
 }
@@ -442,16 +618,28 @@ int ColumnTable::RowCompareNonTemporal(const ColumnTable& a, size_t ra,
   TQP_DCHECK(a.cols_.size() == b.cols_.size());
   for (size_t i = 0; i < a.cols_.size(); ++i) {
     if (static_cast<int>(i) == a.t1_ || static_cast<int>(i) == a.t2_) continue;
-    int c = CellRef::Compare(a.cols_[i]->At(ra), b.cols_[i]->At(rb));
+    int c = ColumnVec::CompareCells(*a.cols_[i], ra, *b.cols_[i], rb);
     if (c != 0) return c;
   }
   return 0;
 }
 
-Period ColumnTable::RowPeriod(size_t row) const {
-  TQP_CHECK(t1_ >= 0 && t2_ >= 0);
-  return Period(col(static_cast<size_t>(t1_)).At(row).i,
-                col(static_cast<size_t>(t2_)).At(row).i);
+void ColumnTable::ClassHashes(const std::vector<int>& cols, size_t begin,
+                              size_t end, uint64_t* out) const {
+  std::fill(out, out + (end - begin), kRowSeed);
+  for (int c : cols) {
+    cols_[static_cast<size_t>(c)]->FoldHashes(begin, end, true, out);
+  }
+}
+
+std::vector<int> ColumnTable::NonTemporalCols() const {
+  std::vector<int> out;
+  for (size_t i = 0; i < cols_.size(); ++i) {
+    if (static_cast<int>(i) != t1_ && static_cast<int>(i) != t2_) {
+      out.push_back(static_cast<int>(i));
+    }
+  }
+  return out;
 }
 
 }  // namespace tqp

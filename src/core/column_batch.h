@@ -19,6 +19,21 @@
 // Tuple::Hash / Tuple::Compare bit-for-bit, which is what lets the
 // vectorized operators reuse hash-based dedup without materializing tuples.
 //
+// Typed paths. The per-cell CellRef functions (At, CellRef::Compare/Hash/
+// ClassHash, RowHash, RowHashNonTemporal) define every result; the bulk
+// entry points reproduce them straight from the typed vectors and fall
+// back to the per-cell path where the storage does not allow it:
+//  * AppendRangeFrom copies payload and null-flag ranges in bulk when source
+//    and destination share typed storage and declared type (an undecided
+//    destination takes the source's);
+//  * FoldHashes and the table-level RowHashes/ClassHashes fold hashes column
+//    by column, one typed loop per column instead of one dispatch per cell;
+//  * CompareCells compares two non-null typed cells without building
+//    CellRefs: int64 cells of one declared type as int64, every other
+//    numeric mix as doubles with Cmp's `<`-only form (so NaN ties every
+//    number and -0.0 ties 0.0, as in Value::Compare), strings as strings.
+//    Nulls, boxed cells and type-rank comparisons take CellRef::Compare.
+//
 // A ColumnBatch is a borrowed row range [begin, end) of a ColumnTable — the
 // unit the vexec operators process at a time (see VexecOptions::batch_size).
 #ifndef TQP_CORE_COLUMN_BATCH_H_
@@ -69,7 +84,8 @@ struct CellRef {
   /// canonicalized), not by type. Required wherever a hash table replaces
   /// one of the reference evaluator's Compare-ordered maps (value
   /// equivalence classes, group keys) — Value::Hash is type-seeded and
-  /// would split classes the reference merges.
+  /// would split classes the reference merges. Its values are not part of
+  /// any result: class indexes depend only on key equality.
   uint64_t ClassHash() const;
   /// Materializes the cell as a Value.
   Value ToValue() const;
@@ -101,9 +117,13 @@ class ColumnVec {
     ints_.push_back(v);
     ++size_;
   }
+  /// Appends `n` non-null int64 cells and returns their storage, for a
+  /// kernel to fill in place (the storage must be int64; checked in debug).
+  int64_t* AppendInt64s(size_t n);
   /// Copies cell `row` of `src` (any storage mix).
   void AppendFrom(const ColumnVec& src, size_t row);
-  /// Copies rows [begin, end) of `src`.
+  /// Copies rows [begin, end) of `src` (another column): the cells and
+  /// storage of AppendFrom row by row, in bulk where the storage allows.
   void AppendRangeFrom(const ColumnVec& src, size_t begin, size_t end);
   /// Copies the given rows of `src` in index order.
   void AppendGather(const ColumnVec& src, const uint32_t* rows, size_t n);
@@ -130,6 +150,18 @@ class ColumnVec {
 
   /// False guarantees no cell of the column is null.
   bool MayHaveNulls() const { return !nulls_.empty(); }
+
+  /// Folds the hash of each cell of rows [begin, end) into
+  /// seeds[0, end - begin) with Tuple::Hash's combine step: CellRef::Hash
+  /// per cell, or CellRef::ClassHash when `class_hash`. One typed loop over
+  /// the column, bit-identical to folding At(row) cell by cell.
+  void FoldHashes(size_t begin, size_t end, bool class_hash,
+                  uint64_t* seeds) const;
+
+  /// CellRef::Compare(a.At(ra), b.At(rb)), read from typed storage when
+  /// both cells are non-null typed payloads (see the file comment).
+  static int CompareCells(const ColumnVec& a, size_t ra, const ColumnVec& b,
+                          size_t rb);
 
  private:
   void EnsureNulls();
@@ -182,8 +214,12 @@ class ColumnTable {
   static ColumnTable FromRelation(const Relation& r);
   Relation ToRelation() const;
 
-  /// Row-major hash, identical to Tuple::Hash of the row's tuple.
+  /// Row-major hash, identical to Tuple::Hash of the row's tuple (the
+  /// per-cell definition RowHashes reproduces).
   uint64_t RowHash(size_t row) const;
+  /// RowHash of rows [begin, end) into out[0, end - begin), folded column
+  /// by column (ColumnVec::FoldHashes).
+  void RowHashes(size_t begin, size_t end, uint64_t* out) const;
   /// Lexicographic row comparison, identical to Tuple::Compare.
   static int RowCompare(const ColumnTable& a, size_t ra, const ColumnTable& b,
                         size_t rb);
@@ -199,8 +235,18 @@ class ColumnTable {
   static int RowCompareNonTemporal(const ColumnTable& a, size_t ra,
                                    const ColumnTable& b, size_t rb);
 
-  /// The valid-time period of a row (schema must be temporal).
-  Period RowPeriod(size_t row) const;
+  /// The class-key hash of the cells of columns `cols` (in that order) for
+  /// rows [begin, end), into out[0, end - begin): CellRef::ClassHash folded
+  /// with Tuple::Hash's combine step, column by column. Consistent with
+  /// CompareCells-equality of the key cells, also across tables whose key
+  /// columns differ in storage — save for a NaN, which CellRef::Compare
+  /// ties to every number but which hashes alone. With the non-time columns
+  /// as `cols` it is RowHashNonTemporal.
+  void ClassHashes(const std::vector<int>& cols, size_t begin, size_t end,
+                   uint64_t* out) const;
+  /// The non-time column indexes, ascending (the value-equivalence key).
+  std::vector<int> NonTemporalCols() const;
+
   int t1_index() const { return t1_; }
   int t2_index() const { return t2_; }
 

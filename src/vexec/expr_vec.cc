@@ -4,6 +4,12 @@
 // per-row transcription of the corresponding case in algebra/expr.cc, with
 // Result<Value> replaced by (cell, per-row error) pairs so one traversal of
 // the expression tree serves a whole batch.
+//
+// A comparison of two int64 operands of one declared type, neither with a
+// per-row error or a null, runs as a typed loop over their ints() and
+// writes an int64 0/1 column: such cells compare as int64 in
+// CellRef::Compare too. Every other comparison, and AND/OR/NOT, runs the
+// per-cell loop.
 #include "vexec/vexec_internal.h"
 
 namespace tqp {
@@ -11,13 +17,71 @@ namespace vexec {
 
 namespace {
 
-const CellRef kNullCell{};
-
 CellRef IntCell(int64_t v) {
   CellRef c;
   c.type = ValueType::kInt;
   c.i = v;
   return c;
+}
+
+bool Holds(CompareOp op, int c) {
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
+// out[k] = Holds(op, Cmp(x[k], y[k])) for k in [0, n).
+void CompareInts(CompareOp op, const int64_t* x, const int64_t* y, size_t n,
+                 int64_t* out) {
+  switch (op) {
+    case CompareOp::kEq:
+      for (size_t k = 0; k < n; ++k) out[k] = x[k] == y[k];
+      return;
+    case CompareOp::kNe:
+      for (size_t k = 0; k < n; ++k) out[k] = x[k] != y[k];
+      return;
+    case CompareOp::kLt:
+      for (size_t k = 0; k < n; ++k) out[k] = x[k] < y[k];
+      return;
+    case CompareOp::kLe:
+      for (size_t k = 0; k < n; ++k) out[k] = x[k] <= y[k];
+      return;
+    case CompareOp::kGt:
+      for (size_t k = 0; k < n; ++k) out[k] = x[k] > y[k];
+      return;
+    case CompareOp::kGe:
+      for (size_t k = 0; k < n; ++k) out[k] = x[k] >= y[k];
+      return;
+  }
+}
+
+// The typed comparison of n rows of l and r into `out` (a fresh column);
+// false when it does not apply and nothing was written.
+bool CompareTyped(CompareOp op, const EvalColumn& l, const EvalColumn& r,
+                  size_t n, ColumnVec* out) {
+  const ColumnVec& a = l.col;
+  const ColumnVec& b = r.col;
+  if (n == 0 || !l.errs.empty() || !r.errs.empty() || a.MayHaveNulls() ||
+      b.MayHaveNulls() || a.storage() != ColumnStorage::kInt64 ||
+      b.storage() != ColumnStorage::kInt64 ||
+      a.declared_type() != b.declared_type()) {
+    return false;
+  }
+  *out = ColumnVec(ValueType::kInt);
+  CompareInts(op, a.ints().data(), b.ints().data(), n, out->AppendInt64s(n));
+  return true;
 }
 
 }  // namespace
@@ -42,7 +106,10 @@ EvalColumn VecEval(const ExprPtr& expr, const ColumnTable& in, size_t begin,
         }
         return out;
       }
-      out.col.AppendRangeFrom(in.col(static_cast<size_t>(idx)), begin, end);
+      // Declared like its source, so the copy takes the bulk path.
+      const ColumnVec& src = in.col(static_cast<size_t>(idx));
+      out.col = ColumnVec(src.declared_type());
+      out.col.AppendRangeFrom(src, begin, end);
       return out;
     }
     case ExprKind::kConst: {
@@ -53,6 +120,7 @@ EvalColumn VecEval(const ExprPtr& expr, const ColumnTable& in, size_t begin,
     case ExprKind::kCompare: {
       EvalColumn l = VecEval(expr->children()[0], in, begin, end);
       EvalColumn r = VecEval(expr->children()[1], in, begin, end);
+      if (CompareTyped(expr->compare_op(), l, r, n, &out.col)) return out;
       for (uint32_t k = 0; k < n; ++k) {
         if (const std::string* e = l.ErrAt(k)) {
           out.col.AppendNull();
@@ -69,28 +137,7 @@ EvalColumn VecEval(const ExprPtr& expr, const ColumnTable& in, size_t begin,
           out.col.AppendNull();
           continue;
         }
-        int c = CellRef::Compare(lc, rc);
-        bool v = false;
-        switch (expr->compare_op()) {
-          case CompareOp::kEq:
-            v = c == 0;
-            break;
-          case CompareOp::kNe:
-            v = c != 0;
-            break;
-          case CompareOp::kLt:
-            v = c < 0;
-            break;
-          case CompareOp::kLe:
-            v = c <= 0;
-            break;
-          case CompareOp::kGt:
-            v = c > 0;
-            break;
-          case CompareOp::kGe:
-            v = c >= 0;
-            break;
-        }
+        bool v = Holds(expr->compare_op(), CellRef::Compare(lc, rc));
         out.col.AppendCell(IntCell(v ? 1 : 0));
       }
       return out;
@@ -276,7 +323,6 @@ EvalColumn VecEval(const ExprPtr& expr, const ColumnTable& in, size_t begin,
     out.col.AppendNull();
     out.errs.emplace(k, msg);
   }
-  (void)kNullCell;
   return out;
 }
 

@@ -187,15 +187,25 @@ ColumnTable GatherTable(const ColumnTable& src, const Schema& out_schema,
   return out;
 }
 
-// Per-row hashes (RowHash, or RowHashNonTemporal for value-equivalence
-// classes), computed morsel-parallel.
-std::vector<uint64_t> RowHashes(const ColumnTable& t, bool non_temporal,
+// Per-row RowHash (full-row identity), folded column by column over each
+// morsel.
+std::vector<uint64_t> RowHashes(const ColumnTable& t, const VexecRuntime& rt) {
+  std::vector<uint64_t> h(t.rows());
+  rt.ForRows(t.rows(), [&](size_t b, size_t e) {
+    t.RowHashes(b, e, h.data() + b);
+  });
+  return h;
+}
+
+// Per-row class-key hashes over `cols` (the non-time columns of a
+// value-equivalence class, or the group-by columns): the Compare-consistent
+// class hash, folded column by column over each morsel.
+std::vector<uint64_t> KeyHashes(const ColumnTable& t,
+                                const std::vector<int>& cols,
                                 const VexecRuntime& rt) {
   std::vector<uint64_t> h(t.rows());
   rt.ForRows(t.rows(), [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      h[i] = non_temporal ? t.RowHashNonTemporal(i) : t.RowHash(i);
-    }
+    t.ClassHashes(cols, b, e, h.data() + b);
   });
   return h;
 }
@@ -436,6 +446,16 @@ ColumnTable VecSelect(const ColumnTable& in, const ExprPtr& predicate,
     for (size_t b = mb; b < me; b += batch_size) {
       size_t e = std::min(me, b + batch_size);
       EvalColumn ec = VecEval(predicate, in, b, e);
+      if (ec.errs.empty() && ec.col.storage() == ColumnStorage::kInt64 &&
+          !ec.col.MayHaveNulls()) {
+        // The typed comparison's 0/1 column: a row holds iff its cell is
+        // non-zero, as below.
+        const int64_t* v = ec.col.ints().data();
+        for (uint32_t k = 0; k < e - b; ++k) {
+          if (v[k] != 0) keep.push_back(static_cast<uint32_t>(b + k));
+        }
+        continue;
+      }
       for (uint32_t k = 0; k < e - b; ++k) {
         // EvalPredicate semantics: an erroring or NULL row is simply false.
         if (ec.ErrAt(k) != nullptr) continue;
@@ -522,8 +542,8 @@ ColumnTable VecUnion(const ColumnTable& l, const ColumnTable& r,
                      const Schema& out_schema, const VexecRuntime& rt) {
   // Hashes morsel-parallel; the multiplicity bookkeeping stays serial (it
   // is inherently a running count in row order).
-  std::vector<uint64_t> lh = RowHashes(l, false, rt);
-  std::vector<uint64_t> rh = RowHashes(r, false, rt);
+  std::vector<uint64_t> lh = RowHashes(l, rt);
+  std::vector<uint64_t> rh = RowHashes(r, rt);
   std::unordered_map<RowRef, int64_t, RowRefHash, RowRefEq> left_count;
   left_count.reserve(l.rows());
   for (uint32_t i = 0; i < l.rows(); ++i) ++left_count[RowRef{&l, i, lh[i]}];
@@ -571,8 +591,8 @@ ColumnTable VecProduct(const ColumnTable& l, const ColumnTable& r,
 
 ColumnTable VecDifference(const ColumnTable& l, const ColumnTable& r,
                           const VexecRuntime& rt) {
-  std::vector<uint64_t> lh = RowHashes(l, false, rt);
-  std::vector<uint64_t> rh = RowHashes(r, false, rt);
+  std::vector<uint64_t> lh = RowHashes(l, rt);
+  std::vector<uint64_t> rh = RowHashes(r, rt);
   std::unordered_map<RowRef, int64_t, RowRefHash, RowRefEq> cancel;
   cancel.reserve(r.rows());
   for (uint32_t j = 0; j < r.rows(); ++j) ++cancel[RowRef{&r, j, rh[j]}];
@@ -590,7 +610,7 @@ ColumnTable VecDifference(const ColumnTable& l, const ColumnTable& r,
 
 ColumnTable VecRdup(const ColumnTable& in, const Schema& out_schema,
                     const VexecRuntime& rt) {
-  std::vector<uint64_t> h = RowHashes(in, false, rt);
+  std::vector<uint64_t> h = RowHashes(in, rt);
   std::vector<uint32_t> keep;
   std::unordered_set<RowRef, RowRefHash, RowRefEq> seen;
   seen.reserve(in.rows());
@@ -665,19 +685,25 @@ ColumnTable VecSort(const ColumnTable& in, const SortSpec& spec,
   return GatherTable(in, in.schema(), order, rt);
 }
 
-// Extracts the T1/T2 endpoints of every row into flat arrays.
+// Extracts the T1/T2 endpoints of every row into flat arrays, morsel by
+// morsel: range copies of a null-free int64 column, else cell by cell.
 void ExtractPeriods(const ColumnTable& t, std::vector<TimePoint>* begins,
                     std::vector<TimePoint>* ends, const VexecRuntime& rt) {
-  begins->resize(t.rows());
-  ends->resize(t.rows());
-  const ColumnVec& c1 = t.col(static_cast<size_t>(t.t1_index()));
-  const ColumnVec& c2 = t.col(static_cast<size_t>(t.t2_index()));
-  rt.ForRows(t.rows(), [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      (*begins)[i] = c1.At(i).i;
-      (*ends)[i] = c2.At(i).i;
-    }
-  });
+  auto extract = [&](const ColumnVec& c, std::vector<TimePoint>* out) {
+    out->resize(t.rows());
+    const bool typed =
+        c.storage() == ColumnStorage::kInt64 && !c.MayHaveNulls();
+    rt.ForRows(t.rows(), [&](size_t b, size_t e) {
+      if (typed) {
+        std::copy(c.ints().begin() + b, c.ints().begin() + e,
+                  out->begin() + b);
+        return;
+      }
+      for (size_t i = b; i < e; ++i) (*out)[i] = c.At(i).i;
+    });
+  };
+  extract(t.col(static_cast<size_t>(t.t1_index())), begins);
+  extract(t.col(static_cast<size_t>(t.t2_index())), ends);
 }
 
 ColumnTable VecProductT(const ColumnTable& l, const ColumnTable& r,
@@ -893,7 +919,7 @@ class ActiveSet {
 // Value-equivalence classes (equal non-temporal attributes) of `t`'s rows.
 ClassIndex ValueClasses(const ColumnTable& t, const VexecRuntime& rt) {
   return BuildClassIndex(
-      RowHashes(t, true, rt),
+      KeyHashes(t, t.NonTemporalCols(), rt),
       [&](uint32_t a, uint32_t b) {
         return ColumnTable::RowCompareNonTemporal(t, a, t, b) == 0;
       },
@@ -913,8 +939,8 @@ ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
   // are cancelled and the rest gain the interval, stitched onto their open
   // fragment when adjacent. Fragments return to left-row order.
   const size_t nl = l.rows();
-  std::vector<uint64_t> hash = RowHashes(l, true, rt);
-  std::vector<uint64_t> rhash = RowHashes(r, true, rt);
+  std::vector<uint64_t> hash = KeyHashes(l, l.NonTemporalCols(), rt);
+  std::vector<uint64_t> rhash = KeyHashes(r, r.NonTemporalCols(), rt);
   hash.insert(hash.end(), rhash.begin(), rhash.end());
   ClassIndex idx = BuildClassIndex(
       hash,
@@ -1106,9 +1132,11 @@ ColumnTable VecCoalesce(const ColumnTable& in, const VexecRuntime& rt) {
   // per-class merges run in parallel.
   size_t n = in.rows();
   std::vector<uint8_t> consumed(n, 0);
+  std::vector<TimePoint> begins, ends;
+  ExtractPeriods(in, &begins, &ends, rt);
   std::vector<Period> period(n);
   rt.ForRows(n, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) period[i] = in.RowPeriod(i);
+    for (size_t i = b; i < e; ++i) period[i] = Period(begins[i], ends[i]);
   });
   const ClassIndex idx = ValueClasses(in, rt);
   rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
@@ -1130,8 +1158,13 @@ ColumnTable VecCoalesce(const ColumnTable& in, const VexecRuntime& rt) {
 
 // AggState of exec/eval_ops.cc over cells: same accumulation order, same
 // min/max update rule (strict comparisons keep the first extremum), same
-// Finish typing.
+// Finish typing. Only MIN and MAX read the extremes, so only they track
+// them.
 struct VecAggState {
+  explicit VecAggState(AggFunc f)
+      : track_minmax(f == AggFunc::kMin || f == AggFunc::kMax) {}
+
+  bool track_minmax;
   int64_t count = 0;
   double sum = 0.0;
   bool has_minmax = false;
@@ -1143,6 +1176,7 @@ struct VecAggState {
     if (v.is_null()) return;
     ++non_null;
     if (v.IsNumeric()) sum += v.Numeric();
+    if (!track_minmax) return;
     if (!has_minmax) {
       min = v.ToValue();
       max = min;
@@ -1200,42 +1234,21 @@ Status ResolveAggColumns(const Schema& schema,
   return Status::OK();
 }
 
-// Hash/equality over a row's group-key cells only.
-struct GroupTable {
-  const ColumnTable& in;
-  const std::vector<int>& group_idx;
-
-  uint64_t HashRow(uint32_t row) const {
-    // Group keys compare with CellRef::Compare (cross-type numeric
-    // equality), so hash with the Compare-consistent ClassHash.
-    uint64_t seed = 0x51ab1e5;
-    for (int gi : group_idx) {
-      uint64_t h = in.col(static_cast<size_t>(gi)).At(row).ClassHash();
-      seed ^= h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-    }
-    return seed;
-  }
-  bool RowsEqual(uint32_t a, uint32_t b) const {
-    for (int gi : group_idx) {
-      const ColumnVec& c = in.col(static_cast<size_t>(gi));
-      if (CellRef::Compare(c.At(a), c.At(b)) != 0) return false;
-    }
-    return true;
-  }
-  /// HashRow of every row, morsel-parallel.
-  std::vector<uint64_t> Hashes(const VexecRuntime& rt) const {
-    std::vector<uint64_t> h(in.rows());
-    rt.ForRows(in.rows(), [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) h[i] = HashRow(static_cast<uint32_t>(i));
-    });
-    return h;
-  }
-};
-
-// The group classes of the rows of `gt`'s table.
-ClassIndex GroupClasses(const GroupTable& gt, const VexecRuntime& rt) {
+// The group classes of the rows of `in`: group keys compare with
+// CellRef::Compare (cross-type numeric equality), so they hash with the
+// Compare-consistent class hash.
+ClassIndex GroupClasses(const ColumnTable& in,
+                        const std::vector<int>& group_idx,
+                        const VexecRuntime& rt) {
   return BuildClassIndex(
-      gt.Hashes(rt), [&](uint32_t a, uint32_t b) { return gt.RowsEqual(a, b); },
+      KeyHashes(in, group_idx, rt),
+      [&](uint32_t a, uint32_t b) {
+        for (int gi : group_idx) {
+          const ColumnVec& c = in.col(static_cast<size_t>(gi));
+          if (ColumnVec::CompareCells(c, a, c, b) != 0) return false;
+        }
+        return true;
+      },
       rt);
 }
 
@@ -1247,7 +1260,10 @@ struct AggFold {
   const std::vector<ValueType>& agg_type;
   std::vector<VecAggState> st;
 
-  void Reset() { st.assign(aggs.size(), VecAggState()); }
+  void Reset() {
+    st.clear();
+    for (const AggSpec& a : aggs) st.emplace_back(a.func);
+  }
 
   void Add(uint32_t row) {
     for (size_t a = 0; a < aggs.size(); ++a) {
@@ -1280,7 +1296,7 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
   const size_t na = aggs.size();
-  const ClassIndex idx = GroupClasses(GroupTable{in, group_idx}, rt);
+  const ClassIndex idx = GroupClasses(in, group_idx, rt);
   // Groups in first-occurrence order: each group's first row and its
   // finished aggregates (group-major). Every group folds its rows in row
   // order — floating-point sums are not associative, so the order is part
@@ -1333,7 +1349,7 @@ Result<ColumnTable> VecAggregateT(const ColumnTable& in,
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
   const size_t na = aggs.size();
-  const ClassIndex idx = GroupClasses(GroupTable{in, group_idx}, rt);
+  const ClassIndex idx = GroupClasses(in, group_idx, rt);
   std::vector<TimePoint> begins, ends;
   ExtractPeriods(in, &begins, &ends, rt);
 
@@ -1420,8 +1436,9 @@ ColumnTable VecScramble(const ColumnTable& in, uint64_t seed,
                         const VexecRuntime& rt) {
   std::vector<uint64_t> key(in.rows());
   rt.ForRows(in.rows(), [&](size_t b, size_t e) {
+    in.RowHashes(b, e, key.data() + b);
     for (size_t i = b; i < e; ++i) {
-      key[i] = SimulatedBackend::MixHash(in.RowHash(i), seed);
+      key[i] = SimulatedBackend::MixHash(key[i], seed);
     }
   });
   std::vector<uint32_t> order = SortIndices(
@@ -1476,29 +1493,39 @@ void CollectEquiKeys(const ExprPtr& e, const Schema& combined,
 // NULL key never satisfies `=` (NULL comparisons are not truthy), so both
 // sides drop NULL keys up front. Key equality is CellRef::Compare == 0 —
 // the same cross-type numeric equality the predicate's `=` uses — with the
-// Compare-consistent ClassHash, so every satisfying pair is a candidate.
+// Compare-consistent class hash, so every satisfying pair is a candidate.
 void HashJoinCandidates(const ColumnTable& l, const ColumnTable& r,
                         const std::vector<std::pair<int, int>>& keys,
                         const VexecRuntime& rt, std::vector<uint32_t>* li,
                         std::vector<uint32_t>* ri) {
-  auto key_hash = [&](const ColumnTable& t, size_t row, bool left,
-                      uint64_t* out) {
-    uint64_t seed = 0x51ab1e5;
-    for (const auto& [lc, rc] : keys) {
-      CellRef c = t.col(static_cast<size_t>(left ? lc : rc)).At(row);
-      if (c.is_null()) return false;
-      seed ^= c.ClassHash() + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-              (seed >> 2);
+  std::vector<int> lkey, rkey;
+  for (const auto& [lc, rc] : keys) {
+    lkey.push_back(lc);
+    rkey.push_back(rc);
+  }
+  // Each row's key hash over rows [b, e) of `t`, and whether its key holds
+  // no NULL.
+  auto key_hashes = [](const ColumnTable& t, const std::vector<int>& key,
+                       size_t b, size_t e, uint64_t* hash, uint8_t* valid) {
+    t.ClassHashes(key, b, e, hash + b);
+    std::fill(valid + b, valid + e, 1);
+    for (int c : key) {
+      const ColumnVec& col = t.col(static_cast<size_t>(c));
+      if (!col.MayHaveNulls()) continue;
+      for (size_t i = b; i < e; ++i) {
+        if (col.IsNull(i)) valid[i] = 0;
+      }
     }
-    *out = seed;
-    return true;
   };
   std::vector<uint64_t> rh(r.rows());
   std::vector<uint8_t> rvalid(r.rows());
   rt.ForRows(r.rows(), [&](size_t b, size_t e) {
-    for (size_t j = b; j < e; ++j) {
-      rvalid[j] = key_hash(r, j, false, &rh[j]) ? 1 : 0;
-    }
+    key_hashes(r, rkey, b, e, rh.data(), rvalid.data());
+  });
+  std::vector<uint64_t> lh(l.rows());
+  std::vector<uint8_t> lvalid(l.rows());
+  rt.ForRows(l.rows(), [&](size_t b, size_t e) {
+    key_hashes(l, lkey, b, e, lh.data(), lvalid.data());
   });
   // Bucketed build side: power-of-two bucket count, counting-sort scatter
   // so each bucket lists its rows in ascending row order.
@@ -1520,8 +1547,8 @@ void HashJoinCandidates(const ColumnTable& l, const ColumnTable& r,
   }
   auto keys_equal = [&](size_t i, size_t j) {
     for (const auto& [lc, rc] : keys) {
-      if (CellRef::Compare(l.col(static_cast<size_t>(lc)).At(i),
-                           r.col(static_cast<size_t>(rc)).At(j)) != 0) {
+      if (ColumnVec::CompareCells(l.col(static_cast<size_t>(lc)), i,
+                                  r.col(static_cast<size_t>(rc)), j) != 0) {
         return false;
       }
     }
@@ -1535,8 +1562,8 @@ void HashJoinCandidates(const ColumnTable& l, const ColumnTable& r,
     std::vector<uint32_t>& lf = lfr[mb / grain];
     std::vector<uint32_t>& rf = rfr[mb / grain];
     for (size_t i = mb; i < me; ++i) {
-      uint64_t h;
-      if (!key_hash(l, i, true, &h)) continue;
+      if (!lvalid[i]) continue;
+      const uint64_t h = lh[i];
       size_t b = h & (nb - 1);
       for (uint32_t k = bucket_start[b]; k < bucket_start[b + 1]; ++k) {
         uint32_t j = bucket_rows[k];

@@ -12,6 +12,16 @@
 // vexec.cc). Every operator runs in memory: it takes its whole input and
 // returns its whole output as resident ColumnTables.
 //
+// The per-row loops read typed storage where they can: σ's comparisons of
+// two int64 operands of one declared type without nulls or errors
+// (vexec/expr_vec.cc), the attribute leaf and ⊎'s concatenation (bulk range
+// copies), the row and class-key hashes of rdup, ∪, \, the class index and
+// the fused join (folded column by column), their key equality (ColumnVec::
+// CompareCells), and the T1/T2 extraction. Each keeps the per-cell CellRef
+// path as its fallback inside the same function, for nulls, per-row errors,
+// boxed columns and every other operand mix, so the cells are the same
+// either way (core/column_batch.h gives the exactness rules).
+//
 // The list-semantics parity contract: for every plan, configuration (both
 // dbms_scrambles_order modes), and catalog, the returned Relation is
 // LIST-IDENTICAL to exec/evaluator.h's Evaluate — the same tuples, in the

@@ -25,6 +25,7 @@ struct EvalColumn {
   std::unordered_map<uint32_t, std::string> errs;
 
   const std::string* ErrAt(uint32_t row) const {
+    if (errs.empty()) return nullptr;  // the common case: no lookup
     auto it = errs.find(row);
     return it == errs.end() ? nullptr : &it->second;
   }
@@ -34,7 +35,11 @@ struct EvalColumn {
 /// Expr::Eval's semantics cell-for-cell: the same null propagation, the
 /// same short-circuit order of AND/OR (a row short-circuited by the left
 /// operand ignores right-operand errors), the same arithmetic typing, and
-/// the same error messages.
+/// the same error messages. A comparison of two int64 operands of one
+/// declared type without errors or nulls runs as a typed loop over their
+/// ints(); everything else runs per cell. Either way the cells are the
+/// same, so consumers may read the result through its typed storage when
+/// it has one (VecSelect scans an int64 result column directly).
 EvalColumn VecEval(const ExprPtr& expr, const ColumnTable& in, size_t begin,
                    size_t end);
 

@@ -26,13 +26,18 @@
 //    is never written, an append inserts only the new rows, any other
 //    change reloads or drops just that relation's table, and a damaged
 //    mirror degrades to in-engine evaluation until the next sync repairs
-//    it; mirror table names keep case-distinct relation names apart.
+//    it; mirror table names keep case-distinct relation names apart;
+//  * a relation holding a NaN double (which SQLite would store as NULL)
+//    stays out of the mirror and its cuts run in the stratum, and a NaN
+//    constant is never bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -938,6 +943,22 @@ Status Put(Catalog* catalog, const std::string& name, Relation data,
   return catalog->RegisterWithInferredFlags(name, std::move(data), site);
 }
 
+/// A relation holding a NaN double, as (K, D). SQLite would store the NaN
+/// as NULL; the stratum keeps it, and Value::Compare ranks it equal to
+/// every number, so σ D = 2 keeps its row. `with_nan` false puts 2.0 there.
+Relation WithNaN(bool with_nan = true) {
+  Schema s;
+  s.Add(Attribute{"K", ValueType::kInt});
+  s.Add(Attribute{"D", ValueType::kDouble});
+  Relation r(s);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [k, d] : std::vector<std::pair<int64_t, double>>{
+           {1, 1.5}, {2, with_nan ? nan : 2.0}, {3, 3.0}}) {
+    r.Append(Tuple({Value::Int(k), Value::Double(d)}));
+  }
+  return r;
+}
+
 PlanPtr PushedSelect(const std::string& rel) {
   return PlanNode::TransferS(PlanNode::Select(
       PlanNode::Scan(rel), Expr::Compare(CompareOp::kGt, Expr::Attr("Val"),
@@ -1096,6 +1117,183 @@ TEST(SqliteMirrorTest, OtherChangesReloadOrDropOnlyTheirTable) {
   expect_sync_writes("back to DBMS", n.size() + 1);
   EXPECT_TRUE(MirrorTableExists(be, "N"));
   EXPECT_TRUE(MirrorTableExists(be, "R"));
+}
+
+// A relation holding a NaN stays out of the mirror: scanned and filtered
+// with σ D = 2 it equals the reference on both executors, its cuts run in
+// the stratum (a refusal once a sync has seen the relation; the first cut,
+// which runs before any sync, finds no table and falls back), a NaN
+// constant is refused, and a cut over another relation of the same catalog
+// is still pushed.
+TEST(SqliteMirrorTest, NaNRelationRunsInTheStratumOnBothExecutors) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Catalog catalog = MakeCatalog(42);
+  ASSERT_TRUE(Put(&catalog, "F", WithNaN()).ok());
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  const std::vector<std::pair<std::string, PlanPtr>> cuts = {
+      {"scan", PlanNode::TransferS(PlanNode::Scan("F"))},
+      {"select", PlanNode::TransferS(PlanNode::Select(
+                     PlanNode::Scan("F"),
+                     Expr::Compare(CompareOp::kEq, Expr::Attr("D"),
+                                   Expr::Const(Value::Double(2.0)))))},
+      {"nan-constant",
+       PlanNode::TransferS(PlanNode::Select(
+           PlanNode::Scan("C"),
+           Expr::Compare(CompareOp::kEq, Expr::Attr("Val"),
+                         Expr::Const(Value::Double(
+                             std::numeric_limits<double>::quiet_NaN())))))},
+  };
+  // The reference list: the scan returns the NaN, and σ keeps its row.
+  Result<Relation> kept =
+      EvaluatePlan(cuts[1].second, catalog, EngineConfig{}, nullptr);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_EQ(kept->size(), 1u);
+  EXPECT_EQ(kept->tuple(0).at(0), Value::Int(2));
+  EXPECT_TRUE(std::isnan(kept->tuple(0).at(1).AsDouble()));
+
+  for (const std::string round : {"first", "second"}) {
+    for (const auto& [name, plan] : cuts) {
+      const std::string label = round + "/" + name;
+      Result<Relation> ref = EvaluatePlan(plan, catalog, EngineConfig{},
+                                          nullptr);
+      ASSERT_TRUE(ref.ok()) << label;
+      Result<AnnotatedPlan> ann =
+          AnnotatedPlan::Make(plan, &catalog, QueryContract::Multiset());
+      ASSERT_TRUE(ann.ok()) << label;
+      EngineConfig cfg;
+      cfg.backend = &be;
+      ExecStats stats;
+      Result<Relation> got = Evaluate(ann.value(), cfg, &stats);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      ExpectListIdentical(ref.value(), got.value(), label);
+      EXPECT_EQ(stats.backend_pushdowns, 0) << label;
+      EXPECT_EQ(stats.backend_refusals + stats.backend_fallbacks, 1) << label;
+      if (round == "second") EXPECT_EQ(stats.backend_refusals, 1) << label;
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        VexecOptions vopts;
+        vopts.threads = threads;
+        ExecStats vec_stats;
+        Result<Relation> vec =
+            ExecuteVectorized(ann.value(), cfg, &vec_stats, vopts);
+        ASSERT_TRUE(vec.ok()) << label;
+        ExpectListIdentical(ref.value(), vec.value(),
+                            label + "/vexec-t" + std::to_string(threads));
+        EXPECT_EQ(vec_stats.backend_pushdowns, 0) << label;
+        EXPECT_EQ(vec_stats.backend_refusals, 1) << label;
+      }
+    }
+    ExpectPushedResult(&be, catalog, PushedSelect("C"), true,
+                       round + "/other relation");
+  }
+  EXPECT_FALSE(MirrorTableExists(be, "F"));
+  EXPECT_TRUE(MirrorTableExists(be, "C"));
+}
+
+// A relation that gains a NaN, by reload or by append, loses its mirror
+// table in the same sync that commits the other relations' changes; while
+// it keeps the NaN, later syncs leave it alone.
+TEST(SqliteMirrorTest, NaNDropsTheStaleTableAndTheOthersStillSync) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Catalog catalog = MakeCatalog(42);
+  ASSERT_TRUE(Put(&catalog, "F", WithNaN(false)).ok());
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_TRUE(MirrorTableExists(be, "F"));
+
+  // One sync: F gains a NaN in place, and C changes.
+  ASSERT_TRUE(Put(&catalog, "F", WithNaN()).ok());
+  ASSERT_TRUE(Put(&catalog, "C", MessyConventional(9, 17)).ok());
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_FALSE(MirrorTableExists(be, "F"));
+  Catalog without_f = catalog;
+  ASSERT_TRUE(without_f.Drop("F"));
+  ExpectMirrors(be, without_f, "reload with NaN");
+
+  // Nothing changed: the sync writes nothing and F stays out.
+  const int64_t loads = be.mirror_loads();
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_EQ(be.mirror_loads(), loads);
+  EXPECT_FALSE(MirrorTableExists(be, "F"));
+
+  // Without the NaN F is mirrored again; an append that brings one drops
+  // it while D's change commits.
+  ASSERT_TRUE(Put(&catalog, "F", WithNaN(false)).ok());
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_TRUE(MirrorTableExists(be, "F"));
+  ASSERT_TRUE(
+      Put(&catalog, "F", Appended(WithNaN(false), Prefix(WithNaN(), 2))).ok());
+  Relation d = catalog.Find("D")->data;
+  d.mutable_tuples()[0] = d.tuple(d.size() - 1);
+  ASSERT_TRUE(Put(&catalog, "D", d).ok());
+  ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+  EXPECT_FALSE(MirrorTableExists(be, "F"));
+  without_f = catalog;
+  ASSERT_TRUE(without_f.Drop("F"));
+  ExpectMirrors(be, without_f, "append with NaN");
+}
+
+// A file written while NaNs were still bound holds NULL in a NaN's place,
+// under a record in the unversioned format whose digest is that of the
+// NaN-holding relation. A restart does not adopt the record: the sync
+// reloads the relation, finds the NaN and drops the table, so the scan
+// runs in the stratum and returns the NaN, while another relation of the
+// same file is still pushed.
+TEST(SqliteMirrorTest, UnversionedRecordIsNotAdopted) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  const std::string path = ::testing::TempDir() + "tqp_backend_nan_record.db";
+  std::remove(path.c_str());
+  Catalog catalog = MakeCatalog(42);
+  ASSERT_TRUE(Put(&catalog, "F", WithNaN(false)).ok());
+  const std::string table = SqlSerializer::MirrorTable("F");
+  {
+    Result<std::unique_ptr<SqliteBackend>> a = SqliteBackend::Open(path);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    SqliteBackend& be = *a.value();
+    ASSERT_TRUE(be.SyncCatalog(catalog).ok());
+    ASSERT_TRUE(be.ExecuteSql("UPDATE \"" + table +
+                                  "\" SET c1 = NULL WHERE c0 = 2",
+                              {}, Schema())
+                    .ok());
+    ASSERT_TRUE(Put(&catalog, "F", WithNaN()).ok());
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(
+                      catalog.relation_digest("F")));
+    ASSERT_TRUE(
+        be.ExecuteSql(
+              "INSERT OR REPLACE INTO tqp_meta (key, value) VALUES (?, ?)",
+              {Value::String("mirror:F"),
+               Value::String(table + " " + digest + " 3")},
+              Schema())
+            .ok());
+  }
+  {
+    Result<std::unique_ptr<SqliteBackend>> b = SqliteBackend::Open(path);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    SqliteBackend& be = *b.value();
+    const PlanPtr scan = PlanNode::TransferS(PlanNode::Scan("F"));
+    Result<Relation> ref = EvaluatePlan(scan, catalog, EngineConfig{}, nullptr);
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(std::isnan(ref->tuple(1).at(1).AsDouble()));
+    Result<AnnotatedPlan> ann =
+        AnnotatedPlan::Make(scan, &catalog, QueryContract::Multiset());
+    ASSERT_TRUE(ann.ok());
+    EngineConfig cfg;
+    cfg.backend = &be;
+    ExecStats stats;
+    Result<Relation> got = Evaluate(ann.value(), cfg, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectListIdentical(ref.value(), got.value(), "scan after restart");
+    EXPECT_EQ(stats.backend_pushdowns, 0);
+    EXPECT_FALSE(MirrorTableExists(be, "F"));
+    ExpectPushedResult(&be, catalog, PushedSelect("C"), true,
+                       "other relation after restart");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SqliteMirrorTest, DamagedMirrorFallsBackUntilASyncRepairsIt) {

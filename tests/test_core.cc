@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -498,6 +500,240 @@ TEST(RelationTest, ToTableRendersAllCells) {
   EXPECT_NE(table.find("Name"), std::string::npos);
   EXPECT_NE(table.find("T1"), std::string::npos);
   EXPECT_NE(table.find("a"), std::string::npos);
+}
+
+// ---- Typed ColumnVec paths ---------------------------------------------------
+//
+// The bulk and typed entry points (AppendRangeFrom, FoldHashes / RowHashes /
+// ClassHashes, CompareCells) must give what the per-cell path gives, on
+// every storage class: int64 (Int and Time), double, string, boxed,
+// undecided all-null, and null-bearing.
+
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+
+/// A column holding `cells` in order, declared `declared` (kNull declares
+/// nothing).
+ColumnVec Col(ValueType declared, const std::vector<Value>& cells) {
+  ColumnVec c(declared);
+  for (const Value& v : cells) c.AppendValue(v);
+  return c;
+}
+
+/// One column of each storage class, named.
+std::vector<std::pair<std::string, ColumnVec>> EveryStorage() {
+  const int64_t big = int64_t{1} << 53;
+  std::vector<std::pair<std::string, ColumnVec>> cols;
+  cols.emplace_back("int", Col(ValueType::kInt,
+                               {Value::Int(1), Value::Int(-5),
+                                Value::Int(INT64_MAX), Value::Int(big + 1),
+                                Value::Int(0)}));
+  cols.emplace_back("time", Col(ValueType::kTime,
+                                {Value::Time(1), Value::Time(big),
+                                 Value::Time(-3), Value::Time(0),
+                                 Value::Time(7)}));
+  cols.emplace_back("double",
+                    Col(ValueType::kDouble,
+                        {Value::Double(kNaN), Value::Double(-0.0),
+                         Value::Double(1.0), Value::Double(kInf),
+                         Value::Double(9223372036854775808.0)}));
+  cols.emplace_back("string", Col(ValueType::kString,
+                                  {Value::String(""), Value::String("a"),
+                                   Value::String(std::string("b\0c", 3)),
+                                   Value::String("a"), Value::String("z")}));
+  cols.emplace_back("boxed", Col(ValueType::kInt,
+                                 {Value::Int(1), Value::Double(1.0),
+                                  Value::Time(1), Value::String("x"),
+                                  Value::Null()}));
+  cols.emplace_back("all-null", Col(ValueType::kNull,
+                                    {Value::Null(), Value::Null(),
+                                     Value::Null(), Value::Null(),
+                                     Value::Null()}));
+  cols.emplace_back("int-nulls", Col(ValueType::kInt,
+                                     {Value::Null(), Value::Int(2),
+                                      Value::Null(), Value::Int(2),
+                                      Value::Int(-1)}));
+  cols.emplace_back("string-nulls",
+                    Col(ValueType::kString,
+                        {Value::String("q"), Value::Null(), Value::String(""),
+                         Value::Null(), Value::Null()}));
+  return cols;
+}
+
+/// Same cell: same type, and the same payload bits (-0.0 is not 0.0, and a
+/// NaN only matches a NaN).
+void ExpectSameCell(const CellRef& a, const CellRef& b,
+                    const std::string& label) {
+  ASSERT_EQ(a.type, b.type) << label;
+  switch (a.type) {
+    case ValueType::kInt:
+    case ValueType::kTime:
+      EXPECT_EQ(a.i, b.i) << label;
+      break;
+    case ValueType::kDouble:
+      EXPECT_EQ(std::memcmp(&a.d, &b.d, sizeof a.d), 0) << label;
+      break;
+    case ValueType::kString:
+      EXPECT_EQ(*a.s, *b.s) << label;
+      break;
+    case ValueType::kNull:
+      break;
+  }
+}
+
+void ExpectSameColumn(const ColumnVec& a, const ColumnVec& b,
+                      const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  EXPECT_EQ(a.storage(), b.storage()) << label;
+  EXPECT_EQ(a.declared_type(), b.declared_type()) << label;
+  EXPECT_EQ(a.MayHaveNulls(), b.MayHaveNulls()) << label;
+  for (size_t r = 0; r < a.size(); ++r) {
+    ExpectSameCell(a.At(r), b.At(r), label + " row " + std::to_string(r));
+  }
+}
+
+TEST(ColumnVecTest, AppendRangeFromMatchesPerCellAppendFrom) {
+  // Destinations: undecided (empty, and with a null prefix), declared like
+  // the source with one cell already in, declared otherwise, and boxed.
+  auto destinations = [](const ColumnVec& src) {
+    std::vector<std::pair<std::string, ColumnVec>> d;
+    d.emplace_back("undecided", ColumnVec());
+    d.emplace_back("undecided-null-prefix", Col(ValueType::kNull,
+                                                {Value::Null()}));
+    ColumnVec same(src.declared_type());
+    if (src.size() > 0) same.AppendFrom(src, src.size() - 1);
+    d.emplace_back("same-declared", same);
+    const bool stringy = src.declared_type() == ValueType::kString;
+    d.emplace_back("other-declared",
+                   stringy ? Col(ValueType::kInt, {Value::Int(4)})
+                           : Col(ValueType::kString, {Value::String("p")}));
+    d.emplace_back("boxed", Col(ValueType::kInt,
+                                {Value::Int(4), Value::String("p")}));
+    return d;
+  };
+  for (const auto& [src_name, src] : EveryStorage()) {
+    for (const auto& [dst_name, dst] : destinations(src)) {
+      for (const auto& [b, e] : std::vector<std::pair<size_t, size_t>>{
+               {0, 5}, {1, 4}, {2, 3}, {3, 3}, {4, 5}}) {
+        const std::string label = src_name + " -> " + dst_name + " [" +
+                                  std::to_string(b) + ", " +
+                                  std::to_string(e) + ")";
+        ColumnVec bulk = dst;
+        bulk.AppendRangeFrom(src, b, e);
+        ColumnVec per_cell = dst;
+        for (size_t r = b; r < e; ++r) per_cell.AppendFrom(src, r);
+        ExpectSameColumn(per_cell, bulk, label);
+      }
+    }
+  }
+}
+
+TEST(ColumnVecTest, TypedHashFoldsMatchTupleHashAndClassHash) {
+  // A temporal table with one column of every storage class.
+  Schema s;
+  std::vector<std::pair<std::string, ColumnVec>> cols = EveryStorage();
+  for (const auto& [name, col] : cols) {
+    s.Add(Attribute{name, col.declared_type()});
+  }
+  s.Add(Attribute{kT1, ValueType::kTime});
+  s.Add(Attribute{kT2, ValueType::kTime});
+  ColumnTable t(s);
+  const size_t rows = cols[0].second.size();
+  for (size_t i = 0; i < cols.size(); ++i) {
+    t.mutable_col(i).AppendRangeFrom(cols[i].second, 0, rows);
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    t.mutable_col(cols.size()).AppendValue(Value::Time(static_cast<int>(r)));
+    t.mutable_col(cols.size() + 1)
+        .AppendValue(Value::Time(static_cast<int>(r) + 3));
+  }
+  t.CommitRows(rows);
+  ASSERT_EQ(t.col(4).storage(), ColumnStorage::kBoxed);
+  ASSERT_EQ(t.col(5).storage(), ColumnStorage::kUndecided);
+
+  const Relation rel = t.ToRelation();
+  const std::vector<int> key = t.NonTemporalCols();
+  ASSERT_EQ(key.size(), cols.size());
+  for (size_t b = 0; b < rows; ++b) {
+    for (size_t e = b; e <= rows; ++e) {
+      std::vector<uint64_t> h(e - b), ch(e - b);
+      t.RowHashes(b, e, h.data());
+      t.ClassHashes(key, b, e, ch.data());
+      for (size_t r = b; r < e; ++r) {
+        EXPECT_EQ(h[r - b], rel.tuple(r).Hash()) << "row " << r;
+        EXPECT_EQ(h[r - b], t.RowHash(r)) << "row " << r;
+        EXPECT_EQ(ch[r - b], t.RowHashNonTemporal(r)) << "row " << r;
+      }
+    }
+  }
+  // The class hash only reads numeric values: Int(1), Double(1.0) and
+  // Time(1) in three storages, and -0.0 against Int(0), hash alike.
+  const std::vector<int> only = {0};
+  auto class_hash = [&](ValueType declared, const Value& v) {
+    Schema one;
+    one.Add(Attribute{"X", declared});
+    ColumnTable u(one);
+    u.mutable_col(0).AppendValue(v);
+    u.CommitRows(1);
+    uint64_t h = 0;
+    u.ClassHashes(only, 0, 1, &h);
+    return h;
+  };
+  EXPECT_EQ(class_hash(ValueType::kInt, Value::Int(1)),
+            class_hash(ValueType::kDouble, Value::Double(1.0)));
+  EXPECT_EQ(class_hash(ValueType::kInt, Value::Int(1)),
+            class_hash(ValueType::kTime, Value::Time(1)));
+  EXPECT_EQ(class_hash(ValueType::kInt, Value::Int(1)),
+            class_hash(ValueType::kString, Value::Double(1.0)));  // boxed
+  EXPECT_EQ(class_hash(ValueType::kInt, Value::Int(0)),
+            class_hash(ValueType::kDouble, Value::Double(-0.0)));
+  EXPECT_EQ(class_hash(ValueType::kDouble, Value::Double(kNaN)),
+            class_hash(ValueType::kDouble, Value::Double(-kNaN)));
+}
+
+TEST(ColumnVecTest, TypedCellCompareMatchesCellRefCompare) {
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<Value> values = {
+      Value::Null(),          Value::Int(1),
+      Value::Double(1.0),     Value::Time(1),
+      Value::Double(kNaN),    Value::Double(-0.0),
+      Value::Double(0.0),     Value::Int(0),
+      Value::Int(INT64_MAX),  Value::Double(9223372036854775808.0),
+      Value::Time(INT64_MAX), Value::Int(big + 1),
+      Value::Time(big),       Value::Double(static_cast<double>(big)),
+      Value::Double(-kInf),   Value::String(""),
+      Value::String("a"),     Value::String("ab"),
+  };
+  // Each value as a typed cell, as a boxed one (row 1 behind a string) and
+  // as a cell of a null-bearing column (row 1 behind a null).
+  std::vector<std::pair<ColumnVec, size_t>> cells;
+  for (const Value& v : values) {
+    cells.emplace_back(Col(v.type(), {v}), 0);
+    cells.emplace_back(Col(v.type(), {Value::String("pad"), v}), 1);
+    cells.emplace_back(Col(v.type(), {Value::Null(), v}), 1);
+  }
+  for (const auto& [a, ra] : cells) {
+    for (const auto& [b, rb] : cells) {
+      const CellRef x = a.At(ra), y = b.At(rb);
+      EXPECT_EQ(ColumnVec::CompareCells(a, ra, b, rb), CellRef::Compare(x, y))
+          << x.ToValue().ToString() << " vs " << y.ToValue().ToString();
+      EXPECT_EQ(CellRef::Compare(x, y), x.ToValue().Compare(y.ToValue()));
+    }
+  }
+  // The exactness rules, spelled out.
+  auto cmp = [](const Value& x, const Value& y) {
+    return ColumnVec::CompareCells(Col(x.type(), {x}), 0, Col(y.type(), {y}),
+                                   0);
+  };
+  EXPECT_EQ(cmp(Value::Double(kNaN), Value::Double(2.0)), 0);
+  EXPECT_EQ(cmp(Value::Double(-0.0), Value::Double(0.0)), 0);
+  EXPECT_EQ(cmp(Value::Int(1), Value::Double(1.0)), 0);
+  EXPECT_EQ(cmp(Value::Int(1), Value::Time(1)), 0);
+  EXPECT_EQ(cmp(Value::Int(INT64_MAX), Value::Double(9223372036854775808.0)),
+            0);
+  EXPECT_EQ(cmp(Value::Int(big + 1), Value::Time(big)), 0);  // as doubles
+  EXPECT_EQ(cmp(Value::Int(big + 1), Value::Int(big)), 1);   // as int64
+  EXPECT_EQ(cmp(Value::String("a"), Value::Int(5)), 1);      // type rank
 }
 
 }  // namespace

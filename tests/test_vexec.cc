@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +257,53 @@ Relation EdgeCases(bool right) {
   return r;
 }
 
+/// The typed paths' edge cases, as (I, J, At, D, E, S, S2, Nl, B, T1, T2):
+/// I and J are Int, At a non-period Time, D and E Double, S and S2 String,
+/// Nl an Int column with NULLs, and B (declared Int) mixes Int 1, Double
+/// 1.0, Time 1 and a string, so its storage is boxed.
+/// - D holds NaN, -0.0, 0.0, ±inf and doubles beyond 2^53; I and At hold
+///   2^53 + 1 against 2^53, which are equal as doubles (Int vs Time) but not
+///   as int64s (Int vs Int), and INT64_MAX against D's 2^63.
+/// - S holds the empty string; S and S2 share values, so equalities hold.
+/// - Rows with equal S share ℵ/ℵT groups; periods overlap within a group.
+Relation TypedEdges() {
+  Schema s;
+  for (const auto& [name, type] : std::vector<std::pair<std::string, ValueType>>{
+           {"I", ValueType::kInt},     {"J", ValueType::kInt},
+           {"At", ValueType::kTime},   {"D", ValueType::kDouble},
+           {"E", ValueType::kDouble},  {"S", ValueType::kString},
+           {"S2", ValueType::kString}, {"Nl", ValueType::kInt},
+           {"B", ValueType::kInt},     {kT1, ValueType::kTime},
+           {kT2, ValueType::kTime}}) {
+    s.Add(Attribute{name, type});
+  }
+  Relation r(s);
+  const int64_t big = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto add = [&](int64_t i, int64_t j, int64_t at, double d, double e,
+                 const std::string& str, const std::string& str2, Value nl,
+                 Value b, TimePoint t1, TimePoint t2) {
+    r.Append(Tuple({Value::Int(i), Value::Int(j), Value::Time(at),
+                    Value::Double(d), Value::Double(e), Value::String(str),
+                    Value::String(str2), std::move(nl), std::move(b),
+                    Value::Time(t1), Value::Time(t2)}));
+  };
+  add(2, 2, 2, 2.0, nan, "a", "a", Value::Int(1), Value::Int(1), 0, 10);
+  add(1, 3, 1, nan, 2.0, "", "", Value::Null(), Value::Double(1.0), 5, 15);
+  add(0, 0, 0, -0.0, 0.0, "a", "b", Value::Int(0), Value::Time(1), 2, 8);
+  add(-4, 5, 7, 0.0, -0.0, "b", "a", Value::Null(), Value::String("x"), 0, 4);
+  add(big + 1, big, big, 9007199254740994.0, 9007199254740992.0, "", "z",
+      Value::Int(5), Value::Int(1), 4, 12);
+  add(INT64_MAX, INT64_MAX, 3, 9223372036854775808.0, inf, "b", "b",
+      Value::Int(2), Value::Double(1.0), 10, 20);
+  add(3, -4, 3, inf, -inf, "c", "c", Value::Null(), Value::Time(1), 1, 3);
+  add(5, 1, 6, -inf, nan, "a", "", Value::Int(3), Value::String("x"), 8, 9);
+  add(2, 2, 2, 1e300, 2.5, "c", "c", Value::Int(1), Value::Int(2), 3, 7);
+  add(7, 7, 8, 2.5, 1e300, "", "", Value::Int(4), Value::Double(-0.0), 6, 6);
+  return r;
+}
+
 Catalog MakeCatalog(uint64_t seed) {
   Catalog catalog;
   TQP_CHECK(
@@ -290,7 +338,97 @@ Catalog MakeCatalog(uint64_t seed) {
   TQP_CHECK(catalog
                 .RegisterWithInferredFlags("G", WithNullColumn(), Site::kDbms)
                 .ok());
+  TQP_CHECK(
+      catalog.RegisterWithInferredFlags("P", TypedEdges(), Site::kDbms).ok());
   return catalog;
+}
+
+/// σ, aggregate and rdup plans over P (TypedEdges): every CompareOp in the
+/// forms attr-vs-const, const-vs-attr and attr-vs-attr over each operand
+/// type pair CellRef::Compare distinguishes, AND/OR/NOT nests with and
+/// without NULL operands, an unknown attribute, ℵ/ℵT with MIN/MAX beside
+/// COUNT/SUM/AVG, and rdup over a double column with NaNs and zeros.
+std::vector<std::pair<std::string, PlanPtr>> TypedEdgePlans() {
+  auto P = [] { return PlanNode::Scan("P"); };
+  auto attr = [](const char* a) { return Expr::Attr(a); };
+  auto cnst = [](Value v) { return Expr::Const(std::move(v)); };
+  struct Pair {
+    const char* name;
+    const char* left;   // attribute
+    const char* right;  // attribute of the attr-vs-attr form
+    Value constant;     // the other operand of the constant forms
+  };
+  const std::vector<Pair> pairs = {
+      {"int-int", "I", "J", Value::Int(2)},
+      {"int-time", "I", "At", Value::Time(2)},
+      {"int-double", "I", "D", Value::Double(2.0)},
+      {"double-double", "D", "E", Value::Double(2.0)},
+      {"double-nan", "D", "E", Value::Double(
+                                   std::numeric_limits<double>::quiet_NaN())},
+      {"string-string", "S", "S2", Value::String("a")},
+      {"string-int", "S", "I", Value::Int(1)},
+      {"boxed-int", "B", "I", Value::Int(1)},
+  };
+  const std::vector<std::pair<const char*, CompareOp>> ops = {
+      {"eq", CompareOp::kEq}, {"ne", CompareOp::kNe}, {"lt", CompareOp::kLt},
+      {"le", CompareOp::kLe}, {"gt", CompareOp::kGt}, {"ge", CompareOp::kGe}};
+  std::vector<std::pair<std::string, PlanPtr>> plans;
+  auto select = [&](const std::string& name, ExprPtr pred) {
+    plans.emplace_back("typed-" + name, PlanNode::Select(P(), std::move(pred)));
+  };
+  for (const Pair& p : pairs) {
+    for (const auto& [op_name, op] : ops) {
+      const std::string tag = std::string(p.name) + "-" + op_name;
+      select(tag + "-attr-const",
+             Expr::Compare(op, attr(p.left), cnst(p.constant)));
+      select(tag + "-const-attr",
+             Expr::Compare(op, cnst(p.constant), attr(p.left)));
+      select(tag + "-attr-attr", Expr::Compare(op, attr(p.left), attr(p.right)));
+    }
+  }
+  auto cmp = [&](CompareOp op, const char* a, Value v) {
+    return Expr::Compare(op, attr(a), cnst(std::move(v)));
+  };
+  // Without NULL operands, then with Nl's NULLs.
+  select("and", Expr::And(cmp(CompareOp::kGt, "I", Value::Int(0)),
+                          cmp(CompareOp::kLt, "D", Value::Double(3.0))));
+  select("or-not", Expr::Or(Expr::Not(cmp(CompareOp::kEq, "I", Value::Int(2))),
+                            cmp(CompareOp::kEq, "S", Value::String("a"))));
+  select("not-or-and",
+         Expr::Not(Expr::Or(cmp(CompareOp::kLe, "E", Value::Double(0.0)),
+                            Expr::And(cmp(CompareOp::kGe, "J", Value::Int(2)),
+                                      cmp(CompareOp::kNe, "S2",
+                                          Value::String(""))))));
+  select("double-truths", Expr::And(attr("D"), Expr::Not(attr("E"))));
+  select("and-null", Expr::And(cmp(CompareOp::kGt, "I", Value::Int(0)),
+                               cmp(CompareOp::kGt, "Nl", Value::Int(1))));
+  select("or-null", Expr::Or(cmp(CompareOp::kLt, "Nl", Value::Int(2)),
+                             cmp(CompareOp::kEq, "D", Value::Double(2.0))));
+  select("not-and-null",
+         Expr::Not(Expr::And(cmp(CompareOp::kNe, "Nl", Value::Int(3)),
+                             Expr::Or(attr("I"), cmp(CompareOp::kGe, "E",
+                                                     Value::Double(0.0))))));
+  select("not-null", Expr::Not(attr("Nl")));
+  // Every row errs, so the result is empty.
+  select("unknown-attr", cmp(CompareOp::kEq, "Nope", Value::Int(1)));
+  std::vector<AggSpec> aggs = {
+      AggSpec{AggFunc::kCount, "", "n"},  AggSpec{AggFunc::kSum, "D", "sd"},
+      AggSpec{AggFunc::kAvg, "D", "ad"},  AggSpec{AggFunc::kMin, "D", "lo"},
+      AggSpec{AggFunc::kMax, "D", "hi"},  AggSpec{AggFunc::kSum, "I", "si"},
+      AggSpec{AggFunc::kMin, "S", "ls"},  AggSpec{AggFunc::kMax, "B", "hb"},
+      AggSpec{AggFunc::kCount, "Nl", "nn"}, AggSpec{AggFunc::kMin, "Nl", "ln"},
+  };
+  plans.emplace_back("typed-aggregate", PlanNode::Aggregate(P(), {"S"}, aggs));
+  plans.emplace_back("typed-aggregate-boxed-key",
+                     PlanNode::Aggregate(P(), {"B"}, aggs));
+  plans.emplace_back("typed-aggregate-t",
+                     PlanNode::AggregateT(P(), {"S"}, aggs));
+  // E holds two NaNs (one row, since NaN ties NaN) and both zeros: the
+  // typed key equality of rdup must tie each pair as CellRef::Compare does.
+  plans.emplace_back("typed-rdup-double",
+                     PlanNode::Rdup(PlanNode::Project(
+                         P(), {ProjItem::Pass("E")})));
+  return plans;
 }
 
 /// Every operator of Table 1 (plus transfers), as plan builders.
@@ -451,6 +589,7 @@ std::vector<std::pair<std::string, PlanPtr>> AllOperatorPlans() {
                      PlanNode::AggregateT(H(), {"Name"}, edge_aggs));
   plans.emplace_back("aggregate-edges",
                      PlanNode::Aggregate(H(), {"Name"}, edge_aggs));
+  for (auto& plan : TypedEdgePlans()) plans.push_back(std::move(plan));
   return plans;
 }
 

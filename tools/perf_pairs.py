@@ -3,7 +3,7 @@
 
     python3 tools/perf_pairs.py --base REV [--head REV|worktree] \
         --workload adhoc|analytic|serve_rw --seed N [--pairs 10] \
-        [--workdir DIR]
+        [--traced N] [--workdir DIR]
     python3 tools/perf_pairs.py --selftest
 
 Builds each side from `git archive REV` (or uses the working tree as it is
@@ -35,6 +35,12 @@ follows the benchmark's bounds (each a fraction of the base median):
 More failed operations on the head side, or any run with correct false,
 make the overall verdict a regression. --workdir keeps the sources and
 builds, so later calls for other workloads rebuild nothing.
+
+--traced N (default 0) attributes the comparison to layers: after the
+pairs it makes N `--trace 1` runs per side, alternating which side runs
+first, and prints every per-layer metric BENCHMARK.json declares that
+either side reports non-zero, with both sides' median and the change.
+Traced runs report only per-layer metrics and take no part in the verdict.
 """
 import argparse
 import hashlib
@@ -133,6 +139,26 @@ def template_table(base_runs, head_runs):
     return rows
 
 
+def layer_table(declared, base_runs, head_runs):
+    """Per-layer metrics, in declaration order, that either side reports
+    non-zero in some traced run (each run a {metric: value} dict): both
+    sides' median and the change (None where a side has no value or the
+    base median is 0)."""
+    rows = []
+    for m in declared:
+        name = m["name"]
+        b = [r[name] for r in base_runs if name in r]
+        h = [r[name] for r in head_runs if name in r]
+        if not any(b + h):
+            continue
+        bm = quantile(b, 0.5) if b else None
+        hm = quantile(h, 0.5) if h else None
+        change = (hm - bm) / abs(bm) if bm and hm is not None else None
+        rows.append({"metric": name, "unit": m["unit"], "base": bm,
+                     "head": hm, "change": change})
+    return rows
+
+
 def overall(verdicts, base_failed, head_failed, all_correct):
     if not all_correct or head_failed > base_failed or "regression" in verdicts:
         return "regression"
@@ -198,6 +224,21 @@ def selftest():
     assert rows[0]["wins"] == 2 and rows[0]["pairs"] == 3, rows
     assert rows[1]["base"] == 4.0 and rows[1]["head"] == 4.0, rows
     assert rows[1]["wins"] == 1 and rows[1]["pairs"] == 2, rows
+    decl = [{"name": "a.ms", "unit": "ms"}, {"name": "b.count", "unit": "n"},
+            {"name": "c.ms", "unit": "ms"}, {"name": "d.ms", "unit": "ms"}]
+    rows = layer_table(decl,
+                       [{"a.ms": 4.0, "b.count": 0.0, "c.ms": 0.0},
+                        {"a.ms": 6.0, "b.count": 0.0, "c.ms": 0.0}],
+                       [{"a.ms": 2.0, "b.count": 0.0, "c.ms": 1.0},
+                        {"a.ms": 3.0, "b.count": 0.0}])
+    # All-zero and unreported metrics are left out; the order is declared.
+    assert [r["metric"] for r in rows] == ["a.ms", "c.ms"], rows
+    assert rows[0]["base"] == 5.0 and rows[0]["head"] == 2.5, rows
+    assert rows[0]["change"] == -0.5 and rows[0]["unit"] == "ms", rows
+    # A zero base median has no relative change.
+    assert rows[1]["base"] == 0.0 and rows[1]["head"] == 1.0, rows
+    assert rows[1]["change"] is None, rows
+    assert layer_table(decl, [], []) == []
     label = worktree_label("/src/one")
     assert re.fullmatch(r"worktree-[0-9a-f]{8}", label), label
     assert label == worktree_label("/src/one/")
@@ -240,12 +281,12 @@ class Side:
                     sys.exit(f"perf_pairs: git archive {rev} failed")
         self.target = os.path.join(workdir, self.label + "-target")
 
-    def run(self, workload, seed, seconds):
+    def run(self, workload, seed, seconds, trace=0):
         env = dict(os.environ, CARGO_TARGET_DIR=self.target)
         p = subprocess.run(
             [sys.executable, os.path.join(self.src, "perfbench", "run.py"),
              "--workload", workload, "--seed", str(seed), "--seconds",
-             str(seconds), "--trace", "0"],
+             str(seconds), "--trace", str(trace)],
             cwd=self.src, env=env, capture_output=True, text=True)
         lines = p.stdout.strip().splitlines()
         if p.returncode != 0 or not lines:
@@ -309,6 +350,28 @@ def compare(args):
                             [x["templates"] for x in runs["head"]]):
         print(f"{r['template']:<32}{r['base']:>12.4g}{r['head']:>12.4g}"
               f"{r['change']:>+9.1%}  {r['wins']}/{r['pairs']}")
+    traced = {"base": [], "head": []}
+    for i in range(args.traced):
+        order = [("base", base), ("head", head)]
+        if i % 2 == 1:
+            order.reverse()
+        for name, side in order:
+            traced[name].append(side.run(args.workload, args.seed, seconds,
+                                         trace=1))
+    if args.traced:
+        print(f"\n{'per-layer metric (traced)':<34}{'unit':>6}"
+              f"{'base median':>13}{'head median':>13}{'change':>9}")
+        fmt = lambda v: "-" if v is None else f"{v:.4g}"
+        values = {n: [{m: v["value"] for m, v in x["metrics"].items()}
+                      for x in traced[n]] for n in traced}
+        for r in layer_table(bench["per_layer"], values["base"],
+                             values["head"]):
+            change = "-" if r["change"] is None else f"{r['change']:+.1%}"
+            print(f"{r['metric']:<34}{r['unit']:>6}{fmt(r['base']):>13}"
+                  f"{fmt(r['head']):>13}{change:>9}")
+        print("traced: " + ", ".join(
+            f"{n} failed {sum(r['failed'] for r in traced[n])}, correct "
+            f"{all(r['correct'] for r in traced[n])}" for n in traced))
     failed = {n: sum(r["failed"] for r in runs[n]) for n in runs}
     correct = {n: all(r["correct"] for r in runs[n]) for n in runs}
     print(f"failed: base {failed['base']}, head {failed['head']}; correct: "
@@ -327,6 +390,7 @@ def main():
     p.add_argument("--workload")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--traced", type=int, default=0)
     p.add_argument("--workdir")
     p.add_argument("--selftest", action="store_true")
     args = p.parse_args()
