@@ -75,7 +75,7 @@ struct RowRefEq {
 // single-range serial call.
 struct VexecRuntime {
   WorkStealingPool* pool = nullptr;
-  size_t morsel_rows = 32768;
+  size_t morsel_rows = 8192;
   /// Per-query span recorder; null = untraced (one pointer test per
   /// parallel loop, then one RAII span per *morsel*, never per row).
   Tracer* tracer = nullptr;

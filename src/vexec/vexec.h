@@ -57,8 +57,10 @@ struct VexecOptions {
   /// results are stitched in deterministic input order, so the output is
   /// byte-identical to the serial run.
   size_t threads = 1;
-  /// Rows per morsel when threads > 1.
-  size_t morsel_rows = 32768;
+  /// Rows per morsel when threads > 1. At 8192 an operator output of a
+  /// few tens of thousands of rows still splits across four workers (the
+  /// root conversion and the class-index chunks among them).
+  size_t morsel_rows = 8192;
   /// Unread: every operator runs in memory. Each operator's input and
   /// output are resident tables and scans share the catalog's twin, so
   /// writing rows to disk would free nothing (ARCHITECTURE.md, "Memory").
