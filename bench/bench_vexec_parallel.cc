@@ -10,18 +10,26 @@
 //     full scale. The scaling gate arms only on machines with >= 4 hardware
 //     threads and only in optimized, unsanitized builds; the identity gates
 //     always run. Both timed sides run after an untimed warm-up run has
-//     built the relations' columnar twins (Catalog::Columns), so both time
-//     scans of built twins.
+//     built the relations' columnar twins (Catalog::Columns) and the twin's
+//     classes that coalT derives its classes from, so both time scans of
+//     built twins and derived class indexes.
+//
+// Both timed sides run with a profile tree, so the scaling is attributed:
+// each operator kind's self time at 1 and 4 threads, plus the conversion of
+// the root's columns to rows (the executor's wall time less the root's
+// profiled wall time, which no profile node covers).
 //
 // Headline numbers land in BENCH_vexec_parallel.json for the CI
 // perf-trajectory artifacts.
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "bench_util.h"
+#include "core/profile.h"
 #include "vexec/vexec.h"
 
 namespace tqp {
@@ -85,19 +93,49 @@ struct RunOutcome {
   Relation relation;
   ExecStats stats;
   double seconds = 0.0;
+  ProfileNode profile;  // filled when the run is profiled
 };
 
 RunOutcome RunVectorized(const AnnotatedPlan& ann, const EngineConfig& config,
-                         size_t threads) {
+                         size_t threads, bool profiled = false) {
   VexecOptions opts;
   opts.threads = threads;
   RunOutcome out;
   auto t0 = std::chrono::steady_clock::now();
-  Result<Relation> r = ExecuteVectorized(ann, config, &out.stats, opts);
+  Result<Relation> r = ExecuteVectorized(ann, config, &out.stats, opts,
+                                         profiled ? &out.profile : nullptr);
   out.seconds = Seconds(t0);
   TQP_CHECK(r.ok());
   out.relation = std::move(r).value();
   return out;
+}
+
+/// Self milliseconds per operator kind over a profile tree.
+void SelfMsByKind(const ProfileNode& n, std::map<std::string, double>* ms) {
+  (*ms)[n.kind] += static_cast<double>(n.SelfNs()) / 1e6;
+  for (const ProfileNode& c : n.children) SelfMsByKind(c, ms);
+}
+
+/// Prints and records where each timed run's time went: every operator
+/// kind's self time and the root conversion, at 1 and at 4 threads.
+void AttributeScaling(const RunOutcome& serial, const RunOutcome& par) {
+  std::map<std::string, double> s_ms, p_ms;
+  SelfMsByKind(serial.profile, &s_ms);
+  SelfMsByKind(par.profile, &p_ms);
+  const double s_root =
+      serial.seconds * 1e3 - static_cast<double>(serial.profile.wall_ns) / 1e6;
+  const double p_root =
+      par.seconds * 1e3 - static_cast<double>(par.profile.wall_ns) / 1e6;
+  Row("  %-16s %10s %10s %8s", "self time", "1 thread", "4 threads",
+      "scaling");
+  auto row = [](const std::string& name, double s, double p) {
+    Row("  %-16s %7.1f ms %7.1f ms %7.2fx", name.c_str(), s, p,
+        p > 0 ? s / p : 0.0);
+    bench::SetMetric("serial_ms." + name, s);
+    bench::SetMetric("parallel_ms." + name, p);
+  };
+  for (const auto& [kind, ms] : s_ms) row(kind, ms, p_ms[kind]);
+  row("root_conversion", s_root, p_root);
 }
 
 void CheckIdentical(const RunOutcome& a, const RunOutcome& b) {
@@ -159,10 +197,10 @@ void GateParallelScaling() {
   // Untimed: the first vectorized run on the catalog builds the twins that
   // every later run scans; without it the serial side alone would pay it.
   RunVectorized(ann.value(), config, 4);
-  RunOutcome serial = RunVectorized(ann.value(), config, 1);
+  RunOutcome serial = RunVectorized(ann.value(), config, 1, true);
   // Best of two parallel runs (the first pays allocator + thread warmup).
-  RunOutcome par = RunVectorized(ann.value(), config, 4);
-  RunOutcome par2 = RunVectorized(ann.value(), config, 4);
+  RunOutcome par = RunVectorized(ann.value(), config, 4, true);
+  RunOutcome par2 = RunVectorized(ann.value(), config, 4, true);
   if (par2.seconds < par.seconds) par = std::move(par2);
   // The determinism contract at full scale: byte-identical output.
   CheckIdentical(serial, par);
@@ -178,6 +216,7 @@ void GateParallelScaling() {
       par.seconds, par_rps, static_cast<long long>(par.stats.morsels),
       static_cast<long long>(par.stats.steals));
   Row("  scaling: %.2fx", scaling);
+  AttributeScaling(serial, par);
 
   bench::SetMetric("pipeline_rows", rows);
   bench::SetMetric("result_rows",

@@ -180,6 +180,12 @@ struct ExprTr {
         if (!NumericType(lt) || !NumericType(rt)) {
           return Refuse("non-numeric arithmetic operand");
         }
+        // inf - inf, inf + -inf and inf * 0 are NaN in the stratum. Int and
+        // Time operands compute on finite values and never yield one.
+        if (lt == ValueType::kDouble || rt == ValueType::kDouble) {
+          return Refuse(
+              "double arithmetic: SQLite turns a NaN result into NULL");
+        }
         TQP_ASSIGN_OR_RETURN(l, Tr(e->children()[0]));
         TQP_ASSIGN_OR_RETURN(r, Tr(e->children()[1]));
         // The stratum computes in double and truncates integral results
@@ -187,9 +193,7 @@ struct ExprTr {
         std::string core = "CAST((" + l + ") AS REAL) " +
                            std::string(ArithToken(e->arith_op())) + " CAST((" +
                            r + ") AS REAL)";
-        bool integral = lt != ValueType::kDouble && rt != ValueType::kDouble;
-        if (integral) return "CAST(" + core + " AS INTEGER)";
-        return "(" + core + ")";
+        return "CAST(" + core + " AS INTEGER)";
       }
       case ExprKind::kOverlaps: {
         std::vector<std::string> ops;

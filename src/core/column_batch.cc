@@ -540,6 +540,7 @@ ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
 }
 
 ColumnVec& ColumnTable::mutable_col(size_t i) {
+  DropLineage();
   std::shared_ptr<ColumnVec>& c = cols_[i];
   if (c.use_count() > 1) c = std::make_shared<ColumnVec>(*c);
   return *c;

@@ -34,6 +34,12 @@
 //    number and -0.0 ties 0.0, as in Value::Compare), strings as strings.
 //    Nulls, boxed cells and type-rank comparisons take CellRef::Compare.
 //
+// A ColumnTable may carry a row lineage (RowLineage, defined by the
+// vectorized executor in vexec/vexec_internal.h): the rows and columns of a
+// catalog twin its cells were copied from unchanged. Copies share it, and
+// any write through mutable_col or ShareCol drops it, so a table that
+// carries one holds exactly the cells it names.
+//
 // A ColumnBatch is a borrowed row range [begin, end) of a ColumnTable — the
 // unit the vexec operators process at a time (see VexecOptions::batch_size).
 #ifndef TQP_CORE_COLUMN_BATCH_H_
@@ -42,12 +48,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/period.h"
 #include "core/relation.h"
 
 namespace tqp {
+
+struct RowLineage;
 
 /// Physical storage classes of a ColumnVec.
 enum class ColumnStorage : uint8_t {
@@ -188,6 +197,10 @@ class ColumnVec {
 /// out the catalog's columnar twin (core/catalog.h) in O(columns), a
 /// projection passes an attribute through without copying it, and neither
 /// can change the twin.
+///
+/// Either write drops the table's lineage. A table being filled column by
+/// column on several threads has none (its lineage is set once it is full),
+/// so those writes only read the empty slot.
 class ColumnTable {
  public:
   ColumnTable() = default;
@@ -202,7 +215,14 @@ class ColumnTable {
   ColumnVec& mutable_col(size_t i);
   /// Makes column i share column j of `src`: no cell is copied.
   void ShareCol(size_t i, const ColumnTable& src, size_t j) {
+    DropLineage();
     cols_[i] = src.cols_[j];
+  }
+
+  /// The twin rows and columns this table's cells copy (null = none).
+  const std::shared_ptr<const RowLineage>& lineage() const { return lineage_; }
+  void set_lineage(std::shared_ptr<const RowLineage> lineage) {
+    lineage_ = std::move(lineage);
   }
 
   /// Declares `n` more rows appended (kernels append column-wise and then
@@ -251,11 +271,16 @@ class ColumnTable {
   int t2_index() const { return t2_; }
 
  private:
+  void DropLineage() {
+    if (lineage_ != nullptr) lineage_.reset();
+  }
+
   Schema schema_;
   std::vector<std::shared_ptr<ColumnVec>> cols_;
   size_t rows_ = 0;
   int t1_ = -1;
   int t2_ = -1;
+  std::shared_ptr<const RowLineage> lineage_;
 };
 
 /// A borrowed row range of a ColumnTable — the unit of work of the

@@ -20,11 +20,21 @@
 // periods that overlap it. Outputs return to row order (rdupT, \T) or
 // first-occurrence order (ℵ, ℵT) from flat per-chunk arrays, so no result
 // depends on the thread count.
+//
+// A class kernel whose key cells are copies of a catalog twin's cells (its
+// input's row lineage, vexec_internal.h) does not hash them: it derives its
+// class index from the twin's classes on that key, built once per relation
+// version (see "Per-version classes" below).
 #include "vexec/vexec.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -175,16 +185,69 @@ std::vector<uint32_t> ConcatFrags(
   return out;
 }
 
-// Gathers `rows` of `src` into a fresh table, one column per task.
-ColumnTable GatherTable(const ColumnTable& src, const Schema& out_schema,
-                        const std::vector<uint32_t>& rows,
-                        const VexecRuntime& rt) {
+// ---- Row lineage ----------------------------------------------------------
+
+// A lineage over `twin` and `rows` with column map `cols`, or none when no
+// column maps to the twin.
+std::shared_ptr<const RowLineage> MakeLineage(
+    std::shared_ptr<vexec::TwinClasses> twin,
+    std::shared_ptr<const std::vector<uint32_t>> rows, std::vector<int> cols) {
+  if (std::all_of(cols.begin(), cols.end(), [](int c) { return c < 0; })) {
+    return nullptr;
+  }
+  return std::make_shared<const RowLineage>(
+      RowLineage{std::move(twin), std::move(rows), std::move(cols)});
+}
+
+// Builds a table whose row k copies row rows[k] of `src`: fill(dst, c,
+// rows) fills output column c, one column per task, and the table's
+// lineage is src's composed with `rows`, less the columns in `unmapped`.
+// Under the identity lineage `rows` itself becomes the twin rows;
+// otherwise one more task composes them beside the column tasks.
+template <typename Fill>
+ColumnTable GatherWithLineage(const ColumnTable& src, const Schema& out_schema,
+                              std::vector<uint32_t> rows,
+                              std::initializer_list<int> unmapped,
+                              const Fill& fill, const VexecRuntime& rt) {
   ColumnTable out(out_schema);
-  rt.ForTasks(src.num_cols(), [&](size_t c) {
-    out.mutable_col(c).AppendGather(src.col(c), rows.data(), rows.size());
+  const RowLineage* from = src.lineage().get();
+  const size_t cols = out.num_cols();
+  const bool compose = from != nullptr && from->rows != nullptr;
+  std::shared_ptr<const std::vector<uint32_t>> twin_rows;
+  rt.ForTasks(cols + (compose ? 1 : 0), [&](size_t c) {
+    if (c < cols) {
+      fill(out.mutable_col(c), c, rows);
+      return;
+    }
+    std::vector<uint32_t> composed(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      composed[k] = (*from->rows)[rows[k]];
+    }
+    twin_rows = std::make_shared<const std::vector<uint32_t>>(
+        std::move(composed));
   });
   out.CommitRows(rows.size());
+  if (from == nullptr) return out;
+  if (!compose) {
+    twin_rows = std::make_shared<const std::vector<uint32_t>>(std::move(rows));
+  }
+  std::vector<int> map = from->cols;
+  for (int c : unmapped) {
+    if (c >= 0) map[static_cast<size_t>(c)] = -1;
+  }
+  out.set_lineage(MakeLineage(from->twin, std::move(twin_rows), std::move(map)));
   return out;
+}
+
+// Gathers `rows` of `src` into a fresh table, one column per task.
+ColumnTable GatherTable(const ColumnTable& src, const Schema& out_schema,
+                        std::vector<uint32_t> rows, const VexecRuntime& rt) {
+  return GatherWithLineage(
+      src, out_schema, std::move(rows), {},
+      [&](ColumnVec& dst, size_t c, const std::vector<uint32_t>& at) {
+        dst.AppendGather(src.col(c), at.data(), at.size());
+      },
+      rt);
 }
 
 // Per-row RowHash (full-row identity), folded column by column over each
@@ -355,6 +418,373 @@ ClassIndex BuildClassIndex(const std::vector<uint64_t>& hash,
   return idx;
 }
 
+// ---- Per-version classes --------------------------------------------------
+//
+// A relation version's classes on a key are built once, beside its twin, and
+// every later class kernel whose key cells are copies of that twin's cells
+// (its input's row lineage says so) derives its class index from them
+// instead of hashing and comparing key cells. Derivation applies when every
+// key column maps to a twin column stored as int64, string, or double
+// without NaN. Key equality is then an equivalence relation on the twin's
+// cells, so the classes of any subset of its rows are the twin's classes
+// restricted to the subset, and BuildClassIndex over each row's twin class
+// id, with integer equality, yields the hashed build's index exactly: the
+// same first-occurrence class numbers, members ascending. A NaN (which
+// ties every number) or a boxed column (whose cross-type numeric keys are
+// not transitive) keeps the hashed build.
+
+// Key equality of rows a and b of `t` over the columns `key`.
+struct KeyEqual {
+  const ColumnTable& t;
+  const std::vector<int>& key;
+  bool operator()(uint32_t a, uint32_t b) const {
+    for (int c : key) {
+      const ColumnVec& col = t.col(static_cast<size_t>(c));
+      if (ColumnVec::CompareCells(col, a, col, b) != 0) return false;
+    }
+    return true;
+  }
+};
+
+// Equality of class ids, the key of a derived build.
+struct IdEqual {
+  const std::vector<uint64_t>& ids;
+  bool operator()(uint32_t a, uint32_t b) const { return ids[a] == ids[b]; }
+};
+
+// The class index of `t`'s rows on `key` by hashing and comparing key
+// cells: they compare with CompareCells (CellRef::Compare's cross-type
+// numeric equality), so they hash with the Compare-consistent class hash.
+ClassIndex HashedClassIndex(const ColumnTable& t, const std::vector<int>& key,
+                            const VexecRuntime& rt) {
+  return BuildClassIndex(KeyHashes(t, key, rt), KeyEqual{t, key}, rt);
+}
+
+std::atomic<vexec::ClassIndexAudit*> class_index_audit{nullptr};
+
+}  // namespace
+
+namespace vexec {
+
+// Another twin's classes mapped onto a KeyClasses' own (JointClassIds):
+// right class d becomes `to[d]`. It holds for one pairing of key columns,
+// left_cols[k] against right_cols[k], and lives while the other twin does.
+struct ClassMap {
+  std::weak_ptr<TwinClasses> right;
+  std::vector<int> left_cols, right_cols;
+  std::shared_ptr<const std::vector<uint32_t>> to;
+};
+
+// A twin's classes on one key, a sorted set K of twin columns.
+struct KeyClasses {
+  std::once_flag built;
+  /// Every column of K is stored as int64, string, or double without NaN.
+  /// Otherwise nothing is built, and kernels keyed on K hash.
+  bool derivable = false;
+  /// The twin's own class index on K, built by BuildClassIndex.
+  std::shared_ptr<const ClassIndex> index;
+  /// The class of each twin row in `index`.
+  std::vector<uint32_t> class_of;
+  /// Other twins' classes mapped onto these, built on first demand.
+  mutable std::mutex maps_mu;
+  mutable std::vector<ClassMap> maps;
+};
+
+// The class cache of one relation version. VecScan creates it with the
+// version's columnar twin and gives the twin a lineage that holds it, so it
+// is shared by every table derived from the twin and freed with the twin.
+struct TwinClasses {
+  explicit TwinClasses(ColumnTable columns) : twin(std::move(columns)) {}
+
+  /// The twin's columns, shared. Without lineage: the twin's own would hold
+  /// this cache and keep it alive for ever.
+  const ColumnTable twin;
+  std::mutex mu;
+  /// By K. Entries are never erased, so references to them stay valid for
+  /// the cache's lifetime.
+  std::map<std::vector<int>, std::unique_ptr<KeyClasses>> by_key;
+};
+
+void SetClassIndexAudit(ClassIndexAudit* audit) {
+  class_index_audit.store(audit, std::memory_order_release);
+}
+
+}  // namespace vexec
+
+namespace {
+
+using vexec::ClassMap;
+using vexec::KeyClasses;
+using vexec::TwinClasses;
+
+// The twin's classes on the twin columns `cols` (any order, repeats
+// allowed), built on the first demand for that key set: concurrent first
+// users wait for the one build, as for the twin itself.
+const KeyClasses& TwinKeyClasses(TwinClasses& tc, std::vector<int> cols,
+                                 const VexecRuntime& rt) {
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  KeyClasses* kc = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(tc.mu);
+    std::unique_ptr<KeyClasses>& slot = tc.by_key[cols];
+    if (slot == nullptr) slot = std::make_unique<KeyClasses>();
+    kc = slot.get();
+  }
+  std::call_once(kc->built, [&] {
+    const ColumnTable& twin = tc.twin;
+    TraceSpan span(rt.tracer, "vexec", "twin_classes");
+    if (span.active()) span.Arg("rows", static_cast<uint64_t>(twin.rows()));
+    for (int c : cols) {
+      const ColumnVec& col = twin.col(static_cast<size_t>(c));
+      if (col.storage() == ColumnStorage::kDouble) {
+        for (size_t i = 0; i < col.size(); ++i) {
+          if (!col.IsNull(i) && std::isnan(col.DoubleAt(i))) return;
+        }
+      } else if (col.storage() != ColumnStorage::kInt64 &&
+                 col.storage() != ColumnStorage::kString) {
+        return;
+      }
+    }
+    auto index = std::make_shared<const ClassIndex>(
+        HashedClassIndex(twin, cols, rt));
+    kc->class_of.resize(twin.rows());
+    rt.ForUnits(index->offsets, [&](size_t, size_t cb, size_t ce) {
+      for (size_t c = cb; c < ce; ++c) {
+        for (const uint32_t* m = index->begin(c); m != index->end(c); ++m) {
+          kc->class_of[*m] = static_cast<uint32_t>(c);
+        }
+      }
+    });
+    kc->index = std::move(index);
+    kc->derivable = true;
+  });
+  return *kc;
+}
+
+// Where the key columns of a table trace to: the twin's class cache, the
+// twin column of each key column (in key order), and the twin row of each
+// row (null = the identity). `twin` is null when the table has no lineage
+// or a key column is unmapped.
+struct KeyLineage {
+  std::shared_ptr<TwinClasses> twin;
+  std::vector<int> cols;
+  const std::vector<uint32_t>* rows = nullptr;
+};
+
+KeyLineage TraceKey(const ColumnTable& t, const std::vector<int>& key) {
+  KeyLineage out;
+  const RowLineage* lin = t.lineage().get();
+  if (lin == nullptr) return out;
+  for (int c : key) {
+    const int twin_col = lin->cols[static_cast<size_t>(c)];
+    if (twin_col < 0) return out;
+    out.cols.push_back(twin_col);
+  }
+  out.twin = lin->twin;
+  out.rows = lin->rows.get();
+  return out;
+}
+
+// The derivable twin classes a traced key maps to, or null.
+const KeyClasses* Derivable(const KeyLineage& kl, const VexecRuntime& rt) {
+  if (kl.twin == nullptr) return nullptr;
+  const KeyClasses& kc = TwinKeyClasses(*kl.twin, kl.cols, rt);
+  return kc.derivable ? &kc : nullptr;
+}
+
+// ids[i] = the twin class of row i, for rows [0, n) of a table with twin
+// rows `rows` (null = the identity), through `to` when it is set.
+void FillClassIds(const KeyClasses& kc, const std::vector<uint32_t>* rows,
+                  const std::vector<uint32_t>* to, size_t n, uint64_t* ids,
+                  const VexecRuntime& rt) {
+  rt.ForRows(n, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      const uint32_t c = kc.class_of[rows == nullptr ? i : (*rows)[i]];
+      ids[i] = to == nullptr ? c : (*to)[c];
+    }
+  });
+}
+
+// Counts `idx` in the audit, when one is set; a derived index is checked
+// against hashed(), the build over the same rows' key cells.
+template <typename Hashed>
+void AuditClassIndex(bool derived, const ClassIndex& idx,
+                     const Hashed& hashed) {
+  vexec::ClassIndexAudit* audit =
+      class_index_audit.load(std::memory_order_acquire);
+  if (audit == nullptr) return;
+  if (!derived) {
+    audit->hashed.fetch_add(1);
+    return;
+  }
+  audit->derived.fetch_add(1);
+  const ClassIndex want = hashed();
+  if (want.offsets != idx.offsets || want.members != idx.members) {
+    audit->mismatched.fetch_add(1);
+  }
+}
+
+// The class index of `t`'s rows on the key columns `key`: with the
+// identity lineage the twin's cached index, through any other lineage a
+// build over the rows' twin class ids, and without one (or when the key is
+// not derivable) the hashed build.
+std::shared_ptr<const ClassIndex> KeyClassIndex(const ColumnTable& t,
+                                                const std::vector<int>& key,
+                                                const VexecRuntime& rt) {
+  TraceSpan span(rt.tracer, "vexec", "class_index");
+  const KeyLineage kl = TraceKey(t, key);
+  const KeyClasses* kc = Derivable(kl, rt);
+  std::shared_ptr<const ClassIndex> idx;
+  if (kc == nullptr) {
+    idx = std::make_shared<const ClassIndex>(HashedClassIndex(t, key, rt));
+  } else if (kl.rows == nullptr) {
+    TQP_DCHECK(kc->class_of.size() == t.rows());
+    idx = kc->index;
+  } else {
+    std::vector<uint64_t> ids(t.rows());
+    FillClassIds(*kc, kl.rows, nullptr, t.rows(), ids.data(), rt);
+    idx = std::make_shared<const ClassIndex>(
+        BuildClassIndex(ids, IdEqual{ids}, rt));
+  }
+  if (span.active()) {
+    span.Arg("rows", static_cast<uint64_t>(t.rows()));
+    span.Arg("derived", static_cast<uint64_t>(kc != nullptr ? 1 : 0));
+  }
+  AuditClassIndex(kc != nullptr, *idx,
+                  [&] { return HashedClassIndex(t, key, rt); });
+  return idx;
+}
+
+// The right twin's classes on `right` mapped onto the left twin's on
+// `left`, built on the first demand for the pair: right class d takes the
+// left class whose first member's key equals its first member's key
+// (ClassHashes, then CompareCells column by column), or the fresh id
+// left classes + d. Equality of those keys is an equivalence over both
+// twins' cells (the caller checks that the columns pair up), so it decides
+// every member of both classes.
+std::shared_ptr<const std::vector<uint32_t>> MapClasses(
+    const KeyClasses& kl, const KeyLineage& left, const KeyClasses& kr,
+    const KeyLineage& right) {
+  std::lock_guard<std::mutex> lock(kl.maps_mu);
+  for (auto it = kl.maps.begin(); it != kl.maps.end();) {
+    const std::shared_ptr<TwinClasses> twin = it->right.lock();
+    if (twin == nullptr) {  // the right version is gone
+      it = kl.maps.erase(it);
+      continue;
+    }
+    if (twin == right.twin && it->left_cols == left.cols &&
+        it->right_cols == right.cols) {
+      return it->to;
+    }
+    ++it;
+  }
+  auto key_hash = [](const KeyLineage& side, uint32_t row) {
+    uint64_t h = 0;
+    side.twin->twin.ClassHashes(side.cols, row, row + 1, &h);
+    return h;
+  };
+  const size_t left_classes = kl.index->classes();
+  std::vector<std::pair<uint64_t, uint32_t>> reps(left_classes);  // (hash, c)
+  for (size_t c = 0; c < left_classes; ++c) {
+    reps[c] = {key_hash(left, *kl.index->begin(c)), static_cast<uint32_t>(c)};
+  }
+  std::sort(reps.begin(), reps.end());
+  auto to = std::make_shared<std::vector<uint32_t>>(kr.index->classes());
+  for (size_t d = 0; d < to->size(); ++d) {
+    const uint32_t rep = *kr.index->begin(d);
+    const uint64_t h = key_hash(right, rep);
+    (*to)[d] = static_cast<uint32_t>(left_classes + d);
+    for (auto it = std::lower_bound(reps.begin(), reps.end(),
+                                    std::make_pair(h, uint32_t{0}));
+         it != reps.end() && it->first == h; ++it) {
+      const uint32_t left_rep = *kl.index->begin(it->second);
+      bool equal = true;
+      for (size_t k = 0; equal && k < left.cols.size(); ++k) {
+        equal = ColumnVec::CompareCells(
+                    left.twin->twin.col(static_cast<size_t>(left.cols[k])),
+                    left_rep,
+                    right.twin->twin.col(static_cast<size_t>(right.cols[k])),
+                    rep) == 0;
+      }
+      if (equal) {
+        (*to)[d] = it->second;
+        break;
+      }
+    }
+  }
+  kl.maps.push_back(ClassMap{right.twin, left.cols, right.cols, to});
+  return to;
+}
+
+// The class ids of l's rows followed by r's in one id space, when both
+// value-equivalence keys trace to derivable twin classes. Keys on the same
+// twin columns share the twin's id space. Otherwise the key columns must
+// pair up in storage and declared type, so that equality across the sides
+// is the same equivalence, and the right twin's classes are mapped onto
+// the left's (MapClasses). False means hash instead; `ids` is then
+// unspecified.
+bool JointClassIds(const ColumnTable& l, const ColumnTable& r,
+                   const VexecRuntime& rt, std::vector<uint64_t>* ids) {
+  const KeyLineage ll = TraceKey(l, l.NonTemporalCols());
+  const KeyLineage rl = TraceKey(r, r.NonTemporalCols());
+  if (ll.twin == nullptr || rl.twin == nullptr ||
+      ll.cols.size() != rl.cols.size()) {
+    return false;
+  }
+  const bool shared = ll.twin == rl.twin && ll.cols == rl.cols;
+  for (size_t k = 0; !shared && k < ll.cols.size(); ++k) {
+    const ColumnVec& a = ll.twin->twin.col(static_cast<size_t>(ll.cols[k]));
+    const ColumnVec& b = rl.twin->twin.col(static_cast<size_t>(rl.cols[k]));
+    if (a.storage() != b.storage() || a.declared_type() != b.declared_type()) {
+      return false;
+    }
+  }
+  const KeyClasses* kl = Derivable(ll, rt);
+  if (kl == nullptr) return false;
+  const KeyClasses* kr = shared ? kl : Derivable(rl, rt);
+  if (kr == nullptr) return false;
+  const std::shared_ptr<const std::vector<uint32_t>> to =
+      shared ? nullptr : MapClasses(*kl, ll, *kr, rl);
+  const size_t nl = l.rows();
+  ids->resize(nl + r.rows());
+  FillClassIds(*kl, ll.rows, nullptr, nl, ids->data(), rt);
+  FillClassIds(*kr, rl.rows, to.get(), r.rows(), ids->data() + nl, rt);
+  return true;
+}
+
+// \T's class index over l's rows followed by r's (row ids nl + j), so each
+// class lists its left members, ascending, before its right ones.
+std::shared_ptr<const ClassIndex> DifferenceClasses(const ColumnTable& l,
+                                                    const ColumnTable& r,
+                                                    const VexecRuntime& rt) {
+  TraceSpan span(rt.tracer, "vexec", "class_index");
+  const size_t nl = l.rows();
+  auto hashed = [&] {
+    std::vector<uint64_t> hash = KeyHashes(l, l.NonTemporalCols(), rt);
+    std::vector<uint64_t> rhash = KeyHashes(r, r.NonTemporalCols(), rt);
+    hash.insert(hash.end(), rhash.begin(), rhash.end());
+    return BuildClassIndex(
+        hash,
+        [&](uint32_t a, uint32_t b) {
+          return ColumnTable::RowCompareNonTemporal(
+                     a < nl ? l : r, a < nl ? a : a - nl, b < nl ? l : r,
+                     b < nl ? b : b - nl) == 0;
+        },
+        rt);
+  };
+  std::vector<uint64_t> ids;
+  const bool derived = JointClassIds(l, r, rt, &ids);
+  auto idx = std::make_shared<const ClassIndex>(
+      derived ? BuildClassIndex(ids, IdEqual{ids}, rt) : hashed());
+  if (span.active()) {
+    span.Arg("rows", static_cast<uint64_t>(nl + r.rows()));
+    span.Arg("derived", static_cast<uint64_t>(derived ? 1 : 0));
+  }
+  AuditClassIndex(derived, *idx, hashed);
+  return idx;
+}
+
 // Stable sort of the index vector [0, n) by `less`. Parallel plan: sort a
 // power-of-two number of contiguous runs independently, then merge adjacent
 // runs pairwise with std::inplace_merge — itself stable and left-biased —
@@ -398,7 +828,8 @@ std::vector<uint32_t> SortIndices(size_t n, const Less& less,
 // (Catalog::Columns), sharing its columns in O(columns). The first
 // vectorized scan of a version builds the twin on this query's pool: each
 // task appends one column's cells in row order — the same per-cell append
-// sequence FromRelation performs.
+// sequence FromRelation performs. The twin carries the identity lineage,
+// whose class cache (empty until a class kernel asks) lives as long as it.
 ColumnTable VecScan(const Catalog& catalog, const std::string& name,
                     const VexecRuntime& rt) {
   return catalog.Columns(name, [&rt](const Relation& r) {
@@ -411,6 +842,10 @@ ColumnTable VecScan(const Catalog& catalog, const std::string& name,
       for (size_t i = 0; i < r.size(); ++i) col.AppendValue(r.tuple(i).at(c));
     });
     t.CommitRows(r.size());
+    std::vector<int> cols(t.num_cols());
+    std::iota(cols.begin(), cols.end(), 0);
+    t.set_lineage(MakeLineage(std::make_shared<TwinClasses>(t), nullptr,
+                              std::move(cols)));
     return t;
   });
 }
@@ -473,8 +908,9 @@ Result<ColumnTable> VecProject(const ColumnTable& in,
                                const Schema& out_schema, size_t batch_size,
                                const VexecRuntime& rt) {
   // An item naming an input attribute (ProjItem::Pass / Rename) shares that
-  // input column: it copies each cell unchanged and cannot err. Every other
-  // item is evaluated. The reference fails with the error of the first
+  // input column, and maps to its twin column in the output's lineage: it
+  // copies each cell unchanged and cannot err. Every other item is
+  // evaluated, and unmapped. The reference fails with the error of the first
   // erroring row (and that row's first erroring item): rows outermost, so
   // an error at (row, item) is superseded only by one at a strictly smaller
   // row. Evaluate column-at-a-time (items outermost, serial), keep the
@@ -490,6 +926,8 @@ Result<ColumnTable> VecProject(const ColumnTable& in,
   std::mutex err_mu;
   size_t grain = rt.morsel_rows == 0 ? 1 : rt.morsel_rows;
   ColumnTable out(out_schema);
+  const RowLineage* from = in.lineage().get();
+  std::vector<int> twin_cols(items.size(), -1);  // the output's lineage
   for (size_t i = 0; i < items.size(); ++i) {
     const ExprPtr& expr = items[i].expr;
     const int src = expr->kind() == ExprKind::kAttr
@@ -497,6 +935,7 @@ Result<ColumnTable> VecProject(const ColumnTable& in,
                         : -1;
     if (src >= 0) {
       out.ShareCol(i, in, static_cast<size_t>(src));
+      if (from != nullptr) twin_cols[i] = from->cols[static_cast<size_t>(src)];
       continue;
     }
     size_t limit = std::min(in.rows(), err_row);
@@ -524,6 +963,9 @@ Result<ColumnTable> VecProject(const ColumnTable& in,
   }
   if (err_row != static_cast<size_t>(-1)) return Status::Error(err_msg);
   out.CommitRows(in.rows());
+  if (from != nullptr) {
+    out.set_lineage(MakeLineage(from->twin, from->rows, std::move(twin_cols)));
+  }
   return out;
 }
 
@@ -605,7 +1047,7 @@ ColumnTable VecDifference(const ColumnTable& l, const ColumnTable& r,
     }
     keep.push_back(i);
   }
-  return GatherTable(l, l.schema(), keep, rt);
+  return GatherTable(l, l.schema(), std::move(keep), rt);
 }
 
 ColumnTable VecRdup(const ColumnTable& in, const Schema& out_schema,
@@ -617,7 +1059,7 @@ ColumnTable VecRdup(const ColumnTable& in, const Schema& out_schema,
   for (uint32_t i = 0; i < in.rows(); ++i) {
     if (seen.insert(RowRef{&in, i, h[i]}).second) keep.push_back(i);
   }
-  return GatherTable(in, out_schema, keep, rt);
+  return GatherTable(in, out_schema, std::move(keep), rt);
 }
 
 ColumnTable VecSort(const ColumnTable& in, const SortSpec& spec,
@@ -682,7 +1124,7 @@ ColumnTable VecSort(const ColumnTable& in, const SortSpec& spec,
     return false;
   };
   std::vector<uint32_t> order = SortIndices(in.rows(), less, rt);
-  return GatherTable(in, in.schema(), order, rt);
+  return GatherTable(in, in.schema(), std::move(order), rt);
 }
 
 // Extracts the T1/T2 endpoints of every row into flat arrays, morsel by
@@ -784,26 +1226,25 @@ ColumnTable VecProductT(const ColumnTable& l, const ColumnTable& r,
 // Emits one output row per (source row, period) pair, in pair order: every
 // column is gathered from `in` except T1/T2, which carry the pair's period —
 // the columnar form of "copy the tuple, replace its period in place".
-ColumnTable EmitWithPeriods(const ColumnTable& in,
-                            const std::vector<uint32_t>& rows,
+// The lineage follows the gathered rows; T1 and T2 are unmapped.
+ColumnTable EmitWithPeriods(const ColumnTable& in, std::vector<uint32_t> rows,
                             const std::vector<Period>& periods,
                             const VexecRuntime& rt) {
-  ColumnTable out(in.schema());
-  int t1 = in.t1_index(), t2 = in.t2_index();
-  rt.ForTasks(in.num_cols(), [&](size_t c) {
-    ColumnVec& dst = out.mutable_col(c);
-    if (static_cast<int>(c) == t1) {
-      dst.Reserve(periods.size());
-      for (const Period& p : periods) dst.AppendInt64(p.begin);
-    } else if (static_cast<int>(c) == t2) {
-      dst.Reserve(periods.size());
-      for (const Period& p : periods) dst.AppendInt64(p.end);
-    } else {
-      dst.AppendGather(in.col(c), rows.data(), rows.size());
-    }
-  });
-  out.CommitRows(rows.size());
-  return out;
+  const int t1 = in.t1_index(), t2 = in.t2_index();
+  return GatherWithLineage(
+      in, in.schema(), std::move(rows), {t1, t2},
+      [&](ColumnVec& dst, size_t c, const std::vector<uint32_t>& at) {
+        if (static_cast<int>(c) == t1) {
+          dst.Reserve(periods.size());
+          for (const Period& p : periods) dst.AppendInt64(p.begin);
+        } else if (static_cast<int>(c) == t2) {
+          dst.Reserve(periods.size());
+          for (const Period& p : periods) dst.AppendInt64(p.end);
+        } else {
+          dst.AppendGather(in.col(c), at.data(), at.size());
+        }
+      },
+      rt);
 }
 
 // Per-chunk output of the row-ordered class sweeps (\T, rdupT): (row,
@@ -917,13 +1358,9 @@ class ActiveSet {
 };
 
 // Value-equivalence classes (equal non-temporal attributes) of `t`'s rows.
-ClassIndex ValueClasses(const ColumnTable& t, const VexecRuntime& rt) {
-  return BuildClassIndex(
-      KeyHashes(t, t.NonTemporalCols(), rt),
-      [&](uint32_t a, uint32_t b) {
-        return ColumnTable::RowCompareNonTemporal(t, a, t, b) == 0;
-      },
-      rt);
+std::shared_ptr<const ClassIndex> ValueClasses(const ColumnTable& t,
+                                               const VexecRuntime& rt) {
+  return KeyClassIndex(t, t.NonTemporalCols(), rt);
 }
 
 ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
@@ -939,17 +1376,8 @@ ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
   // are cancelled and the rest gain the interval, stitched onto their open
   // fragment when adjacent. Fragments return to left-row order.
   const size_t nl = l.rows();
-  std::vector<uint64_t> hash = KeyHashes(l, l.NonTemporalCols(), rt);
-  std::vector<uint64_t> rhash = KeyHashes(r, r.NonTemporalCols(), rt);
-  hash.insert(hash.end(), rhash.begin(), rhash.end());
-  ClassIndex idx = BuildClassIndex(
-      hash,
-      [&](uint32_t a, uint32_t b) {
-        return ColumnTable::RowCompareNonTemporal(
-                   a < nl ? l : r, a < nl ? a : a - nl, b < nl ? l : r,
-                   b < nl ? b : b - nl) == 0;
-      },
-      rt);
+  const std::shared_ptr<const ClassIndex> classes = DifferenceClasses(l, r, rt);
+  const ClassIndex& idx = *classes;
   std::vector<TimePoint> begins, ends, rbegins, rends;
   ExtractPeriods(l, &begins, &ends, rt);
   ExtractPeriods(r, &rbegins, &rends, rt);
@@ -1020,7 +1448,7 @@ ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
     }
   });
   RowPeriods frags = OrderByRow(nl, out, rt);
-  return EmitWithPeriods(l, frags.rows, frags.periods, rt);
+  return EmitWithPeriods(l, std::move(frags.rows), frags.periods, rt);
 }
 
 ColumnTable VecUnionT(const ColumnTable& l, const ColumnTable& r,
@@ -1046,7 +1474,8 @@ ColumnTable VecRdupT(const ColumnTable& in, const VexecRuntime& rt) {
   // survives whole iff no covered period overlaps it (Period::Overlaps),
   // and never adds coverage. Fragments return to row order.
   const size_t n = in.rows();
-  ClassIndex idx = ValueClasses(in, rt);
+  const std::shared_ptr<const ClassIndex> classes = ValueClasses(in, rt);
+  const ClassIndex& idx = *classes;
   std::vector<TimePoint> begins, ends;
   ExtractPeriods(in, &begins, &ends, rt);
   std::vector<RowPeriods> out(rt.UnitChunks());
@@ -1092,7 +1521,7 @@ ColumnTable VecRdupT(const ColumnTable& in, const VexecRuntime& rt) {
     }
   });
   RowPeriods frags = OrderByRow(n, out, rt);
-  return EmitWithPeriods(in, frags.rows, frags.periods, rt);
+  return EmitWithPeriods(in, std::move(frags.rows), frags.periods, rt);
 }
 
 // The greedy adjacency merge of one coalescing class — EvalCoalesce's inner
@@ -1138,7 +1567,8 @@ ColumnTable VecCoalesce(const ColumnTable& in, const VexecRuntime& rt) {
   rt.ForRows(n, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) period[i] = Period(begins[i], ends[i]);
   });
-  const ClassIndex idx = ValueClasses(in, rt);
+  const std::shared_ptr<const ClassIndex> classes = ValueClasses(in, rt);
+  const ClassIndex& idx = *classes;
   rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
     for (size_t c = cb; c < ce; ++c) {
       CoalesceClass(idx.begin(c), idx.end(c), period, consumed);
@@ -1151,7 +1581,7 @@ ColumnTable VecCoalesce(const ColumnTable& in, const VexecRuntime& rt) {
     rows.push_back(i);
     periods.push_back(period[i]);
   }
-  return EmitWithPeriods(in, rows, periods, rt);
+  return EmitWithPeriods(in, std::move(rows), periods, rt);
 }
 
 // ---- Aggregation ----------------------------------------------------------
@@ -1234,24 +1664,6 @@ Status ResolveAggColumns(const Schema& schema,
   return Status::OK();
 }
 
-// The group classes of the rows of `in`: group keys compare with
-// CellRef::Compare (cross-type numeric equality), so they hash with the
-// Compare-consistent class hash.
-ClassIndex GroupClasses(const ColumnTable& in,
-                        const std::vector<int>& group_idx,
-                        const VexecRuntime& rt) {
-  return BuildClassIndex(
-      KeyHashes(in, group_idx, rt),
-      [&](uint32_t a, uint32_t b) {
-        for (int gi : group_idx) {
-          const ColumnVec& c = in.col(static_cast<size_t>(gi));
-          if (ColumnVec::CompareCells(c, a, c, b) != 0) return false;
-        }
-        return true;
-      },
-      rt);
-}
-
 // One VecAggState per aggregate, folding rows of `t` (COUNT(*) folds Int 1).
 struct AggFold {
   const ColumnTable& t;
@@ -1296,7 +1708,9 @@ Result<ColumnTable> VecAggregate(const ColumnTable& in,
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
   const size_t na = aggs.size();
-  const ClassIndex idx = GroupClasses(in, group_idx, rt);
+  const std::shared_ptr<const ClassIndex> classes =
+      KeyClassIndex(in, group_idx, rt);
+  const ClassIndex& idx = *classes;
   // Groups in first-occurrence order: each group's first row and its
   // finished aggregates (group-major). Every group folds its rows in row
   // order — floating-point sums are not associative, so the order is part
@@ -1349,7 +1763,9 @@ Result<ColumnTable> VecAggregateT(const ColumnTable& in,
   TQP_RETURN_IF_ERROR(ResolveAggColumns(in.schema(), group_by, aggs,
                                         &group_idx, &agg_idx, &agg_type));
   const size_t na = aggs.size();
-  const ClassIndex idx = GroupClasses(in, group_idx, rt);
+  const std::shared_ptr<const ClassIndex> classes =
+      KeyClassIndex(in, group_idx, rt);
+  const ClassIndex& idx = *classes;
   std::vector<TimePoint> begins, ends;
   ExtractPeriods(in, &begins, &ends, rt);
 
@@ -1448,7 +1864,7 @@ ColumnTable VecScramble(const ColumnTable& in, uint64_t seed,
         return ColumnTable::RowCompare(in, a, in, b) < 0;
       },
       rt);
-  return GatherTable(in, in.schema(), order, rt);
+  return GatherTable(in, in.schema(), std::move(order), rt);
 }
 
 // ---- Vectorized hash join (σ over ×, fused) -------------------------------

@@ -9,8 +9,11 @@
 // through and evaluate the rest into fresh columns, joins run over flat
 // period arrays, and the class operators (rdupT, coalT, \T, ∪T, ℵT, ℵ) run
 // on one hash-partitioned class index, ℵT and \T as endpoint sweeps (see
-// vexec.cc). Every operator runs in memory: it takes its whole input and
-// returns its whole output as resident ColumnTables.
+// vexec.cc). When a class operator's key cells are copies of a twin's
+// cells, its class index derives from the twin's classes on that key,
+// built once per relation version beside the twin. Every operator runs in
+// memory: it takes its whole input and returns its whole output as
+// resident ColumnTables.
 //
 // The per-row loops read typed storage where they can: σ's comparisons of
 // two int64 operands of one declared type without nulls or errors

@@ -511,6 +511,47 @@ TEST(ApiEngineTest, MutateCatalogReplacementNeverSplicesStaleResults) {
   }
 }
 
+TEST(ApiEngineTest, MutateCatalogUpdateRefreshesVectorizedClasses) {
+  // The vectorized executor keeps each relation version's classes beside
+  // its columnar twin, and its class operators derive their classes from
+  // them. After MutateCatalog updates R, they must use the new version's
+  // classes: stale class ids would merge or split R's new classes.
+  const std::vector<std::string> queries = {
+      "VALIDTIME SELECT DISTINCT Name FROM R ORDER BY Name ASC",
+      "VALIDTIME COALESCED SELECT DISTINCT Name FROM R",
+      "SELECT Cat, COUNT(*) AS n FROM R GROUP BY Cat ORDER BY Cat",
+      "VALIDTIME SELECT Name, COUNT(*) AS n FROM R WHERE Val > 10 GROUP BY "
+      "Name",
+      "VALIDTIME COALESCED SELECT DISTINCT Name FROM R EXCEPT SELECT Name "
+      "FROM S ORDER BY Name ASC",
+  };
+  EngineOptions vec_opts;
+  vec_opts.executor = ExecutorKind::kVectorized;
+  vec_opts.vexec_threads = 4;
+  Engine ref_engine(WorkloadCatalog());
+  Engine vec_engine(WorkloadCatalog(), vec_opts);
+  auto check = [&](const std::string& step) {
+    for (const std::string& q : queries) {
+      Result<QueryResult> ref = ref_engine.Query(q);
+      Result<QueryResult> vec = vec_engine.Query(q);
+      ASSERT_TRUE(ref.ok()) << step << ": " << q << ": "
+                            << ref.status().message();
+      ASSERT_TRUE(vec.ok()) << step << ": " << q << ": "
+                            << vec.status().message();
+      ExpectIdentical(ref->relation, vec->relation);
+    }
+  };
+  check("before");
+  auto update = [](Catalog& c) {
+    CatalogEntry entry;
+    entry.data = testing_util::RandomTemporal(11, 41);
+    return c.Update("R", entry);
+  };
+  ASSERT_TRUE(ref_engine.MutateCatalog(update).ok());
+  ASSERT_TRUE(vec_engine.MutateCatalog(update).ok());
+  check("after");
+}
+
 TEST(ApiEngineTest, EnumerateReleasesItsSearchState) {
   // Each Enumerate call searches in an interner and derivation cache of its
   // own: a second call gives the identical plan sequence, and once the

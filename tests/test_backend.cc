@@ -1191,6 +1191,78 @@ TEST(SqliteMirrorTest, NaNRelationRunsInTheStratumOnBothExecutors) {
   EXPECT_TRUE(MirrorTableExists(be, "C"));
 }
 
+// Double arithmetic can make a NaN from finite-looking rows (inf - inf,
+// inf * 0), which SQLite would return as NULL, so a π over it runs in the
+// stratum on both executors: E - E and E * 0 over {+inf, -inf, 1.5} equal
+// the reference, NaNs included, and count as refusals.
+TEST(SqliteBackendTest, DoubleArithmeticRunsInTheStratum) {
+  if (!SqliteBackend::Available()) GTEST_SKIP();
+  Schema schema;
+  schema.Add(Attribute{"K", ValueType::kInt});
+  schema.Add(Attribute{"E", ValueType::kDouble});
+  Relation e(schema);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [k, v] : std::vector<std::pair<int64_t, double>>{
+           {1, inf}, {2, -inf}, {3, 1.5}}) {
+    e.Append(Tuple({Value::Int(k), Value::Double(v)}));
+  }
+  Catalog catalog = MakeCatalog(42);
+  ASSERT_TRUE(Put(&catalog, "E", e).ok());
+  Result<std::unique_ptr<SqliteBackend>> made = SqliteBackend::Open();
+  ASSERT_TRUE(made.ok());
+  SqliteBackend& be = *made.value();
+  auto pi = [](ArithOp op, ExprPtr rhs) {
+    return PlanNode::TransferS(PlanNode::Project(
+        PlanNode::Scan("E"),
+        {ProjItem::Pass("K"),
+         ProjItem{Expr::Arith(op, Expr::Attr("E"), std::move(rhs)), "Z"}}));
+  };
+  const std::vector<std::pair<std::string, PlanPtr>> cuts = {
+      {"e-minus-e", pi(ArithOp::kSub, Expr::Attr("E"))},
+      {"e-times-0", pi(ArithOp::kMul, Expr::Const(Value::Int(0)))},
+  };
+  for (const auto& [name, plan] : cuts) {
+    Result<Relation> ref = EvaluatePlan(plan, catalog, EngineConfig{}, nullptr);
+    ASSERT_TRUE(ref.ok()) << name;
+    ASSERT_EQ(ref->size(), 3u) << name;
+    EXPECT_TRUE(std::isnan(ref->tuple(0).at(1).AsDouble())) << name;
+    EXPECT_TRUE(std::isnan(ref->tuple(1).at(1).AsDouble())) << name;
+    EXPECT_FALSE(std::isnan(ref->tuple(2).at(1).AsDouble())) << name;
+    Result<AnnotatedPlan> ann =
+        AnnotatedPlan::Make(plan, &catalog, QueryContract::Multiset());
+    ASSERT_TRUE(ann.ok()) << name;
+    EngineConfig cfg;
+    cfg.backend = &be;
+    ExecStats stats;
+    Result<Relation> got = Evaluate(ann.value(), cfg, &stats);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    ExpectListIdentical(ref.value(), got.value(), name);
+    EXPECT_EQ(stats.backend_pushdowns, 0) << name;
+    EXPECT_EQ(stats.backend_refusals, 1) << name;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      VexecOptions vopts;
+      vopts.threads = threads;
+      ExecStats vec_stats;
+      Result<Relation> vec =
+          ExecuteVectorized(ann.value(), cfg, &vec_stats, vopts);
+      ASSERT_TRUE(vec.ok()) << name;
+      ExpectListIdentical(ref.value(), vec.value(),
+                          name + "/vexec-t" + std::to_string(threads));
+      EXPECT_EQ(vec_stats.backend_pushdowns, 0) << name;
+      EXPECT_EQ(vec_stats.backend_refusals, 1) << name;
+    }
+  }
+  // Integer arithmetic cannot make a NaN and is still pushed.
+  ExpectPushedResult(
+      &be, catalog,
+      PlanNode::TransferS(PlanNode::Project(
+          PlanNode::Scan("E"),
+          {ProjItem{Expr::Arith(ArithOp::kSub, Expr::Attr("K"),
+                                Expr::Attr("K")),
+                    "Z"}})),
+      true, "int arithmetic");
+}
+
 // A relation that gains a NaN, by reload or by append, loses its mirror
 // table in the same sync that commits the other relations' changes; while
 // it keeps the NaN, later syncs leave it alone.
