@@ -11,7 +11,8 @@
 //     at full scale. The speedup gate arms only in optimized, unsanitized
 //     builds (NDEBUG and no ASan/TSan); the identity gates always run. An
 //     untimed vectorized run first builds the relations' columnar twins
-//     (Catalog::Columns), so the timed runs measure repeated queries: the
+//     (Catalog::Columns) and the twin's classes that coalT derives its
+//     classes from, so the timed runs measure repeated queries: the
 //     vectorized side scans the built twins, the reference side the
 //     row-stored relations.
 //
@@ -160,7 +161,8 @@ void GatePipelineThroughput() {
   TQP_CHECK(ann.ok());
   EngineConfig config;
 
-  // Untimed: builds the columnar twins that the timed vectorized runs scan.
+  // Untimed: builds the columnar twins that the timed vectorized runs scan,
+  // and the classes they derive coalT's classes from.
   RunVectorized(ann.value(), config);
   RunOutcome ref = RunReference(ann.value(), config);
   // Best of two vectorized runs (first run pays allocator warmup).

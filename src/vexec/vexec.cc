@@ -1357,12 +1357,6 @@ class ActiveSet {
   std::vector<uint32_t> active_;
 };
 
-// Value-equivalence classes (equal non-temporal attributes) of `t`'s rows.
-std::shared_ptr<const ClassIndex> ValueClasses(const ColumnTable& t,
-                                               const VexecRuntime& rt) {
-  return KeyClassIndex(t, t.NonTemporalCols(), rt);
-}
-
 ColumnTable VecDifferenceT(const ColumnTable& l, const ColumnTable& r,
                            const VexecRuntime& rt) {
   // EvalDifferenceT as an endpoint sweep per value-equivalence class. One
@@ -1474,7 +1468,9 @@ ColumnTable VecRdupT(const ColumnTable& in, const VexecRuntime& rt) {
   // survives whole iff no covered period overlaps it (Period::Overlaps),
   // and never adds coverage. Fragments return to row order.
   const size_t n = in.rows();
-  const std::shared_ptr<const ClassIndex> classes = ValueClasses(in, rt);
+  // Value-equivalence classes: equal non-temporal attributes.
+  const std::shared_ptr<const ClassIndex> classes =
+      KeyClassIndex(in, in.NonTemporalCols(), rt);
   const ClassIndex& idx = *classes;
   std::vector<TimePoint> begins, ends;
   ExtractPeriods(in, &begins, &ends, rt);
@@ -1567,7 +1563,9 @@ ColumnTable VecCoalesce(const ColumnTable& in, const VexecRuntime& rt) {
   rt.ForRows(n, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) period[i] = Period(begins[i], ends[i]);
   });
-  const std::shared_ptr<const ClassIndex> classes = ValueClasses(in, rt);
+  // Value-equivalence classes: equal non-temporal attributes.
+  const std::shared_ptr<const ClassIndex> classes =
+      KeyClassIndex(in, in.NonTemporalCols(), rt);
   const ClassIndex& idx = *classes;
   rt.ForUnits(idx.offsets, [&](size_t, size_t cb, size_t ce) {
     for (size_t c = cb; c < ce; ++c) {

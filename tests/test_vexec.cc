@@ -464,11 +464,14 @@ std::vector<LineagePlan> LineagePlans() {
   };
   const std::vector<AggSpec> aggs = {AggSpec{AggFunc::kCount, "", "n"},
                                      AggSpec{AggFunc::kSum, "Val", "s"}};
+  const ProjItem doubled{Expr::Arith(ArithOp::kMul, Expr::Attr("Val"),
+                                     Expr::Const(Value::Int(2))),
+                         "V2"};
   return {
       {"lineage-aggregate-scan", PlanNode::Aggregate(K(), {"Cat"}, aggs), true},
       {"lineage-aggregate-t-select",
        PlanNode::AggregateT(
-           PlanNode::Select(K(), cmp(CompareOp::kLt, "Cat", 1)), {"Name"},
+           PlanNode::Select(K(), cmp(CompareOp::kGt, "Val", 1)), {"Name"},
            aggs),
        true},
       {"lineage-rdup-t-project-renamed",
@@ -490,12 +493,9 @@ std::vector<LineagePlan> LineagePlans() {
        PlanNode::UnionT(name_period(K2()), high()), true},
       {"lineage-aggregate-t-computed-key",
        PlanNode::AggregateT(
-           PlanNode::Project(K(), {ProjItem{Expr::Arith(ArithOp::kMul,
-                                                        Expr::Attr("Val"),
-                                                        Expr::Const(
-                                                            Value::Int(2))),
-                                            "V2"},
-                                   ProjItem::Pass(kT1), ProjItem::Pass(kT2)}),
+           PlanNode::Project(
+               PlanNode::Select(K(), cmp(CompareOp::kGt, "Val", 1)),
+               {doubled, ProjItem::Pass(kT1), ProjItem::Pass(kT2)}),
            {"V2"}, {AggSpec{AggFunc::kCount, "", "n"}}),
        false},
   };
@@ -1072,16 +1072,26 @@ struct AuditCounts {
   int64_t mismatched = 0;
 };
 
-/// Checks `plan` against the reference with the class-index audit set
-/// around the vectorized run, and returns what it counted.
+/// Checks `plan`'s vectorized run against the reference run `ref` with
+/// the class-index audit set around it, and returns what it counted.
+AuditCounts AuditedCheck(const Result<Relation>& ref,
+                         const ExecStats& ref_stats, const PlanPtr& plan,
+                         const Catalog& catalog, const EngineConfig& config,
+                         const std::string& label, const VexecOptions& vopts) {
+  vexec::ClassIndexAudit audit;
+  vexec::SetClassIndexAudit(&audit);
+  CheckAgainstReference(ref, ref_stats, plan, catalog, config, label, vopts);
+  vexec::SetClassIndexAudit(nullptr);
+  return {audit.derived.load(), audit.hashed.load(), audit.mismatched.load()};
+}
+
+/// AuditedCheck with the reference run made here.
 AuditCounts AuditedCheck(const PlanPtr& plan, const Catalog& catalog,
                          const EngineConfig& config, const std::string& label,
                          const VexecOptions& vopts) {
-  vexec::ClassIndexAudit audit;
-  vexec::SetClassIndexAudit(&audit);
-  CheckPlanWithOptions(plan, catalog, config, label, vopts);
-  vexec::SetClassIndexAudit(nullptr);
-  return {audit.derived.load(), audit.hashed.load(), audit.mismatched.load()};
+  ExecStats ref_stats;
+  Result<Relation> ref = EvaluatePlan(plan, catalog, config, &ref_stats);
+  return AuditedCheck(ref, ref_stats, plan, catalog, config, label, vopts);
 }
 
 // Every lineage plan's class indexes derive from the twin's classes (the
@@ -1090,25 +1100,26 @@ AuditCounts AuditedCheck(const PlanPtr& plan, const Catalog& catalog,
 // same rows' key cells.
 TEST(VexecLineage, DerivedClassIndexesEqualTheHashedBuild) {
   const Catalog catalog = MakeCatalog(81);
+  std::vector<VexecOptions> runs(1);  // one thread never splits morsels
+  for (size_t morsel : {size_t{8}, size_t{64}, VexecOptions().morsel_rows}) {
+    runs.emplace_back();
+    runs.back().threads = 4;
+    runs.back().morsel_rows = morsel;
+  }
   for (const auto& [cfg_name, config] : Configs()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (size_t morsel :
-           {size_t{8}, size_t{64}, VexecOptions().morsel_rows}) {
-        // One thread never splits rows into morsels.
-        if (threads == 1 && morsel != VexecOptions().morsel_rows) continue;
-        VexecOptions vopts;
-        vopts.threads = threads;
-        vopts.morsel_rows = morsel;
-        for (const LineagePlan& lp : LineagePlans()) {
-          const std::string label = cfg_name + "/t" + std::to_string(threads) +
-                                    "/m" + std::to_string(morsel) + "/" +
-                                    lp.name;
-          const AuditCounts n =
-              AuditedCheck(lp.plan, catalog, config, label, vopts);
-          EXPECT_EQ(n.mismatched, 0) << label;
-          EXPECT_EQ(n.derived > 0, lp.derives) << label;
-          EXPECT_EQ(n.hashed > 0, !lp.derives) << label;
-        }
+    for (const LineagePlan& lp : LineagePlans()) {
+      ExecStats ref_stats;
+      Result<Relation> ref = EvaluatePlan(lp.plan, catalog, config, &ref_stats);
+      for (const VexecOptions& vopts : runs) {
+        const std::string label = cfg_name + "/t" +
+                                  std::to_string(vopts.threads) + "/m" +
+                                  std::to_string(vopts.morsel_rows) + "/" +
+                                  lp.name;
+        const AuditCounts n = AuditedCheck(ref, ref_stats, lp.plan, catalog,
+                                           config, label, vopts);
+        EXPECT_EQ(n.mismatched, 0) << label;
+        EXPECT_EQ(n.derived > 0, lp.derives) << label;
+        EXPECT_EQ(n.hashed > 0, !lp.derives) << label;
       }
     }
   }
@@ -1219,7 +1230,13 @@ TEST(VexecLineage, ClassIndexSpansRecordDerivation) {
   const std::string rows = std::to_string(catalog.Find("K")->data.size());
   const PlanPtr derived = PlanNode::Aggregate(
       PlanNode::Scan("K"), {"Cat"}, {AggSpec{AggFunc::kCount, "", "n"}});
-  const PlanPtr hashed = LineagePlans().back().plan;  // the computed key
+  const PlanPtr hashed = PlanNode::AggregateT(
+      PlanNode::Project(PlanNode::Scan("K"),
+                        {ProjItem{Expr::Arith(ArithOp::kMul, Expr::Attr("Val"),
+                                              Expr::Const(Value::Int(2))),
+                                  "V2"},
+                         ProjItem::Pass(kT1), ProjItem::Pass(kT2)}),
+      {"V2"}, {AggSpec{AggFunc::kCount, "", "n"}});
   Tracer tracer;
   EngineConfig config;
   config.tracer = &tracer;
